@@ -21,10 +21,10 @@ let drf_runs_each = 10
 let racy_row (machine : M.t) =
   let programs_violating = ref 0 in
   for pseed = 1 to racy_programs do
-    let program = Wo_litmus.Random_prog.racy ~seed:pseed () in
-    (* The SC outcome set quantifies over all interleavings: enumerate with
-       partial-order reduction, fanned out across the host's domains. *)
-    let sc, _stats = Wo_prog.Enumerate.outcomes_par program in
+    let program = Wo_synth.Synth.racy ~seed:pseed () in
+    (* The SC outcome set quantifies over all interleavings: the stateful
+       enumerator's DAG search collects it. *)
+    let sc, _stats = Wo_prog.Enumerate.outcomes_stateful ~domains:1 program in
     let observed =
       List.init racy_runs_each (fun i ->
           (M.run machine ~seed:(i + 1) program).M.outcome)
@@ -45,7 +45,7 @@ let drf_row (machine : M.t) =
   let lemma1_failures = ref 0 in
   let runs_total = ref 0 in
   for pseed = 1 to drf_programs do
-    let program = Wo_litmus.Random_prog.lock_disciplined ~seed:pseed () in
+    let program = Wo_synth.Synth.lock_disciplined ~seed:pseed () in
     for seed = 1 to drf_runs_each do
       incr runs_total;
       let r = M.run machine ~seed program in

@@ -2,17 +2,15 @@
 
    The exhaustive interleaving enumerator is the hot path behind the DRF0
    quantifier (Definition 3) and every SC outcome set; this experiment
-   measures what the layered optimizations buy:
-
-   - partial-order reduction (sleep sets over a per-step independence test)
-     vs. the naive oracle: search-tree states explored, executions
-     enumerated, wall time — with outcome-set equality asserted;
-   - multicore fan-out: outcomes_par throughput across domain counts.
+   measures what partial-order reduction (sleep sets over a per-step
+   independence test) buys over the naive oracle: search-tree states
+   explored, executions enumerated, wall time — with outcome-set equality
+   asserted.  Multicore search is measured by E12 (the stateful
+   enumerator's work-stealing [-j]).
 
    Programs are the Figure-1 / Dekker litmus shapes, optionally padded with
    per-processor private writes (independent work, the paper's "local
-   computation" between the contended accesses), plus a fully contended
-   program that gives the parallel fan-out real work POR cannot remove.
+   computation" between the contended accesses).
 
    Results go to stdout and BENCH_enum.json (the perf trajectory for later
    PRs). *)
@@ -43,14 +41,6 @@ let padded (t : L.t) k =
     ~initial:program.P.initial
     ?observable:program.P.observable threads
 
-(* Every access contends on one location, so POR prunes nothing and the
-   domains split genuinely irreducible work. *)
-let contended ~procs ~ops =
-  P.make
-    ~name:(Printf.sprintf "contended-%dx%d" procs ops)
-    (List.init procs (fun p ->
-         List.init ops (fun j -> I.Write (0, I.Const ((10 * p) + j)))))
-
 type seq_row = {
   program_name : string;
   naive_stats : En.stats;
@@ -80,26 +70,6 @@ let seq_measure program =
     distinct_outcomes = List.length por_outs;
   }
 
-type par_row = {
-  par_program : string;
-  par_strategy : string;
-  domains : int;
-  par_seconds : float;
-  par_stats : En.stats;
-}
-
-let par_measure ~strategy ~strategy_name ~domains program =
-  let (_, par_stats), par_seconds =
-    time (fun () -> En.outcomes_par ~strategy ~domains program)
-  in
-  {
-    par_program = program.P.name;
-    par_strategy = strategy_name;
-    domains;
-    par_seconds;
-    par_stats;
-  }
-
 let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
 
 let per_sec n seconds = if seconds <= 0.0 then 0.0 else float_of_int n /. seconds
@@ -115,9 +85,8 @@ let stats_json (s : En.stats) seconds =
     ("executions_per_sec", J.Float (per_sec s.En.executions seconds));
   ]
 
-let metrics_fields seq_rows par_rows =
+let metrics_fields seq_rows =
   [
-    ("recommended_domains", J.Int (Domain.recommended_domain_count ()));
     ("quick", J.Bool Exp_common.quick);
     ( "sequential",
       J.List
@@ -139,21 +108,11 @@ let metrics_fields seq_rows par_rows =
                  ("distinct_outcomes", J.Int r.distinct_outcomes);
                ])
            seq_rows) );
-    ( "parallel",
-      J.List
-        (List.map
-           (fun r ->
-             J.Obj
-               (("program", J.String r.par_program)
-                :: ("strategy", J.String r.par_strategy)
-                :: ("domains", J.Int r.domains)
-                :: stats_json r.par_stats r.par_seconds))
-           par_rows) );
   ]
 
 let run () =
   Wo_report.Table.heading
-    "E9 / enumerator throughput — partial-order reduction and multicore";
+    "E9 / enumerator throughput — partial-order reduction";
   Wo_report.Table.subheading
     "sequential: sleep-set POR vs. the naive oracle (same outcome sets)";
   print_newline ();
@@ -227,60 +186,9 @@ let run () =
     (ratio fam_naive fam_por) fam_naive fam_por
     (List.for_all (fun r -> r.outcomes_equal) family);
   print_newline ();
-  Wo_report.Table.subheading
-    "parallel: outcomes_par across domain counts (executions/sec)";
-  print_newline ();
-  Printf.printf "host parallelism: %d recommended domain(s)\n\n"
-    (Domain.recommended_domain_count ());
-  let par_programs =
-    if Exp_common.quick then [ (contended ~procs:2 ~ops:3, En.Naive, "naive") ]
-    else
-      [
-        (contended ~procs:3 ~ops:4, En.Naive, "naive");
-        (padded L.figure1 6, En.Naive, "naive");
-        (padded L.dekker_sync 6, En.Por, "por");
-      ]
-  in
-  let domain_counts =
-    let rec dedup = function
-      | a :: (b :: _ as rest) when a = b -> dedup rest
-      | a :: rest -> a :: dedup rest
-      | [] -> []
-    in
-    if Exp_common.quick then [ 1; 2 ]
-    else
-      dedup (List.sort compare [ 1; 2; 4; Domain.recommended_domain_count () ])
-  in
-  let par_rows =
-    List.concat_map
-      (fun (program, strategy, strategy_name) ->
-        List.map
-          (fun domains ->
-            par_measure ~strategy ~strategy_name ~domains program)
-          domain_counts)
-      par_programs
-  in
-  Wo_report.Table.print
-    ~align:Wo_report.Table.[ L; L; R; R; R; R ]
-    ~headers:
-      [ "program"; "strategy"; "domains"; "seconds"; "execs"; "exec/s" ]
-    (List.map
-       (fun r ->
-         [
-           r.par_program;
-           r.par_strategy;
-           string_of_int r.domains;
-           Printf.sprintf "%.3f" r.par_seconds;
-           string_of_int r.par_stats.En.executions;
-           Printf.sprintf "%.0f" (per_sec r.par_stats.En.executions r.par_seconds);
-         ])
-       par_rows);
-  print_newline ();
   Exp_common.write_metrics ~experiment:"e9" ~path:"BENCH_enum.json"
-    (metrics_fields seq_rows par_rows);
+    (metrics_fields seq_rows);
   print_endline
     "Expected: POR explores the same outcome sets with far fewer states on\n\
      programs with independent work (>=5x on the padded Figure-1/Dekker\n\
-     family); fully contended programs show no reduction but split across\n\
-     domains (throughput scales only with real cores — on a single-core\n\
-     host the extra domains cost stop-the-world synchronization)."
+     family)."

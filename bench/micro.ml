@@ -44,7 +44,7 @@ let test_cs_sim =
     (Staged.stage @@ fun () ->
      M.run Wo_machines.Presets.sc_dir ~seed:1 cs.Wo_workload.Workload.program)
 
-let drf_program = Wo_litmus.Random_prog.lock_disciplined ~seed:3 ()
+let drf_program = Wo_synth.Synth.lock_disciplined ~seed:3 ()
 let drf_result = M.run Wo_machines.Presets.wo_new ~seed:3 drf_program
 
 let test_lemma1 =

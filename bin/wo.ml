@@ -5,7 +5,7 @@
      wo litmus figure1 -m wo-new     run a litmus test on a machine and
                                      compare against the SC outcome set
      wo races message-passing        check a litmus program against DRF0
-     wo check dekker-sync --strategy=stateful -j 4
+     wo check dekker-sync -j 4
                                      exhaustive DRF0 check: DAG search with
                                      canonical state hashing, symmetry
                                      reduction and work-stealing domains
@@ -110,31 +110,13 @@ let metrics_arg =
           "Also write a versioned wo-metrics JSON document (schema \
            $(b,wo-metrics)) to $(docv).")
 
-(* Shared by litmus/sweep/campaign (`wo check' has its own flag for the
-   enumeration engine): which execution engine drives the machines.
-   Results are byte-identical either way — the flag exists for
-   cross-checking the compiled path against the AST oracle and for
-   measuring the speedup. *)
-let machine_engine_arg =
-  let e = Arg.enum [ ("compiled", M.Compiled); ("ast", M.Ast) ] in
-  Arg.(
-    value & opt e M.Compiled
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Machine execution engine: $(b,compiled) (the default: each \
-           program is lowered once to int-coded ops and driven through \
-           reusable machine sessions) or $(b,ast) (the AST-walking \
-           frontend, kept as the oracle).  Programs the compiler cannot \
-           lower fall back to $(b,ast) automatically; results are \
-           byte-identical either way.")
-
 (* Metrics-envelope fields every machine-running command records: the
-   engine it asked for and the process-wide machine counters (also
-   emitted to the active recorder, for trace consumers). *)
-let machine_engine_fields engine =
+   engine and the process-wide machine counters (also emitted to the
+   active recorder, for trace consumers). *)
+let machine_fields () =
   M.emit_counters ();
   [
-    ("engine", Wo_obs.Json.String (M.engine_name engine));
+    ("engine", Wo_obs.Json.String (M.engine_name M.Compiled));
     ( "machine_counters",
       Wo_obs.Json.Obj
         [
@@ -288,13 +270,11 @@ let litmus_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TEST" ~doc:"Litmus test name (see `wo list').")
   in
-  let run test machine machine_file runs seed engine metrics =
+  let run test machine machine_file runs seed metrics =
     let test = or_die (get_litmus test) in
     let machine = or_die (resolve_machine machine machine_file) in
     machine_errors @@ fun () ->
-    let report =
-      Wo_litmus.Runner.run ~runs ~base_seed:seed ~engine machine test
-    in
+    let report = Wo_litmus.Runner.run ~runs ~base_seed:seed machine test in
     Format.printf "%a@.@." Wo_litmus.Runner.pp_report report;
     if not test.L.loops then begin
       Printf.printf "observed outcomes (SC set has %d):\n"
@@ -319,7 +299,7 @@ let litmus_cmd =
       let r = M.run machine ~seed test.L.program in
       let doc =
         Wo_obs.Metrics.make ~experiment:"litmus"
-          (machine_engine_fields engine
+          (machine_fields ()
           @ [
             ("test", Wo_obs.Json.String test.L.name);
             ("machine", Wo_obs.Json.String machine.M.name);
@@ -361,9 +341,22 @@ let litmus_cmd =
        ~doc:"Run a litmus test on a machine and compare with the SC set")
     Term.(
       const run $ test_arg $ machine_arg $ machine_file_arg $ runs_arg
-      $ seed_arg $ machine_engine_arg $ metrics_arg)
+      $ seed_arg $ metrics_arg)
 
 (* --- wo races ------------------------------------------------------------- *)
+
+(* Definition 3's verdict as `wo races' and `wo check' print it: exit 2
+   with one racy execution's races. *)
+let report_drf0 = function
+  | Ok () ->
+    print_endline
+      "every idealized execution is race-free: the program obeys DRF0"
+  | Error report ->
+    Printf.printf "DRF0 violated; races in one idealized execution:\n";
+    List.iter
+      (fun r -> Format.printf "  %a@." Wo_core.Drf0.pp_race r)
+      report.Wo_core.Drf0.races;
+    exit 2
 
 let races_cmd =
   let test_arg =
@@ -397,16 +390,8 @@ let races_cmd =
       end
     end
     else
-      match Wo_prog.Enumerate.check_drf0 test.L.program with
-      | Ok () ->
-        print_endline
-          "every idealized execution is race-free: the program obeys DRF0"
-      | Error report ->
-        Printf.printf "DRF0 violated; races in one idealized execution:\n";
-        List.iter
-          (fun r -> Format.printf "  %a@." Wo_core.Drf0.pp_race r)
-          report.Wo_core.Drf0.races;
-        exit 2
+      report_drf0
+        (fst (Wo_prog.Enumerate.check_drf0_stateful ~domains:1 test.L.program))
   in
   Cmd.v
     (Cmd.info "races" ~doc:"Check a litmus program against Definition 3 (DRF0)")
@@ -421,21 +406,6 @@ let check_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TEST" ~doc:"Litmus test name (see `wo list').")
   in
-  let strategy_arg =
-    let s =
-      Arg.enum [ ("naive", `Naive); ("por", `Por); ("stateful", `Stateful) ]
-    in
-    Arg.(
-      value & opt s `Stateful
-      & info [ "strategy" ] ~docv:"STRATEGY"
-          ~doc:
-            "Search strategy: $(b,naive) (every interleaving), $(b,por) \
-             (sleep-set partial-order reduction over the search tree), or \
-             $(b,stateful) (the default: DAG search — canonical state \
-             hashing, processor-symmetry reduction and work stealing on \
-             top of the reduced search).  The verdict is identical for \
-             all three.")
-  in
   let jobs_arg =
     Arg.(
       value & opt int 1
@@ -445,28 +415,7 @@ let check_cmd =
              recommended count for this host.  The verdict is identical \
              for every value.")
   in
-  let engine_arg =
-    let e =
-      Arg.enum
-        [
-          ("compiled", Wo_prog.Enumerate.Compiled);
-          ("ast", Wo_prog.Enumerate.Ast);
-        ]
-    in
-    Arg.(
-      value & opt e Wo_prog.Enumerate.Compiled
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution engine for the $(b,stateful) strategy: \
-             $(b,compiled) (the default: programs are compiled once to \
-             int-coded ops with packed state keys and an off-heap \
-             visited table) or $(b,ast) (the persistent AST \
-             interpreter, the oracle).  Programs the compiler cannot \
-             lower automatically fall back to $(b,ast); the verdict is \
-             identical either way.  Tree strategies always use the AST \
-             interpreter.")
-  in
-  let run test strategy jobs engine metrics =
+  let run test jobs metrics =
     let test = or_die (get_litmus test) in
     if test.L.loops then
       or_die
@@ -478,58 +427,28 @@ let check_cmd =
     let domains = if jobs <= 0 then None else Some (max 1 jobs) in
     Format.printf "%a@.@." Wo_prog.Program.pp test.L.program;
     let t0 = Unix.gettimeofday () in
-    let result, stats =
-      match strategy with
-      | `Stateful ->
-        let r, s =
-          Wo_prog.Enumerate.check_drf0_stateful ~engine ?domains test.L.program
-        in
-        (r, Some s)
-      | (`Naive | `Por) as s ->
-        let strategy =
-          match s with
-          | `Naive -> Wo_prog.Enumerate.Naive
-          | `Por -> Wo_prog.Enumerate.Por
-        in
-        (* Tree search: per-strategy counters, no dedup to report. *)
-        (match domains with
-        | Some d when d > 1 ->
-          ( Wo_prog.Enumerate.check_drf0_par ~strategy ~domains:d test.L.program,
-            None )
-        | _ ->
-          let r, (s : Wo_prog.Enumerate.stats) =
-            Wo_prog.Enumerate.check_drf0_with_stats ~strategy test.L.program
-          in
-          ( r,
-            Some
-              {
-                Wo_prog.Enumerate.sf_states = s.Wo_prog.Enumerate.states;
-                sf_distinct = 0;
-                sf_hits = 0;
-                sf_executions = s.Wo_prog.Enumerate.executions;
-                sf_steals = 0;
-                sf_per_domain = [| s.Wo_prog.Enumerate.states |];
-              } ))
+    let result, s =
+      Wo_prog.Enumerate.check_drf0_stateful ?domains test.L.program
     in
     let wall = Unix.gettimeofday () -. t0 in
-    (match stats with
-    | None -> Printf.printf "search: %.3fs\n" wall
-    | Some s ->
-      Printf.printf
-        "search: %.3fs, %d states expanded, %d executions; visited table: %d \
-         distinct, %d dedup hits; %d steals over %d domain(s)\n"
-        wall s.Wo_prog.Enumerate.sf_states s.Wo_prog.Enumerate.sf_executions
-        s.Wo_prog.Enumerate.sf_distinct s.Wo_prog.Enumerate.sf_hits
-        s.Wo_prog.Enumerate.sf_steals
-        (Array.length s.Wo_prog.Enumerate.sf_per_domain));
+    Printf.printf
+      "search: %.3fs, %d states expanded, %d executions; visited table: %d \
+       distinct, %d dedup hits; %d steals over %d domain(s)\n"
+      wall s.Wo_prog.Enumerate.sf_states s.Wo_prog.Enumerate.sf_executions
+      s.Wo_prog.Enumerate.sf_distinct s.Wo_prog.Enumerate.sf_hits
+      s.Wo_prog.Enumerate.sf_steals
+      (Array.length s.Wo_prog.Enumerate.sf_per_domain);
     (match metrics with
     | None -> ()
     | Some path ->
-      let stat_fields =
-        match stats with
-        | None -> []
-        | Some s ->
+      let doc =
+        Wo_obs.Metrics.make ~experiment:"check"
           [
+            ("test", Wo_obs.Json.String test.L.name);
+            ( "racy",
+              Wo_obs.Json.Bool (match result with Ok () -> false | Error _ -> true)
+            );
+            ("wall_s", Wo_obs.Json.Float wall);
             ("states", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_states);
             ("distinct", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_distinct);
             ("dedup_hits", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_hits);
@@ -537,49 +456,18 @@ let check_cmd =
             ("steals", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_steals);
           ]
       in
-      let doc =
-        Wo_obs.Metrics.make ~experiment:"check"
-          ([
-             ("test", Wo_obs.Json.String test.L.name);
-             ( "strategy",
-               Wo_obs.Json.String
-                 (match strategy with
-                 | `Naive -> "naive"
-                 | `Por -> "por"
-                 | `Stateful -> "stateful") );
-             ( "engine",
-               Wo_obs.Json.String
-                 (match engine with
-                 | Wo_prog.Enumerate.Compiled -> "compiled"
-                 | Wo_prog.Enumerate.Ast -> "ast") );
-             ( "racy",
-               Wo_obs.Json.Bool (match result with Ok () -> false | Error _ -> true)
-             );
-             ("wall_s", Wo_obs.Json.Float wall);
-           ]
-          @ stat_fields)
-      in
       Wo_obs.Metrics.write_file ~path doc;
       Printf.printf "metrics: wrote %s\n" path);
-    match result with
-    | Ok () ->
-      print_endline
-        "every idealized execution is race-free: the program obeys DRF0"
-    | Error report ->
-      Printf.printf "DRF0 violated; races in one idealized execution:\n";
-      List.iter
-        (fun r -> Format.printf "  %a@." Wo_core.Drf0.pp_race r)
-        report.Wo_core.Drf0.races;
-      exit 2
+    report_drf0 result
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Exhaustively check a litmus program against Definition 3 (DRF0) \
-          with a selectable search strategy")
-    Term.(
-      const run $ test_arg $ strategy_arg $ jobs_arg $ engine_arg
-      $ metrics_arg)
+          with the stateful DAG search (canonical state hashing, \
+          processor-symmetry reduction, work stealing across $(b,-j) \
+          domains)")
+    Term.(const run $ test_arg $ jobs_arg $ metrics_arg)
 
 (* --- wo workload ---------------------------------------------------------- *)
 
@@ -661,7 +549,7 @@ let sweep_cmd =
           ~doc:"Also sweep the performance workloads (average cycles).")
   in
   let run jobs machine_names machine_files model_names runs seed with_workloads
-      engine metrics =
+      metrics =
     (* The campaign runs over machine specs: presets resolve to theirs,
        and [--machine-file] appends JSON-defined machines to the grid. *)
     let specs =
@@ -674,8 +562,8 @@ let sweep_cmd =
     machine_errors @@ fun () ->
     let t0 = Unix.gettimeofday () in
     let campaign =
-      Wo_workload.Sweep.spec_campaign ~runs ~base_seed:seed ?domains ~engine
-        ~specs Wo_litmus.Litmus.all
+      Wo_workload.Sweep.spec_campaign ~runs ~base_seed:seed ?domains ~specs
+        Wo_litmus.Litmus.all
     in
     let litmus_secs = Unix.gettimeofday () -. t0 in
     Wo_report.Table.heading
@@ -711,7 +599,7 @@ let sweep_cmd =
         let t1 = Unix.gettimeofday () in
         let cells =
           Wo_workload.Sweep.workload_campaign ~runs:(min runs 20)
-            ~base_seed:seed ?domains ~engine ~machines Wo_workload.Workload.all
+            ~base_seed:seed ?domains ~machines Wo_workload.Workload.all
         in
         Wo_report.Table.heading
           (Printf.sprintf "Workload sweep (avg cycles over %d runs, %.2fs)"
@@ -742,7 +630,7 @@ let sweep_cmd =
     | Some path ->
       let doc =
         Wo_obs.Metrics.make ~experiment:"sweep"
-          (machine_engine_fields engine
+          (machine_fields ()
           @ [
             ("runs", Wo_obs.Json.Int runs);
             ("seed", Wo_obs.Json.Int seed);
@@ -792,7 +680,7 @@ let sweep_cmd =
           domains")
     Term.(
       const run $ jobs_arg $ machines_arg $ machine_files_arg $ models_arg
-      $ runs_arg $ seed_arg $ workloads_arg $ machine_engine_arg $ metrics_arg)
+      $ runs_arg $ seed_arg $ workloads_arg $ metrics_arg)
 
 (* --- wo trace -------------------------------------------------------------- *)
 
@@ -1197,7 +1085,7 @@ let campaign_cmd =
   in
   let run families count seed runs jobs machine_names machine_files model_names
       grid shard max_shards store_path report metrics workers worker progress
-      auto_compact engine =
+      auto_compact =
     if worker then run_as_worker ~store_path ~jobs ~progress
     else begin
     let specs =
@@ -1279,7 +1167,7 @@ let campaign_cmd =
         appended;
       (* Warm replay over the merged store: executed is 0, and the
          findings report is byte-identical to a single-process run's. *)
-      let result = Wo_campaign.Campaign.run ~engine config ~specs ~cases in
+      let result = Wo_campaign.Campaign.run config ~specs ~cases in
       Wo_campaign.Coordinator.cleanup co;
       let wall = Unix.gettimeofday () -. t0 in
       Printf.printf
@@ -1302,7 +1190,7 @@ let campaign_cmd =
       | Some path ->
         let doc =
           Wo_obs.Metrics.make ~experiment:"campaign"
-            (machine_engine_fields engine
+            (machine_fields ()
             @ Wo_campaign.Campaign.result_json config result
             @ [
                 ("wall_s", Wo_obs.Json.Float wall);
@@ -1326,7 +1214,7 @@ let campaign_cmd =
           (shard + 1) shards_total executed total
     in
     let result =
-      Wo_campaign.Campaign.run ~engine ~on_shard config ~specs ~cases
+      Wo_campaign.Campaign.run ~on_shard config ~specs ~cases
     in
     let wall = Unix.gettimeofday () -. t0 in
     Printf.printf
@@ -1354,7 +1242,7 @@ let campaign_cmd =
     | Some path ->
       let doc =
         Wo_obs.Metrics.make ~experiment:"campaign"
-          (machine_engine_fields engine
+          (machine_fields ()
           @ Wo_campaign.Campaign.result_json config result
           @ [ ("wall_s", Wo_obs.Json.Float wall) ])
       in
@@ -1375,7 +1263,7 @@ let campaign_cmd =
       const run $ families_arg $ count_arg $ seed_arg $ runs_arg $ jobs_arg
       $ machines_arg $ machine_files_arg $ models_arg $ grid_arg $ shard_arg
       $ max_shards_arg $ store_arg $ report_arg $ metrics_arg $ workers_arg
-      $ worker_arg $ progress_arg $ auto_compact_arg $ machine_engine_arg)
+      $ worker_arg $ progress_arg $ auto_compact_arg)
 
 (* --- wo difftest ----------------------------------------------------------- *)
 
@@ -1423,8 +1311,8 @@ let difftest_cmd =
       value & flag
       & info [ "json" ] ~doc:"Print the full summary as JSON.")
   in
-  let run machine_names machine_files family count runs seed engine max_states
-      json metrics =
+  let run machine_names machine_files family count runs seed max_states json
+      metrics =
     let specs =
       List.map (fun n -> or_die (get_spec n)) machine_names
       @ List.map (fun f -> or_die (load_spec f)) machine_files
@@ -1438,8 +1326,8 @@ let difftest_cmd =
         exit 1
     in
     let summary =
-      Wo_campaign.Difftest.run ~specs ~runs ~base_seed:seed ~max_states ~engine
-        ~cases ()
+      Wo_campaign.Difftest.run ~specs ~runs ~base_seed:seed ~max_states ~cases
+        ()
     in
     let wall = Unix.gettimeofday () -. t0 in
     if json then
@@ -1452,7 +1340,7 @@ let difftest_cmd =
     | Some path ->
       let doc =
         Wo_obs.Metrics.make ~experiment:"difftest"
-          (machine_engine_fields engine
+          (machine_fields ()
           @ [
             ("cases", Wo_obs.Json.Int summary.Wo_campaign.Difftest.cases);
             ("machines", Wo_obs.Json.Int summary.Wo_campaign.Difftest.machines);
@@ -1481,8 +1369,7 @@ let difftest_cmd =
           ones)")
     Term.(
       const run $ machines_arg $ machine_files_arg $ family_arg $ count_arg
-      $ runs_arg $ seed_arg $ machine_engine_arg $ max_states_arg $ json_arg
-      $ metrics_arg)
+      $ runs_arg $ seed_arg $ max_states_arg $ json_arg $ metrics_arg)
 
 let serve_cmd =
   let socket_arg =

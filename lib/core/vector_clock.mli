@@ -4,8 +4,7 @@
     race detector ({!Wo_race.Detector}) and the path-incremental DRF0
     checker ({!Drf0_inc}) both maintain one clock per processor and
     per-location access metadata in terms of these.  Lives in [wo_core]
-    so the core checkers can use it; [Wo_race.Vector_clock] re-exports
-    it unchanged. *)
+    so the core checkers can use it. *)
 
 type t
 

@@ -190,6 +190,11 @@ let parse_clause ln body =
   in
   String.split_on_char '&' body |> List.map term
 
+(* Bounds on the DRF0 check that sets the [drf0] flag.  A program beyond
+   them is rejected rather than labelled racy. *)
+let drf0_max_events = 64
+let drf0_max_executions = 200_000
+
 let of_string text =
   let st = initial_state () in
   List.iteri
@@ -212,6 +217,9 @@ let of_string text =
               | Some p ->
                 if List.mem_assoc p st.threads then
                   fail ln "processor P%d defined twice" p
+                else if p >= Wo_prog.Program.max_procs then
+                  fail ln "processor P%d exceeds the limit of %d processors" p
+                    Wo_prog.Program.max_procs
                 else st.threads <- (p, parse_thread st ln body) :: st.threads
               | None -> fail ln "unknown key %S" key
             else fail ln "unknown key %S" key))
@@ -237,10 +245,17 @@ let of_string text =
       st.clauses
   in
   let drf0 =
-    match Wo_prog.Enumerate.check_drf0 ~max_executions:200_000 program with
-    | Ok () -> true
-    | Error _ -> false
-    | exception Wo_prog.Enumerate.Limit_exceeded -> false
+    match
+      Wo_prog.Enumerate.check_drf0_stateful ~max_events:drf0_max_events
+        ~max_executions:drf0_max_executions ~domains:1 program
+    with
+    | Ok (), _ -> true
+    | Error _, _ -> false
+    | exception Wo_prog.Enumerate.Limit_exceeded ->
+      fail 0
+        "cannot decide DRF0: an execution has more than %d events or there \
+         are more than %d executions"
+        drf0_max_events drf0_max_executions
   in
   {
     Litmus.name = st.name;

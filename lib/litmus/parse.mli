@@ -29,12 +29,17 @@
     locations of {!Wo_prog.Names}, anything else gets a fresh location.
     [#] starts a comment.  Programs are loop-free by construction, so the
     resulting {!Litmus.t} can always be enumerated; its [drf0] flag is
-    computed by enumeration.  [forbid]/[exists] clauses become
-    [interesting] predicates named ["forbidden"] and ["exists"]. *)
+    computed by {!Wo_prog.Enumerate.check_drf0_stateful}.  [forbid]/[exists]
+    clauses become [interesting] predicates named ["forbidden"] and
+    ["exists"]. *)
 
 exception Parse_error of { line : int; message : string }
 
 val of_string : string -> Litmus.t
+(** @raise Parse_error on malformed text, on a processor numbered
+    {!Wo_prog.Program.max_procs} or higher, and (with [line = 0]) when the
+    DRF0 check exceeds its bounds (64 events per execution, 200,000
+    executions) — an undecided program is never labelled racy. *)
 
 val of_file : string -> Litmus.t
 (** @raise Sys_error if the file cannot be read. *)

@@ -37,7 +37,8 @@ let run ?(runs = 100) ?(base_seed = 1) ?check_lemma1 ?sc_outcomes
     | Some outcomes -> outcomes
     | None ->
       if test.Litmus.loops then []
-      else Wo_prog.Enumerate.outcomes test.Litmus.program
+      else
+        fst (Wo_prog.Enumerate.outcomes_stateful ~domains:1 test.Litmus.program)
   in
   (* One session for the whole seed batch: the machine is built once and
      reset between seeds, and the program is compiled once (under the

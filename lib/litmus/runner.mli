@@ -38,10 +38,12 @@ val run :
   Wo_machines.Machine.t -> Litmus.t -> report
 (** [runs] defaults to 100, seeds are [base_seed..base_seed+runs-1]
     (default 1).  [check_lemma1] (default: the test's [drf0] flag) applies
-    the Lemma-1 oracle to every trace.  [sc_outcomes] supplies a
-    precomputed SC outcome set, skipping the enumeration — the sweep
-    driver ({!Wo_workload.Sweep}) memoizes one set per distinct program
-    and shares it across every machine/seed combination.  All seeds run
+    the Lemma-1 oracle to every trace.  Without [sc_outcomes] a loop-free
+    test's SC set comes from {!Wo_prog.Enumerate.outcomes_stateful} on one
+    domain; [sc_outcomes] supplies a precomputed set instead, skipping the
+    enumeration — the sweep driver ({!Wo_workload.Sweep}) memoizes one set
+    per distinct program and shares it across every machine/seed
+    combination.  All seeds run
     through one machine session — [session] to share across calls
     (it must belong to this machine), [engine] (default [Compiled])
     selects the execution mode when the harness creates one, and

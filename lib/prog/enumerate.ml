@@ -107,11 +107,10 @@ let execution_seq ~strategy ~max_events ~max_executions (root, root_sleep) =
   in
   leaves root root_sleep
 
-(* Sleep sets (and the visited table's claim entries) are machine-word
-   bitsets; more processors than bits is far beyond anything enumerable
-   anyway, but fail loudly rather than alias bits. *)
+(* More processors than {!Program.max_procs} is far beyond anything
+   enumerable anyway, but fail loudly rather than alias bits. *)
 let bitset_guard program =
-  if Program.num_procs program > Sys.int_size - 2 then
+  if Program.num_procs program > Program.max_procs then
     invalid_arg "Enumerate: more processors than sleep-set bitset bits"
 
 let executions ?(max_events = 64) ?(max_executions = 1_000_000) program =
@@ -126,12 +125,13 @@ let executions_por ?(max_events = 64) ?(max_executions = 1_000_000) program =
 
 module Outcome_set = Set.Make (Outcome)
 
-(* Eager worker for outcome collection; [raise_on_limit] decides whether
-   bounds raise or merely truncate.  Starts from an explicit list of
-   (state, sleep) roots so the parallel fan-out can reuse it per domain.
-   Outcomes are deduplicated incrementally, keeping memory proportional to
-   the number of distinct outcomes rather than enumerated executions. *)
-let collect_from ~strategy ~max_events ~max_executions ~raise_on_limit roots =
+(* Eager outcome collection; [raise_on_limit] decides whether bounds raise
+   or merely truncate.  Outcomes are deduplicated incrementally, keeping
+   memory proportional to the number of distinct outcomes rather than
+   enumerated executions. *)
+let collect_outcomes ~strategy ~max_events ~max_executions ~raise_on_limit
+    program =
+  bitset_guard program;
   let produced = ref 0 in
   let states = ref 0 in
   let outcomes = ref Outcome_set.empty in
@@ -155,15 +155,9 @@ let collect_from ~strategy ~max_events ~max_executions ~raise_on_limit roots =
       if !produced >= max_executions then limit ()
     | Some kids -> List.iter (fun (state', _ev, sleep') -> go state' sleep') kids
   in
-  (try List.iter (fun (state, sleep) -> go state sleep) roots with Stop -> ());
+  (try go (Interp.init program) 0 with Stop -> ());
   ( Outcome_set.elements !outcomes,
     { executions = !produced; states = !states; truncated = !truncated } )
-
-let collect_outcomes ~strategy ~max_events ~max_executions ~raise_on_limit
-    program =
-  bitset_guard program;
-  collect_from ~strategy ~max_events ~max_executions ~raise_on_limit
-    [ (Interp.init program, 0) ]
 
 let outcomes ?(strategy = Por) ?(max_events = 64)
     ?(max_executions = 1_000_000) program =
@@ -176,99 +170,6 @@ let outcomes_with_stats ?(strategy = Por) ?(max_events = 64)
   collect_outcomes ~strategy ~max_events ~max_executions ~raise_on_limit:false
     program
 
-(* --- multicore fan-out ---------------------------------------------------- *)
-
-(* Expand the search tree breadth-first until there are enough subtree roots
-   to keep the workers busy.  Expansion follows exactly the same
-   (strategy-dependent) child generation as the sequential search, so the
-   produced subtrees jointly cover the same executions.  Complete executions
-   reached during expansion are handed to [on_leaf] immediately. *)
-let expand_frontier ~strategy ~max_events ~target ~on_leaf program =
-  let states = ref 0 in
-  let truncated = ref false in
-  let rec rounds tasks =
-    if List.length tasks >= target then tasks
-    else begin
-      let expanded = ref false in
-      let next =
-        List.concat_map
-          (fun (state, sleep) ->
-            incr states;
-            let state = drain_silent state in
-            if Interp.events_so_far state > max_events then begin
-              truncated := true;
-              []
-            end
-            else
-              match children_of ~strategy state sleep with
-              | None ->
-                on_leaf state;
-                []
-              | Some kids ->
-                expanded := true;
-                List.map (fun (state', _ev, sleep') -> (state', sleep')) kids)
-          tasks
-      in
-      if !expanded then rounds next else next
-    end
-  in
-  let tasks = rounds [ (Interp.init program, 0) ] in
-  (tasks, !states, !truncated)
-
-let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
-
-let split_round_robin n tasks =
-  let buckets = Array.make n [] in
-  List.iteri (fun i t -> buckets.(i mod n) <- t :: buckets.(i mod n)) tasks;
-  Array.to_list (Array.map List.rev buckets)
-
-(* Run one worker per bucket on its own domain.  With a single bucket the
-   work stays on the current domain — spawning would only add overhead. *)
-let map_domains worker buckets =
-  match buckets with
-  | [ only ] -> [ worker only ]
-  | _ ->
-    List.map Domain.join
-      (List.map (fun b -> Domain.spawn (fun () -> worker b)) buckets)
-
-let outcomes_par ?(strategy = Por) ?(max_events = 64)
-    ?(max_executions = 1_000_000) ?domains program =
-  bitset_guard program;
-  let num_domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  let frontier_leaves = ref [] in
-  let tasks, frontier_states, frontier_truncated =
-    expand_frontier ~strategy ~max_events ~target:(4 * num_domains)
-      ~on_leaf:(fun state ->
-        frontier_leaves := Interp.outcome state :: !frontier_leaves)
-      program
-  in
-  let results =
-    map_domains
-      (collect_from ~strategy ~max_events ~max_executions
-         ~raise_on_limit:false)
-      (split_round_robin num_domains tasks)
-  in
-  let outcomes, stats =
-    List.fold_left
-      (fun (os, acc) (o, (s : stats)) ->
-        ( List.rev_append o os,
-          {
-            executions = acc.executions + s.executions;
-            states = acc.states + s.states;
-            truncated = acc.truncated || s.truncated;
-          } ))
-      ( !frontier_leaves,
-        {
-          executions = List.length !frontier_leaves;
-          states = frontier_states;
-          truncated = frontier_truncated;
-        } )
-      results
-  in
-  (List.sort_uniq Outcome.compare outcomes, stats)
-
 (* --- DRF0 quantification -------------------------------------------------- *)
 
 (* Search-effort counters shared by the two checker implementations so the
@@ -280,8 +181,8 @@ let counter_stats c =
 
 (* Closure-based checking (the oracle): walk the same DFS and run the full
    Warshall-closure race scan on every complete execution. *)
-let check_root_closure ~strategy ?model ~max_events ~max_executions counter
-    (root, root_sleep) =
+let check_closure ~strategy ?model ~max_events ~max_executions counter
+    program =
   let produced = ref 0 in
   let exception Racy of Wo_core.Drf0.report in
   let rec go state sleep =
@@ -298,7 +199,7 @@ let check_root_closure ~strategy ?model ~max_events ~max_executions counter
     | Some kids -> List.iter (fun (state', _ev, sleep') -> go state' sleep') kids
   in
   try
-    go root root_sleep;
+    go (Interp.init program) 0;
     Ok ()
   with Racy r -> Error r
 
@@ -326,9 +227,11 @@ let complete_for_report ~max_events state =
    the subtree is pruned on the spot and the per-leaf closure disappears.
    The racy prefix is completed round-robin and re-checked with the
    closure oracle so callers get the same report shape either way. *)
-let check_root_inc ~nprocs ~mode ~strategy ?model ~max_events ~max_executions
-    counter (root, root_sleep) =
-  let inc = Wo_core.Drf0_inc.create ~mode ~nprocs () in
+let check_inc ~mode ~strategy ?model ~max_events ~max_executions counter
+    program =
+  let inc =
+    Wo_core.Drf0_inc.create ~mode ~nprocs:(Program.num_procs program) ()
+  in
   let exception Racy of Wo_core.Drf0.report in
   let racy state =
     let completed = complete_for_report ~max_events state in
@@ -358,16 +261,7 @@ let check_root_inc ~nprocs ~mode ~strategy ?model ~max_events ~max_executions
         kids
   in
   try
-    (* Roots handed over by the parallel frontier are mid-tree states:
-       replay their prefix so the clocks agree with the path, catching
-       races that already occurred inside the frontier region. *)
-    List.iter
-      (fun e ->
-        match Wo_core.Drf0_inc.push inc e with
-        | None -> ()
-        | Some _ -> racy root)
-      (Wo_core.Execution.events (Interp.execution root));
-    go root root_sleep;
+    go (Interp.init program) 0;
     Ok ()
   with Racy r -> Error r
 
@@ -378,24 +272,18 @@ let incremental_mode model =
   | None -> Some Wo_core.Drf0_inc.Mode_drf0
   | Some m -> Wo_core.Drf0_inc.mode_of_model m
 
-let check_root ~nprocs ~strategy ?model ~max_events ~max_executions counter
-    root =
-  match incremental_mode model with
-  | Some mode ->
-    check_root_inc ~nprocs ~mode ~strategy ?model ~max_events ~max_executions
-      counter root
-  | None ->
-    check_root_closure ~strategy ?model ~max_events ~max_executions counter
-      root
-
 let check_drf0_with_stats ?(strategy = Por) ?model ?(max_events = 64)
     ?(max_executions = 1_000_000) program =
   bitset_guard program;
   let counter = { c_states = 0; c_executions = 0 } in
   let result =
-    check_root ~nprocs:(Program.num_procs program) ~strategy ?model
-      ~max_events ~max_executions counter
-      (Interp.init program, 0)
+    match incremental_mode model with
+    | Some mode ->
+      check_inc ~mode ~strategy ?model ~max_events ~max_executions counter
+        program
+    | None ->
+      check_closure ~strategy ?model ~max_events ~max_executions counter
+        program
   in
   (result, counter_stats counter)
 
@@ -407,8 +295,7 @@ let check_drf0_closure_with_stats ?(strategy = Por) ?model ?(max_events = 64)
   bitset_guard program;
   let counter = { c_states = 0; c_executions = 0 } in
   let result =
-    check_root_closure ~strategy ?model ~max_events ~max_executions counter
-      (Interp.init program, 0)
+    check_closure ~strategy ?model ~max_events ~max_executions counter program
   in
   (result, counter_stats counter)
 
@@ -416,60 +303,6 @@ let check_drf0_closure ?strategy ?model ?max_events ?max_executions program =
   fst
     (check_drf0_closure_with_stats ?strategy ?model ?max_events
        ?max_executions program)
-
-let check_drf0_par ?(strategy = Por) ?model ?(max_events = 64)
-    ?(max_executions = 1_000_000) ?domains program =
-  bitset_guard program;
-  let num_domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  (* Executions completing within the frontier itself are checked here, so
-     no complete execution escapes the quantifier. *)
-  let frontier_violation = ref None in
-  let tasks, _, _ =
-    expand_frontier ~strategy ~max_events ~target:(4 * num_domains)
-      ~on_leaf:(fun state ->
-        if !frontier_violation = None then
-          match
-            Wo_core.Drf0.program_obeys ?model
-              (Seq.return (Interp.execution state))
-          with
-          | Ok () -> ()
-          | Error r -> frontier_violation := Some r)
-      program
-  in
-  match !frontier_violation with
-  | Some r -> Error r
-  | None ->
-    (* Workers keep their subtasks' global indices so the reported
-       violation is deterministic for a given domain count: the racy
-       subtree with the smallest frontier index wins. *)
-    let indexed = List.mapi (fun i t -> (i, t)) tasks in
-    let nprocs = Program.num_procs program in
-    let check_one root =
-      (* Per-root counter: [max_executions] is enforced per subtree, matching
-         the per-domain semantics of [outcomes_par]. *)
-      let counter = { c_states = 0; c_executions = 0 } in
-      check_root ~nprocs ~strategy ?model ~max_events ~max_executions counter
-        root
-    in
-    let worker roots =
-      List.find_map
-        (fun (i, root) ->
-          match check_one root with Ok () -> None | Error r -> Some (i, r))
-        roots
-    in
-    let results = map_domains worker (split_round_robin num_domains indexed) in
-    let first =
-      List.fold_left
-        (fun best r ->
-          match (best, r) with
-          | None, r -> r
-          | (Some _ as b), None -> b
-          | (Some (i, _) as b), (Some (j, _) as r) -> if j < i then r else b)
-        None results
-    in
-    (match first with Some (_, r) -> Error r | None -> Ok ())
 
 (* --- stateful (DAG) exploration -------------------------------------------- *)
 
@@ -483,6 +316,8 @@ let check_drf0_par ?(strategy = Por) ?model ?(max_events = 64)
    the cached claim's sleep set is a subset of ours (the cached exploration
    ran with at most as much pruning); otherwise the entry is widened to the
    intersection and re-explored. *)
+
+let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
 type stateful_stats = {
   sf_states : int;
@@ -764,10 +599,9 @@ let drf0_dag_walk ~strategy ~symmetry ?model ~max_events ~max_executions ~tbl
   go root root_sleep
 
 (* A task handed to the scheduler carries only the interpreter state; the
-   incremental checker is rebuilt by replaying the path's events (the same
-   move [check_root_inc] makes for frontier roots).  The replay cannot race
-   for tasks spawned by a walk — every edge was checked before its subtree
-   was offloaded — but a defensive check costs nothing. *)
+   incremental checker is rebuilt by replaying the path's events.  The
+   replay cannot race for tasks spawned by a walk — every edge was checked
+   before its subtree was offloaded — but a defensive check costs nothing. *)
 let replay_task ?model ~mode ~nprocs ~max_events state =
   let inc = Wo_core.Drf0_inc.create ~mode ~nprocs () in
   List.iter

@@ -20,15 +20,13 @@
       representative per Mazurkiewicz trace; outcome sets and DRF0 verdicts
       are identical to the naive enumerator because both are invariant
       under commuting independent steps.
-    - {b Parallel} ({!outcomes_par}, {!check_drf0_par}): the root region of
-      the (naive or reduced) search tree is split across OCaml 5 [Domain]s;
-      per-domain results are merged at the end.
     - {b Stateful} ({!outcomes_stateful}, {!check_drf0_stateful}): the
       search {e tree} becomes a DAG — a visited table keyed on canonical
       state encodings ({!State_key}) merges convergent schedules, the DRF0
       quantifier additionally quotients by processor/location symmetry, and
-      parallel runs use a work-stealing scheduler ({!Wsq}) instead of a
-      static root split.
+      [domains > 1] runs share the table under a work-stealing scheduler
+      ({!Wsq}).  This is the production path for Definition 3 and for SC
+      outcome sets; the tree enumerators stay as its oracles.
 
     Programs with loops can have unboundedly many executions — bound them
     with [max_events] and check [truncated]. *)
@@ -73,16 +71,6 @@ val outcomes_with_stats :
   Program.t -> Outcome.t list * stats
 (** Like {!outcomes} but bounds truncate instead of raising, and the
     search-effort counters are returned. *)
-
-val outcomes_par :
-  ?strategy:strategy -> ?max_events:int -> ?max_executions:int ->
-  ?domains:int -> Program.t -> Outcome.t list * stats
-(** {!outcomes_with_stats} with the search fanned out over [domains]
-    OCaml 5 domains (default: [Domain.recommended_domain_count () - 1],
-    at least 1).  The outcome set is identical for every [domains] value;
-    [stats.states] sums the per-domain counters.  [max_executions] is
-    enforced per domain, so a truncated parallel run can explore up to
-    [domains] times more executions than a truncated sequential one. *)
 
 val check_drf0 :
   ?strategy:strategy ->
@@ -133,18 +121,6 @@ val check_drf0_closure_with_stats :
   Program.t ->
   (unit, Wo_core.Drf0.report) result * stats
 (** {!check_drf0_closure} with search-effort counters. *)
-
-val check_drf0_par :
-  ?strategy:strategy ->
-  ?model:Wo_core.Sync_model.t ->
-  ?max_events:int -> ?max_executions:int ->
-  ?domains:int -> Program.t ->
-  (unit, Wo_core.Drf0.report) result
-(** {!check_drf0} with subtrees of the search checked on separate domains.
-    The verdict is identical for every [domains] value; for a fixed
-    [domains] the reported racy execution is deterministic (smallest
-    frontier-task index wins).  @raise Limit_exceeded as for
-    {!executions}. *)
 
 (** {2 Stateful (DAG) exploration} *)
 

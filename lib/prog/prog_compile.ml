@@ -433,7 +433,7 @@ let compile_exn (p : Program.t) =
 
 let within_bounds (p : Program.t) =
   let nprocs = Program.num_procs p in
-  nprocs <= Sys.int_size - 2
+  nprocs <= Program.max_procs
   && List.length (Program.locs p) <= max_index
   && Array.for_all
        (fun code ->

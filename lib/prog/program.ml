@@ -10,6 +10,8 @@ let make ?(name = "anonymous") ?(initial = []) ?observable threads =
 
 let num_procs t = Array.length t.threads
 
+let max_procs = Sys.int_size - 2
+
 let locs t =
   let from_code =
     Array.to_list t.threads |> List.concat_map Instr.memory_locs

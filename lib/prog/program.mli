@@ -24,6 +24,11 @@ val make :
 
 val num_procs : t -> int
 
+val max_procs : int
+(** The most processors a program may have to be enumerated or compiled:
+    sleep sets and the visited table's claim entries are machine-word
+    bitsets with one bit per processor. *)
+
 val locs : t -> Wo_core.Event.loc list
 (** Locations mentioned by any thread or initialized, sorted. *)
 

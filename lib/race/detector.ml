@@ -1,3 +1,5 @@
+module Vector_clock = Wo_core.Vector_clock
+
 type model = Model_drf0 | Model_drf1
 
 type loc_history = {

@@ -23,10 +23,8 @@ type corpus_entry = {
   base_drf0 : bool;
 }
 
-(* --- the legacy random families (moved verbatim from
-   Wo_litmus.Random_prog, which now aliases these: identical draw order,
-   so every historical (seed, params) pair still names the same
-   program) -------------------------------------------------------------- *)
+(* --- the legacy random families (the draw order is fixed, so every
+   historical (seed, params) pair still names the same program) ---------- *)
 
 (* Register map per thread: r0..r3 observable accumulators, r4/r5 lock
    scratch. *)

@@ -3,8 +3,7 @@
     Every generated program in the repository comes out of this module:
     structured synthesis from critical cycles ({!Cycle}), mutation of an
     existing corpus ({!Mutate}), and the two legacy random families
-    (lock-disciplined and racy, folded in from [Wo_litmus.Random_prog],
-    which now aliases these).  Generation is {e deterministic}: a
+    (lock-disciplined and racy).  Generation is {e deterministic}: a
     (family, seed) pair always produces the same program, down to the
     canonical byte encoding — the campaign engine's persistent store
     keys depend on it.
@@ -71,8 +70,7 @@ val batch :
     [synth.generated] observability counter when a recorder is
     active. *)
 
-(** {2 The legacy families} (the implementations behind
-    [Wo_litmus.Random_prog], byte-for-byte) *)
+(** {2 The legacy families} *)
 
 val lock_disciplined :
   seed:int ->

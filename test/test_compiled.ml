@@ -84,7 +84,7 @@ let prop_lockstep_racy =
        random racy programs (runnable, peek, memory, events, outcome)"
     ~count:60 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:3 ~ops_per_proc:4
+        Wo_synth.Synth.racy ~seed:pseed ~procs:3 ~ops_per_proc:4
           ~locs:2 ()
       in
       List.for_all
@@ -100,7 +100,7 @@ let prop_lockstep_lock_disciplined =
        lock-disciplined (looping) programs"
     ~count:30 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.lock_disciplined ~seed:pseed ~procs:2
+        Wo_synth.Synth.lock_disciplined ~seed:pseed ~procs:2
           ~sections_per_proc:1 ~ops_per_section:2 ~shared_locs:2 ~locks:1 ()
       in
       List.for_all
@@ -128,7 +128,7 @@ let prop_exact_key_separates =
     ~name:"exact_key equality coincides with observable-snapshot equality"
     ~count:40 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
       match PC.compile program with
@@ -186,7 +186,7 @@ let prop_engines_agree_on_outcomes =
     ~name:"outcomes_stateful: compiled engine equals AST engine"
     ~count:40 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
       let reference, _ = En.outcomes_stateful ~engine:En.Ast ~domains:1 program in
@@ -203,7 +203,7 @@ let prop_engines_agree_on_drf0 =
        equal the AST engine's, with and without symmetry"
     ~count:30 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
       let reference, _ =

@@ -16,7 +16,7 @@ let prop_enumeration_count_matches_linearizations =
     ~name:"enumerated executions = linearizations of program order" ~count:30
     QCheck.small_int (fun seed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed ~procs:2 ~ops_per_proc:3 ~locs:2 ()
+        Wo_synth.Synth.racy ~seed ~procs:2 ~ops_per_proc:3 ~locs:2 ()
       in
       let executions =
         List.of_seq (Wo_prog.Enumerate.executions program)
@@ -63,7 +63,7 @@ let prop_all_executions_agree =
     ~name:"exhaustive checker and detector agree on every execution"
     ~count:15 QCheck.small_int (fun seed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed ~procs:2 ~ops_per_proc:2 ~locs:2 ()
+        Wo_synth.Synth.racy ~seed ~procs:2 ~ops_per_proc:2 ~locs:2 ()
       in
       Seq.for_all
         (fun exn ->

@@ -102,7 +102,7 @@ let prop_fencing_restores_sc =
   QCheck.Test.make ~name:"fenced random programs appear SC on weak hardware"
     ~count:25 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:4
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:4
           ~locs:2 ()
       in
       let sc = Wo_prog.Enumerate.outcomes program in
@@ -121,7 +121,7 @@ let prop_delays_subset_of_po_pairs =
   QCheck.Test.make ~name:"delays are program-ordered pairs" ~count:50
     QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:3 ~ops_per_proc:3 ()
+        Wo_synth.Synth.racy ~seed:pseed ~procs:3 ~ops_per_proc:3 ()
       in
       List.for_all
         (fun (d : D.delay) ->

@@ -18,7 +18,7 @@ let check_int = Alcotest.(check int)
 let race_ids (r : D.race) = (r.D.e1.Wo_core.Event.id, r.D.e2.Wo_core.Event.id)
 
 let random_program pseed =
-  Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3 ~locs:2 ()
+  Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3 ~locs:2 ()
 
 (* --- push/pop undo ---------------------------------------------------------- *)
 

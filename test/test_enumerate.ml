@@ -152,7 +152,7 @@ let prop_por_outcomes_equal_naive =
       let procs = 2 + (pseed mod 2) in
       let ops_per_proc = if procs = 2 then 3 else 2 in
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs ~ops_per_proc ~locs:2 ()
+        Wo_synth.Synth.racy ~seed:pseed ~procs ~ops_per_proc ~locs:2 ()
       in
       outcome_sets_equal
         (En.outcomes ~strategy:En.Naive program)
@@ -163,72 +163,11 @@ let prop_por_drf0_verdict_equals_naive =
     ~name:"POR and naive check_drf0 verdicts agree on random programs"
     ~count:40 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
       (En.check_drf0 ~strategy:En.Naive program = Ok ())
       = (En.check_drf0 ~strategy:En.Por program = Ok ()))
-
-(* --- multicore fan-out ----------------------------------------------------- *)
-
-let test_outcomes_par_deterministic () =
-  (* Same outcome set regardless of the domain count and of domain
-     scheduling: litmus programs and a wider random program. *)
-  let programs =
-    Wo_litmus.Litmus.figure1.Wo_litmus.Litmus.program
-    :: Wo_litmus.Litmus.dekker_sync.Wo_litmus.Litmus.program
-    :: List.init 3 (fun i ->
-           Wo_litmus.Random_prog.racy ~seed:(i + 1) ~procs:3 ~ops_per_proc:3
-             ~locs:2 ())
-  in
-  List.iter
-    (fun program ->
-      let reference = En.outcomes program in
-      List.iter
-        (fun domains ->
-          let par, _stats = En.outcomes_par ~domains program in
-          check
-            (Printf.sprintf "outcomes_par ~domains:%d matches sequential"
-               domains)
-            true
-            (outcome_sets_equal reference par))
-        [ 1; 2; 3; 4 ])
-    programs
-
-let test_outcomes_par_strategies_agree () =
-  let program =
-    Wo_litmus.Random_prog.racy ~seed:7 ~procs:3 ~ops_per_proc:2 ~locs:2 ()
-  in
-  let naive, _ = En.outcomes_par ~strategy:En.Naive ~domains:3 program in
-  let por, _ = En.outcomes_par ~strategy:En.Por ~domains:3 program in
-  check "parallel naive equals parallel POR" true
-    (outcome_sets_equal naive por)
-
-let test_check_drf0_par () =
-  List.iter
-    (fun domains ->
-      check "figure1 racy (par)" true
-        (En.check_drf0_par ~domains sb <> Ok ());
-      check "dekker-sync race-free (par)" true
-        (En.check_drf0_par ~domains
-           Wo_litmus.Litmus.dekker_sync.Wo_litmus.Litmus.program
-        = Ok ());
-      check "sync-chain race-free (par)" true
-        (En.check_drf0_par ~domains
-           Wo_litmus.Litmus.sync_chain.Wo_litmus.Litmus.program
-        = Ok ()))
-    [ 1; 2; 4 ]
-
-let prop_check_drf0_par_matches_sequential =
-  QCheck.Test.make
-    ~name:"parallel DRF0 verdict equals sequential on random programs"
-    ~count:25 QCheck.small_int (fun pseed ->
-      let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
-          ~locs:2 ()
-      in
-      (En.check_drf0 program = Ok ())
-      = (En.check_drf0_par ~domains:3 program = Ok ()))
 
 let test_check_drf0 () =
   check "figure1 racy" true (En.check_drf0 sb <> Ok ());
@@ -247,7 +186,7 @@ let prop_random_run_in_enumerated_set =
     QCheck.(pair small_int small_int)
     (fun (pseed, sseed) ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
       let observed =
@@ -261,7 +200,7 @@ let prop_round_robin_in_enumerated_set =
   QCheck.Test.make ~name:"the round-robin outcome is enumerated" ~count:50
     QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:3 ~ops_per_proc:2
+        Wo_synth.Synth.racy ~seed:pseed ~procs:3 ~ops_per_proc:2
           ~locs:2 ()
       in
       let observed = Wo_prog.Interp.outcome (Wo_prog.Interp.run_round_robin program) in
@@ -271,7 +210,7 @@ let prop_all_executions_are_sc =
   QCheck.Test.make ~name:"every enumerated execution passes the SC witness"
     ~count:25 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
       Seq.for_all Wo_core.Sc.is_sequentially_consistent
@@ -292,14 +231,8 @@ let tests =
     Alcotest.test_case "POR matches naive on litmus" `Quick
       test_por_matches_naive_on_litmus;
     Alcotest.test_case "POR prunes states" `Quick test_por_prunes_states;
-    Alcotest.test_case "outcomes_par determinism" `Quick
-      test_outcomes_par_deterministic;
-    Alcotest.test_case "outcomes_par strategies agree" `Quick
-      test_outcomes_par_strategies_agree;
-    Alcotest.test_case "check_drf0_par" `Quick test_check_drf0_par;
     QCheck_alcotest.to_alcotest prop_por_outcomes_equal_naive;
     QCheck_alcotest.to_alcotest prop_por_drf0_verdict_equals_naive;
-    QCheck_alcotest.to_alcotest prop_check_drf0_par_matches_sequential;
     QCheck_alcotest.to_alcotest prop_random_run_in_enumerated_set;
     QCheck_alcotest.to_alcotest prop_round_robin_in_enumerated_set;
     QCheck_alcotest.to_alcotest prop_all_executions_are_sc;

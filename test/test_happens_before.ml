@@ -125,7 +125,7 @@ let arbitrary_execution =
   QCheck.(
     map
       (fun seed ->
-        let program = Wo_litmus.Random_prog.racy ~seed ~procs:3 ~ops_per_proc:4 () in
+        let program = Wo_synth.Synth.racy ~seed ~procs:3 ~ops_per_proc:4 () in
         Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed program))
       small_int)
 

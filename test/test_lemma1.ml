@@ -117,7 +117,7 @@ let prop_ideal_drf0_traces_pass =
   QCheck.Test.make ~name:"lemma1 holds on idealized DRF0 executions"
     ~count:40 QCheck.small_int (fun seed ->
       let program =
-        Wo_litmus.Random_prog.lock_disciplined ~seed ~procs:2
+        Wo_synth.Synth.lock_disciplined ~seed ~procs:2
           ~sections_per_proc:2 ()
       in
       let exn =

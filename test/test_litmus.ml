@@ -103,14 +103,14 @@ let test_sync_chain_scenario_delay () =
 
 let test_random_racy_enumerable () =
   for seed = 1 to 10 do
-    let p = Wo_litmus.Random_prog.racy ~seed () in
+    let p = Wo_synth.Synth.racy ~seed () in
     check "loop free" false (Wo_prog.Program.has_loops p);
     check "has outcomes" true (Wo_prog.Enumerate.outcomes p <> [])
   done
 
 let test_random_lock_disciplined_structure () =
   for seed = 1 to 5 do
-    let p = Wo_litmus.Random_prog.lock_disciplined ~seed () in
+    let p = Wo_synth.Synth.lock_disciplined ~seed () in
     check "has loops (spin locks)" true (Wo_prog.Program.has_loops p);
     check "observable restricted" true
       (p.Wo_prog.Program.observable <> None)

@@ -99,7 +99,7 @@ let test_different_locks_fail () =
 
 let test_lock_disciplined_programs_pass () =
   for seed = 1 to 8 do
-    let program = Wo_litmus.Random_prog.lock_disciplined ~seed ~procs:2 () in
+    let program = Wo_synth.Synth.lock_disciplined ~seed ~procs:2 () in
     check
       (Printf.sprintf "program %d" seed)
       true

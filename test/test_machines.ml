@@ -208,7 +208,7 @@ let test_random_lock_programs_run_everywhere () =
   List.iter
     (fun (m : M.t) ->
       for pseed = 1 to 5 do
-        let program = Wo_litmus.Random_prog.lock_disciplined ~seed:pseed () in
+        let program = Wo_synth.Synth.lock_disciplined ~seed:pseed () in
         let r = M.run m ~seed:pseed program in
         match
           M.check_lemma1 ~init:(Wo_prog.Program.initial_value program) r
@@ -228,7 +228,7 @@ let test_writedone_crossing_completes () =
      seeds deadlocked net-cache that way. *)
   List.iter
     (fun seed ->
-      let program = Wo_litmus.Random_prog.lock_disciplined ~seed () in
+      let program = Wo_synth.Synth.lock_disciplined ~seed () in
       List.iter
         (fun (m : M.t) -> ignore (M.run m ~seed program))
         Wo_machines.Presets.all)
@@ -335,7 +335,7 @@ let test_coarse_counter_deadlocks_watermark_does_not () =
      seed below are a known deadlocking instance found by random search;
      determinism makes them a stable regression. *)
   let program =
-    Wo_litmus.Random_prog.lock_disciplined ~seed:4 ~procs:3
+    Wo_synth.Synth.lock_disciplined ~seed:4 ~procs:3
       ~sections_per_proc:4 ~locks:3 ~shared_locs:3 ()
   in
   let build ~coarse =

@@ -53,8 +53,8 @@ let prop_random_programs_lockstep =
     ~count:25 QCheck.small_int (fun seed ->
       let programs =
         [
-          Wo_litmus.Random_prog.racy ~seed ~procs:3 ~ops_per_proc:4 ~locs:3 ();
-          Wo_litmus.Random_prog.lock_disciplined ~seed ~procs:2
+          Wo_synth.Synth.racy ~seed ~procs:3 ~ops_per_proc:4 ~locs:3 ();
+          Wo_synth.Synth.lock_disciplined ~seed ~procs:2
             ~sections_per_proc:2 ~locks:2 ~shared_locs:2 ();
         ]
       in
@@ -97,7 +97,7 @@ let test_session_reset_no_residue () =
    regression test. *)
 let test_session_survives_machine_error () =
   let program =
-    Wo_litmus.Random_prog.lock_disciplined ~seed:4 ~procs:3
+    Wo_synth.Synth.lock_disciplined ~seed:4 ~procs:3
       ~sections_per_proc:4 ~locks:3 ~shared_locs:3 ()
   in
   let build () =

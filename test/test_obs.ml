@@ -248,7 +248,7 @@ let prop_stall_accounting_consistent =
     ~name:"total stalls = per-proc sums = per-reason sums (all machines)"
     ~count:8 QCheck.small_int (fun seed ->
       let program =
-        Wo_litmus.Random_prog.lock_disciplined ~seed:(seed + 1) ()
+        Wo_synth.Synth.lock_disciplined ~seed:(seed + 1) ()
       in
       List.for_all
         (fun (m : M.t) ->

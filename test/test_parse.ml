@@ -83,18 +83,20 @@ let test_comments_and_blanks () =
   in
   check "parsed" true (t.L.name = "c")
 
+let contains message fragment =
+  let len = String.length fragment in
+  let rec find i =
+    i + len <= String.length message
+    && (String.sub message i len = fragment || find (i + 1))
+  in
+  find 0
+
 let expect_error text fragment =
   match Pa.of_string text with
   | exception Pa.Parse_error { message; _ } ->
     check
       (Printf.sprintf "error mentions %S" fragment)
-      true
-      (let len = String.length fragment in
-       let rec find i =
-         i + len <= String.length message
-         && (String.sub message i len = fragment || find (i + 1))
-       in
-       find 0)
+      true (contains message fragment)
   | _ -> Alcotest.fail ("expected a parse error for: " ^ text)
 
 let test_errors () =
@@ -104,11 +106,32 @@ let test_errors () =
   expect_error "P0: r0 := frob(x)\n" "unknown operation";
   expect_error "P0: x := 1\nP0: y := 1\n" "twice";
   expect_error "bogus: 1\n" "unknown key";
-  expect_error "P0: x := 1\nforbid: P0-r0=0\n" "clause"
+  expect_error "P0: x := 1\nforbid: P0-r0=0\n" "clause";
+  (* more events than the DRF0 check explores: undecided, never "racy" *)
+  expect_error
+    ("P0: " ^ String.concat " ; " (List.init 65 (fun _ -> "x := 1")) ^ "\n")
+    "cannot decide DRF0"
 
 let test_file_roundtrip () =
   let t = Pa.of_file "../../../examples/litmus/store_buffering.litmus" in
   check "file parsed" true (t.L.name = "store-buffering")
+
+let test_sync_ring_is_drf0 () =
+  let t = Pa.of_file "../../../examples/litmus/sync_ring.litmus" in
+  check "sync ring obeys DRF0" true t.L.drf0
+
+let test_processor_limit () =
+  let text =
+    String.concat ""
+      (List.init 64 (fun p -> Printf.sprintf "P%d: r0 := x%d\n" p p))
+  in
+  match Pa.of_string text with
+  | exception Pa.Parse_error { line; message } ->
+    check_int "first processor line past the limit"
+      (Wo_prog.Program.max_procs + 1) line;
+    check "message names the limit" true
+      (contains message (string_of_int Wo_prog.Program.max_procs))
+  | _ -> Alcotest.fail "expected a parse error for 64 processors"
 
 let test_parsed_test_runs_on_machines () =
   let t = Pa.of_string sb_text in
@@ -138,6 +161,8 @@ let tests =
     Alcotest.test_case "comments and blanks" `Quick test_comments_and_blanks;
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+    Alcotest.test_case "sync ring is DRF0" `Quick test_sync_ring_is_drf0;
+    Alcotest.test_case "processor limit" `Quick test_processor_limit;
     Alcotest.test_case "parsed tests run" `Quick
       test_parsed_test_runs_on_machines;
     Alcotest.test_case "fenced litmus file" `Quick test_fenced_file_is_sc;

@@ -1,6 +1,6 @@
 (* Tests for the vector-clock substrate and the on-the-fly race detector. *)
 
-module V = Wo_race.Vector_clock
+module V = Wo_core.Vector_clock
 module D = Wo_race.Detector
 module E = Wo_core.Event
 module X = Wo_core.Execution
@@ -142,7 +142,7 @@ let prop_detector_agrees_with_drf0 =
     QCheck.(pair small_int small_int)
     (fun (pseed, sseed) ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:3 ~ops_per_proc:4
+        Wo_synth.Synth.racy ~seed:pseed ~procs:3 ~ops_per_proc:4
           ~locs:2 ()
       in
       let exn =
@@ -156,7 +156,7 @@ let prop_lock_disciplined_race_free =
   QCheck.Test.make ~name:"lock-disciplined programs are race-free" ~count:30
     QCheck.small_int (fun seed ->
       let program =
-        Wo_litmus.Random_prog.lock_disciplined ~seed ~procs:2
+        Wo_synth.Synth.lock_disciplined ~seed ~procs:2
           ~sections_per_proc:2 ()
       in
       List.for_all

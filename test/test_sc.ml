@@ -118,7 +118,7 @@ let prop_idealized_is_sc =
   QCheck.Test.make ~name:"idealized executions are sequentially consistent"
     ~count:60 QCheck.small_int (fun seed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed ~procs:2 ~ops_per_proc:4 ()
+        Wo_synth.Synth.racy ~seed ~procs:2 ~ops_per_proc:4 ()
       in
       let exn = Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed program) in
       S.is_sequentially_consistent exn)

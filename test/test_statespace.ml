@@ -80,7 +80,7 @@ let prop_outcomes_stateful_equals_tree =
     ~name:"stateful outcome set equals the tree enumerator on random programs"
     ~count:40 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
       let reference = En.outcomes ~strategy:En.Naive program in
@@ -132,7 +132,7 @@ let prop_check_stateful_equals_closure =
        (both strategies, 1 and N domains)"
     ~count:30 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
       let reference = En.check_drf0_closure program in
@@ -150,7 +150,7 @@ let prop_check_stateful_report_deterministic =
     ~name:"stateful racy reports equal check_drf0's at every domain count"
     ~count:30 QCheck.small_int (fun pseed ->
       let program =
-        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
+        Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
       let reference = En.check_drf0 program in
