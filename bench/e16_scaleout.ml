@@ -1,15 +1,16 @@
 (* Experiment E16 — the scale-out campaign engine.
 
-   PR 8 adds multi-process campaign workers (filesystem-coordinated
-   shard claims, per-worker store segments, idempotent merge), a
-   domain-pooled serve loop over a shared read-mostly store, and store
+   The scale-out layer is multi-process campaign workers
+   (filesystem-coordinated shard claims, per-worker store segments,
+   idempotent merge), concurrent read-only store snapshots, and store
    compaction.  This experiment measures the three claims:
 
    - worker scaling: cold-campaign wall-clock at 4 forked workers vs 1,
      target >= 3x on full bounds with >= 4 cores — with the merged
      store's findings report byte-identical to the single-worker run's;
-   - concurrent lookup latency: p50 of a Shared-store find under 8
-     reader domains with a live writer appending, target <= 4us;
+   - concurrent lookup latency: p50 of a snapshot find under 8 reader
+     domains, each holding and refreshing its own Store.Snapshot, while
+     one domain appends through the writer handle, target <= 4us;
    - compaction: bytes reclaimed from a 50%-superseded store, target
      >= 1.8x smaller, with every live lookup answering identically
      before and after.
@@ -138,7 +139,6 @@ let run () =
   Coordinator.cleanup co1;
   Coordinator.cleanup co4;
   (* --- concurrent lookup latency ------------------------------------------- *)
-  let h = Store.Shared.openf path4 in
   let keys = ref [] in
   let s = Store.openf path1 in
   Store.iter s (fun ~key ~value:_ -> keys := key :: !keys);
@@ -149,31 +149,38 @@ let run () =
   let batch = 32 in
   let samples = Array.make (readers * (per_reader / batch)) 0. in
   let appended = Atomic.make 0 in
-  Wo_workload.Sweep.parallel_iter ~domains:(readers + 1)
-    (fun w ->
-      if w = 0 then
-        (* the one writer: keep appending fresh records so readers see
-           snapshot refreshes, not a frozen index *)
-        for i = 1 to scaled 400 40 do
-          if
-            Store.Shared.add_if_absent h
-              ~key:(Printf.sprintf "e16-writer-%d" i)
-              ~value:"x"
-          then Atomic.incr appended
-        done
-      else
-        let r = w - 1 in
-        for b = 0 to (per_reader / batch) - 1 do
-          let t0 = now () in
-          for i = 0 to batch - 1 do
-            let k = keys.(((r * 131) + (b * batch) + i) mod Array.length keys) in
-            ignore (Store.Shared.find h ~key:k)
-          done;
-          samples.((r * (per_reader / batch)) + b) <-
-            (now () -. t0) *. 1e9 /. float_of_int batch
-        done)
-    (List.init (readers + 1) Fun.id);
-  Store.Shared.close h;
+  let writer = Store.openf path4 in
+  ignore
+    (Wo_workload.Sweep.parallel_map ~domains:(readers + 1)
+       (fun w ->
+         if w = 0 then
+           (* the one writer: keep appending fresh records so readers see
+              snapshot refreshes, not a frozen index *)
+           for i = 1 to scaled 400 40 do
+             Store.add writer ~key:(Printf.sprintf "e16-writer-%d" i) ~value:"x";
+             Atomic.incr appended
+           done
+         else begin
+           (* a snapshot handle is per-domain: refresh reads through its
+              descriptor's shared offset *)
+           let snap = ref (Store.Snapshot.load path4) in
+           let r = w - 1 in
+           for b = 0 to (per_reader / batch) - 1 do
+             snap := Store.Snapshot.refresh !snap;
+             let t0 = now () in
+             for i = 0 to batch - 1 do
+               let k =
+                 keys.(((r * 131) + (b * batch) + i) mod Array.length keys)
+               in
+               ignore (Store.Snapshot.find !snap ~key:k)
+             done;
+             samples.((r * (per_reader / batch)) + b) <-
+               (now () -. t0) *. 1e9 /. float_of_int batch
+           done;
+           Store.Snapshot.close !snap
+         end)
+       (List.init (readers + 1) Fun.id));
+  Store.close writer;
   Array.sort compare samples;
   let pct p =
     samples.(min (Array.length samples - 1)
@@ -181,7 +188,7 @@ let run () =
   in
   let p50 = pct 0.50 and p99 = pct 0.99 in
   Printf.printf
-    "shared store: %d keys, %d readers x %d finds + %d live appends\n\
+    "snapshot readers: %d keys, %d readers x %d finds + %d live appends\n\
     \  lookup p50 %.0fns, p99 %.0fns %s\n%!"
     (Array.length keys) readers per_reader (Atomic.get appended) p50 p99
     (if p50 <= 4_000. then "(<= 4us target met)" else "(target 4us)");

@@ -55,9 +55,21 @@ let machine_files_arg =
     & info [ "machine-file" ] ~docv:"FILE"
         ~doc:(machine_file_doc ^ " Repeatable; adds to $(b,-m)."))
 
+(* Counts that must be at least 1 (run batches, shard sizes): zero or a
+   negative value is a usage error (exit 124), never a vacuous pass. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let runs_arg =
   Arg.(
-    value & opt int 100
+    value & opt positive_int 100
     & info [ "n"; "runs" ] ~docv:"N"
         ~doc:"Number of seeded runs; seeds are $(i,SEED)..$(i,SEED)+$(docv)-1.")
 
@@ -873,11 +885,11 @@ let delays_cmd =
        ~doc:"Shasha-Snir delay-set analysis and fence insertion")
     Term.(const run $ test_arg)
 
-(* --- wo synth / wo campaign / wo serve -------------------------------------- *)
+(* --- wo synth / wo campaign ------------------------------------------------- *)
 
 (* The mutation corpus: every loop-free catalogued test (shared with the
-   campaign and serve layers — and with worker processes, which must
-   regenerate the coordinator's exact case list). *)
+   campaign layer — and with worker processes, which must regenerate the
+   coordinator's exact case list). *)
 let synth_corpus = Wo_campaign.Campaign.catalogue_corpus
 
 let family_doc =
@@ -950,6 +962,15 @@ let store_arg =
           "Persistent verdict store (append-only log); an existing store \
            resumes the campaign, skipping every settled cell.")
 
+(* A path that cannot be opened as a store raises the store's one
+   documented exception, [Sys_error "FILE: reason"]: report it and exit
+   1 like any other bad argument. *)
+let store_errors cmd f =
+  try f ()
+  with Sys_error e ->
+    Printf.eprintf "%s: %s\n" cmd e;
+    exit 1
+
 let campaign_cmd =
   let machines_arg =
     Arg.(
@@ -971,7 +992,7 @@ let campaign_cmd =
   in
   let runs_arg =
     Arg.(
-      value & opt int 10
+      value & opt positive_int 10
       & info [ "n"; "runs" ] ~docv:"N" ~doc:"Seeded runs per cell.")
   in
   let jobs_arg =
@@ -990,7 +1011,7 @@ let campaign_cmd =
   in
   let shard_arg =
     Arg.(
-      value & opt int 256
+      value & opt positive_int 256
       & info [ "shard" ] ~docv:"N"
           ~doc:
             "Cells per work unit; the store is synced after each shard, so \
@@ -1086,6 +1107,7 @@ let campaign_cmd =
   let run families count seed runs jobs machine_names machine_files model_names
       grid shard max_shards store_path report metrics workers worker progress
       auto_compact =
+    store_errors "wo campaign" @@ fun () ->
     if worker then run_as_worker ~store_path ~jobs ~progress
     else begin
     let specs =
@@ -1126,7 +1148,7 @@ let campaign_cmd =
       store_path;
     let t0 = Unix.gettimeofday () in
     let shards_total =
-      (List.length cases * List.length specs + shard - 1) / max 1 shard
+      (List.length cases * List.length specs + shard - 1) / shard
     in
     let eta_of ~done_ ~total =
       if done_ = 0 then 0.
@@ -1293,7 +1315,7 @@ let difftest_cmd =
   in
   let runs_arg =
     Arg.(
-      value & opt int 40
+      value & opt positive_int 40
       & info [ "n"; "runs" ] ~docv:"N"
           ~doc:"Seeded runs per (case, machine) cell.")
   in
@@ -1371,64 +1393,6 @@ let difftest_cmd =
       const run $ machines_arg $ machine_files_arg $ family_arg $ count_arg
       $ runs_arg $ seed_arg $ max_states_arg $ json_arg $ metrics_arg)
 
-let serve_cmd =
-  let socket_arg =
-    Arg.(
-      value & opt string "wo-serve.sock"
-      & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
-  in
-  let tcp_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "tcp" ] ~docv:"PORT"
-          ~doc:"Listen on 127.0.0.1:$(docv) instead of the Unix socket.")
-  in
-  let max_requests_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "max-requests" ] ~docv:"N"
-          ~doc:"Exit after answering $(docv) requests (for tests).")
-  in
-  let pool_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "pool" ] ~docv:"N"
-          ~doc:
-            "Accepting domains: $(docv) clients are served concurrently \
-             against the shared store (lock-free lookups, serialized \
-             appends).")
-  in
-  let run socket tcp max_requests pool store_path =
-    let server = Wo_campaign.Serve.create ~store_path in
-    let listener =
-      match tcp with
-      | Some port -> Wo_campaign.Serve.Tcp port
-      | None -> Wo_campaign.Serve.Unix_socket socket
-    in
-    (match listener with
-    | Wo_campaign.Serve.Tcp port ->
-      Printf.printf "wo serve: listening on 127.0.0.1:%d (store %s, pool %d)\n%!"
-        port store_path (max 1 pool)
-    | Wo_campaign.Serve.Unix_socket path ->
-      Printf.printf "wo serve: listening on %s (store %s, pool %d)\n%!" path
-        store_path (max 1 pool));
-    Fun.protect
-      ~finally:(fun () -> Wo_campaign.Serve.close server)
-      (fun () -> Wo_campaign.Serve.serve ~max_requests ~pool server listener);
-    Printf.printf "wo serve: %d request(s) answered\n"
-      (Wo_campaign.Serve.requests server)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve check/sweep/synth requests over a line-delimited JSON \
-          protocol against one warm verdict store, optionally from a pool \
-          of concurrent domains")
-    Term.(
-      const run $ socket_arg $ tcp_arg $ max_requests_arg $ pool_arg
-      $ store_arg)
-
 let store_cmd =
   let file_arg =
     Arg.(
@@ -1442,7 +1406,10 @@ let store_cmd =
         Printf.eprintf "wo store compact: %s: no such store\n" file;
         exit 1
       end;
-      let cs = Wo_campaign.Store.compact file in
+      let cs =
+        store_errors "wo store compact" (fun () ->
+            Wo_campaign.Store.compact file)
+      in
       Printf.printf
         "compacted %s: %d -> %d records, %d -> %d bytes (%.2fx smaller)\n" file
         cs.Wo_campaign.Store.cs_before_records
@@ -1465,7 +1432,9 @@ let store_cmd =
         Printf.eprintf "wo store stats: %s: no such store\n" file;
         exit 1
       end;
-      let st = Wo_campaign.Store.openf file in
+      let st =
+        store_errors "wo store stats" (fun () -> Wo_campaign.Store.openf file)
+      in
       Fun.protect ~finally:(fun () -> Wo_campaign.Store.close st) @@ fun () ->
       let bytes = (Unix.stat file).Unix.st_size in
       Printf.printf
@@ -1506,7 +1475,6 @@ let main =
       synth_cmd;
       campaign_cmd;
       difftest_cmd;
-      serve_cmd;
       store_cmd;
     ]
 

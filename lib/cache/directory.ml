@@ -78,7 +78,7 @@ let close_trans t (l : line) =
          ~ts:l.trans_started ~dur:(now - l.trans_started));
   l.trans <- None
 
-(* Serve a request against a line with no outstanding transaction. *)
+(* Answer a request against a line with no outstanding transaction. *)
 let rec serve t (l : line) msg =
   match msg with
   | Msg.GetS { loc; requester; sync } -> (

@@ -102,7 +102,7 @@ let cell_key ~program_payload ~spec_json ~runs ~base_seed =
     [ program_payload; spec_json; string_of_int runs; string_of_int base_seed ];
   Buffer.contents b
 
-(* The mutation corpus every front door shares: each loop-free
+(* The mutation corpus every campaign shares: each loop-free
    catalogued test.  Deterministic in the binary, which is what lets a
    worker process regenerate a coordinator's exact case list from the
    manifest parameters alone. *)

@@ -56,12 +56,11 @@ type verdict = {
           is a broken promise — stored, so resumes never re-simulate *)
 }
 
-val verdict_json : verdict -> Wo_obs.Json.t
 val verdict_to_string : verdict -> string
 val verdict_of_string : string -> (verdict, string) result
 
 val catalogue_corpus : unit -> Wo_synth.Synth.corpus_entry list
-(** The mutation corpus shared by every front door: each loop-free
+(** The mutation corpus shared by every campaign: each loop-free
     catalogued litmus test.  Deterministic in the binary — a worker
     process regenerates a coordinator's exact case list from manifest
     parameters alone. *)
@@ -117,8 +116,8 @@ val cell_key :
   string
 (** The store key of one cell: length-prefixed concatenation of the
     program's canonical payload ({!Wo_workload.Sweep.program_key}), the
-    spec's canonical JSON and the run batch — exposed so the serve
-    layer and the tests key compatibly. *)
+    spec's canonical JSON and the run batch — exposed so tests and
+    benches key cells compatibly with the store. *)
 
 (** {2 Building blocks (shared with {!Coordinator})} *)
 

@@ -165,13 +165,14 @@ let create config ~specs ~families ~count =
       mf_specs = specs;
     }
   in
+  (* The main store must exist before workers snapshot it; opening it
+     first also refuses a bad store path before any directory exists. *)
+  Store.close (Store.openf store_path);
   let dir = campaign_dir store_path in
   mkdir_p dir;
   mkdir_p (locks_dir dir);
   mkdir_p (segs_dir dir);
   write_file_atomic (manifest_path dir) (J.to_string (manifest_json m) ^ "\n");
-  (* The main store must exist before workers snapshot it. *)
-  Store.close (Store.openf store_path);
   of_manifest ~store_path m
 
 let attach ~store_path =

@@ -39,7 +39,9 @@ val create :
 (** Initialize (or refresh) the campaign directory next to
     [config.store_path], write the manifest, and ensure the main store
     exists.  Idempotent: re-creating an interrupted campaign with the
-    same parameters resumes it. *)
+    same parameters resumes it.
+    @raise Sys_error ["FILE: reason"] when the main store cannot be
+    opened ({!Store.openf}); nothing is created then. *)
 
 val attach : store_path:string -> t
 (** Reconstruct the plan from an existing campaign directory's
@@ -72,7 +74,9 @@ val run_worker :
     claims nothing (everything done, or held by live owners), then
     return.  [max_claims] bounds the shards taken — the test and CI
     hook for stopping a worker mid-campaign.  Any number of workers
-    may run concurrently against the same directory. *)
+    may run concurrently against the same directory.
+    @raise Sys_error ["FILE: reason"] when the main store cannot be
+    read ({!Store.Snapshot.load}). *)
 
 val spawn_local : ?domains:int -> workers:int -> t -> int list
 (** Fork worker processes running {!run_worker}; returns their pids.

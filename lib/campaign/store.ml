@@ -173,20 +173,32 @@ let index_add t key entry =
   | Some prev -> Hashtbl.replace t.index d (prev @ [ entry ]));
   t.count <- t.count + 1
 
+(* Every way a path fails to open as a store surfaces as the one
+   exception the interface documents, in the stdlib's "file: reason"
+   shape. *)
+let fail_file file reason = raise (Sys_error (file ^ ": " ^ reason))
+
+let open_fd file flags perm =
+  try Unix.openfile file flags perm
+  with Unix.Unix_error (e, _, _) -> fail_file file (Unix.error_message e)
+
 let check_magic fd file =
   match pread_at fd ~off:0 ~len:header_len with
   | Some m when m = magic -> ()
   | _ ->
     Unix.close fd;
-    failwith (Printf.sprintf "campaign store %s: not a WOCAMPS1 log" file)
+    fail_file file "not a WOCAMPS1 campaign store"
 
 let openf file =
-  let fd = Unix.openfile file [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  let fd = open_fd file [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
   if size = 0 then begin
     ignore (Unix.lseek fd 0 Unix.SEEK_SET);
     let n = Unix.write_substring fd magic 0 header_len in
-    if n <> header_len then failwith "campaign store: short header write";
+    if n <> header_len then begin
+      Unix.close fd;
+      fail_file file "short header write"
+    end;
     {
       fd; file; index = Hashtbl.create 16; tail = header_len; count = 0;
       live = 0; dropped = 0;
@@ -304,7 +316,7 @@ let fsync_dir file =
     (try Unix.close dirfd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-let compact file =
+let compact_log file =
   let t = openf file in
   let before_records = t.count and before_bytes = t.tail in
   let tmp = file ^ ".compact" in
@@ -349,6 +361,10 @@ let compact file =
     cs_before_bytes = before_bytes;
     cs_after_bytes = after_bytes;
   }
+
+let compact file =
+  try compact_log file
+  with Unix.Unix_error (e, _, _) -> fail_file file (Unix.error_message e)
 
 (* --- immutable read views ---------------------------------------------------- *)
 
@@ -442,9 +458,14 @@ module Snapshot = struct
     end
 
   let load file =
-    let fd = Unix.openfile file [ Unix.O_RDONLY ] 0 in
-    let size = (Unix.fstat fd).Unix.st_size in
-    if size = 0 then { sn_fd = fd; sn_file = file; sn_view = empty_view }
+    let fd = open_fd file [ Unix.O_RDONLY ] 0 in
+    let st = Unix.fstat fd in
+    let size = st.Unix.st_size in
+    if st.Unix.st_kind <> Unix.S_REG then begin
+      Unix.close fd;
+      fail_file file "not a regular file"
+    end
+    else if size = 0 then { sn_fd = fd; sn_file = file; sn_view = empty_view }
     else begin
       check_magic fd file;
       { sn_fd = fd; sn_file = file; sn_view = extend fd empty_view ~size }
@@ -466,66 +487,4 @@ module Snapshot = struct
   let mem s ~key = view_find_entry s.sn_view ~key <> None
 
   let iter s f = view_iter s.sn_view f
-end
-
-module Shared = struct
-  type h = {
-    sh_store : t;  (* the RDWR handle; only [add_if_absent] touches it *)
-    sh_view : view Atomic.t;
-    sh_lock : Mutex.t;
-  }
-
-  let view_of_store t =
-    let index =
-      Hashtbl.fold (fun d es acc -> Dmap.add d es acc) t.index Dmap.empty
-    in
-    { v_data = map_prefix t.fd t.tail; v_index = index; v_tail = t.tail;
-      v_count = t.count }
-
-  let openf file =
-    let st = openf file in
-    {
-      sh_store = st;
-      sh_view = Atomic.make (view_of_store st);
-      sh_lock = Mutex.create ();
-    }
-
-  let find h ~key = view_find (Atomic.get h.sh_view) ~key
-
-  let mem h ~key = view_find_entry (Atomic.get h.sh_view) ~key <> None
-
-  let length h = (Atomic.get h.sh_view).v_count
-
-  let path h = h.sh_store.file
-
-  let add_if_absent h ~key ~value =
-    Mutex.protect h.sh_lock @@ fun () ->
-    let v = Atomic.get h.sh_view in
-    if view_find_entry v ~key <> None then false
-    else begin
-      let st = h.sh_store in
-      let entry =
-        {
-          e_off = st.tail + rec_header_len;
-          e_klen = String.length key;
-          e_vlen = String.length value;
-        }
-      in
-      add st ~key ~value;
-      (* Readers keep the old snapshot until this store: the new view
-         maps the grown prefix and carries the one extra index entry —
-         an O(log n) functional update, no reader ever blocks. *)
-      Atomic.set h.sh_view
-        {
-          v_data = map_prefix st.fd st.tail;
-          v_index = view_index_add v.v_index key entry;
-          v_tail = st.tail;
-          v_count = v.v_count + 1;
-        };
-      true
-    end
-
-  let sync h = Mutex.protect h.sh_lock (fun () -> sync h.sh_store)
-
-  let close h = Mutex.protect h.sh_lock (fun () -> close h.sh_store)
 end

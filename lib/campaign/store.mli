@@ -38,16 +38,20 @@
 
     {2 Concurrent access}
 
-    One process owns a store read-write at a time (the campaign driver
-    or the [wo serve] daemon), but any number of processes may read it
-    concurrently: {!Snapshot} opens the log read-only against an
-    immutable view of its complete-record prefix (never truncating),
-    and {!Shared} wraps the writer handle for in-process domain
-    concurrency — lock-free reads against an atomically swapped
-    snapshot, appends serialized under a mutex.  The record checksum is
-    what makes this sound: a concurrently appended half-record is
-    indistinguishable from a torn tail, so a reader can never observe a
-    torn record as data. *)
+    One process owns a store read-write at a time (the campaign driver,
+    or a coordinator merging worker segments), but any number of
+    processes may read it concurrently: {!Snapshot} opens the log
+    read-only against an immutable view of its complete-record prefix
+    (never truncating).  The record checksum is what makes this sound:
+    a concurrently appended half-record is indistinguishable from a
+    torn tail, so a reader can never observe a torn record as data.
+
+    {2 Errors}
+
+    A path that cannot be opened as a store — missing directory,
+    permissions, a directory, a foreign or short header — raises
+    [Sys_error "FILE: reason"] from {!openf}, {!Snapshot.load} and
+    {!compact}; nothing else escapes them for a bad path. *)
 
 type t
 
@@ -56,8 +60,8 @@ val openf : string -> t
     and truncate any torn tail.  The digest index is sized from the
     scanned record count, so buckets are allocated once at their final
     geometry rather than grown (and rehashed) during the scan.
-    @raise Sys_error on unopenable paths
-    @raise Failure on a foreign magic number *)
+    @raise Sys_error ["FILE: reason"] on an unopenable path or a
+    foreign or short header *)
 
 val close : t -> unit
 
@@ -110,9 +114,17 @@ val compact : string -> compact_stats
     new log is fully written and fsync'ed before the rename, and the
     directory is fsync'ed after, so a crash at any point leaves either
     the complete old log or the complete new one.  The store must not
-    be open read-write elsewhere. *)
+    be open read-write elsewhere.
+    @raise Sys_error ["FILE: reason"] as {!val:openf}, or when the
+    rewrite cannot be written or swapped in *)
 
-(** {2 Read-only snapshots (cross-process)} *)
+(** {2 Read-only snapshots}
+
+    A snapshot reads a log that a writer — in another process, or
+    another domain of this one — keeps appending to.  One handle
+    belongs to one domain: {!Snapshot.refresh} reads through the
+    descriptor's shared file offset, so concurrent readers each
+    {!Snapshot.load} their own. *)
 
 module Snapshot : sig
   type s
@@ -121,7 +133,9 @@ module Snapshot : sig
   (** Open read-only and index the complete-record prefix.  Unlike
       {!openf} this never truncates: a torn or in-flight tail is simply
       not visible yet.  Safe against a live writer in another
-      process. *)
+      process.
+      @raise Sys_error ["FILE: reason"] on an unopenable path, a
+      non-regular file, or a foreign or short header *)
 
   val refresh : s -> s
   (** Extend the snapshot with records appended since it was taken.
@@ -138,33 +152,4 @@ module Snapshot : sig
   val mem : s -> key:string -> bool
 
   val iter : s -> (key:string -> value:string -> unit) -> unit
-end
-
-(** {2 Shared in-process handle (domain concurrency)} *)
-
-module Shared : sig
-  type h
-
-  val openf : string -> h
-  (** Open read-write (as {!val:openf}) and publish an initial
-      snapshot. *)
-
-  val find : h -> key:string -> string option
-  (** Lock-free: reads the current atomic snapshot; never blocks on a
-      concurrent {!add_if_absent}. *)
-
-  val mem : h -> key:string -> bool
-
-  val length : h -> int
-
-  val path : h -> string
-
-  val add_if_absent : h -> key:string -> value:string -> bool
-  (** Append under the writer mutex unless the key is already present;
-      returns whether a record was written.  Publishes a new snapshot
-      including the record before returning. *)
-
-  val sync : h -> unit
-
-  val close : h -> unit
 end

@@ -19,7 +19,7 @@ type category =
   | Dir  (** directory: protocol transactions *)
   | Net  (** interconnect: message transits *)
   | Enum  (** enumerator progress *)
-  | Camp  (** litmus synthesis, campaign engine, serve front door *)
+  | Camp  (** litmus synthesis, campaign engine *)
 
 val category_name : category -> string
 (** ["proc"], ["cache"], ["dir"], ["net"], ["enum"], ["campaign"]. *)

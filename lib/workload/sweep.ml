@@ -45,9 +45,6 @@ let parallel_map ~domains f items =
   end;
   Array.to_list (Array.map Option.get out)
 
-let parallel_iter ~domains f items =
-  ignore (parallel_map ~domains f items : unit list)
-
 (* --- litmus campaigns ----------------------------------------------------- *)
 
 type litmus_cell = {

@@ -23,12 +23,6 @@ val parallel_map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
     and the failure of the lowest worker index is re-raised — the same
     exception surfaces for a fixed domain count. *)
 
-val parallel_iter : domains:int -> ('a -> unit) -> 'a list -> unit
-(** {!parallel_map} for effects: same striding, same join-all and
-    deterministic re-raise discipline.  With [length items = domains],
-    each worker runs exactly one call — the long-running-loop shape
-    the serve pool uses. *)
-
 type program_key = { pk_digest : Digest.t; pk_payload : string }
 (** Structural identity of the parts of a program the SC outcome set
     depends on.  The digest accelerates comparison; equality always

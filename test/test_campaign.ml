@@ -1,11 +1,9 @@
 (* The campaign engine: store crash-recovery (qcheck over truncation
    points), verdict round-trips, resume-equals-uninterrupted reports,
-   and the serve layer's pure request handler. *)
+   and the store's one error for a path that is not a store. *)
 
 module C = Wo_campaign.Campaign
 module Store = Wo_campaign.Store
-module Serve = Wo_campaign.Serve
-module J = Wo_obs.Json
 module S = Wo_synth.Synth
 
 let check = Alcotest.(check bool)
@@ -19,6 +17,11 @@ let temp_store () =
 let with_store path f =
   let s = Store.openf path in
   Fun.protect ~finally:(fun () -> Store.close s) (fun () -> f s)
+
+let names_file path e =
+  let p = path ^ ": " in
+  String.length e > String.length p
+  && String.sub e 0 (String.length p) = p
 
 (* --- the store --------------------------------------------------------------- *)
 
@@ -95,11 +98,40 @@ let test_store_rejects_foreign () =
   output_string oc "NOTALOG!extra";
   close_out oc;
   (match Store.openf path with
-  | exception Failure _ -> ()
+  | exception Sys_error e -> check "error names the file" true (names_file path e)
   | s ->
     Store.close s;
     Alcotest.fail "foreign magic accepted");
   Sys.remove path
+
+(* Every bad path surfaces as the one documented exception, in the
+   "file: reason" shape — never a raw Unix_error — from each entry point
+   that opens a store, including a whole campaign run. *)
+let test_store_unopenable () =
+  let dir = Filename.get_temp_dir_name () in
+  let missing = Filename.concat (Filename.concat dir "wo-no-such-dir") "x.store" in
+  let expect what path f =
+    match f () with
+    | exception Sys_error e ->
+      check (what ^ ": error names the file") true (names_file path e)
+    | exception e ->
+      Alcotest.failf "%s: raised %s, not Sys_error" what (Printexc.to_string e)
+    | () -> Alcotest.failf "%s: opened" what
+  in
+  expect "openf, missing directory" missing (fun () ->
+      Store.close (Store.openf missing));
+  expect "openf, a directory" dir (fun () -> Store.close (Store.openf dir));
+  expect "snapshot, missing directory" missing (fun () ->
+      Store.Snapshot.close (Store.Snapshot.load missing));
+  expect "snapshot, a directory" dir (fun () ->
+      Store.Snapshot.close (Store.Snapshot.load dir));
+  expect "compact, a directory" dir (fun () -> ignore (Store.compact dir));
+  expect "campaign run, missing directory" missing (fun () ->
+      ignore
+        (C.run
+           { (C.default_config ~store_path:missing) with C.runs = 1 }
+           ~specs:[ Option.get (Wo_machines.Presets.spec_of "wo-new") ]
+           ~cases:[]))
 
 (* --- verdicts ---------------------------------------------------------------- *)
 
@@ -193,121 +225,6 @@ let test_campaign_counters () =
     (find "campaign.cache_hits" = Some result.C.r_cache_hits);
   Sys.remove path
 
-(* --- the serve layer (pure handler, no sockets) ------------------------------ *)
-
-let spec_json =
-  J.Obj
-    [
-      ("name", J.String "serve-test");
-      ("memory", J.Obj [ ("kind", J.String "cached") ]);
-      ("sync", J.String "reserve-bit");
-    ]
-
-let req fields = J.Obj fields
-
-let get_bool name j = Option.bind (J.member name j) J.to_bool_opt
-let get_int name j = Option.bind (J.member name j) J.to_int_opt
-
-let test_serve_handle () =
-  let path = temp_store () in
-  let t = Serve.create ~store_path:path in
-  Fun.protect ~finally:(fun () -> Serve.close t) @@ fun () ->
-  (* ping *)
-  let resp, ctl = Serve.handle t (req [ ("op", J.String "ping") ]) in
-  check "ping ok" true (get_bool "ok" resp = Some true && ctl = `Continue);
-  (* list *)
-  let resp, _ = Serve.handle t (req [ ("op", J.String "list") ]) in
-  check "list has families" true
-    (match Option.bind (J.member "families" resp) J.to_list_opt with
-    | Some fs -> List.length fs = List.length S.families
-    | None -> false);
-  (* synth *)
-  let resp, _ =
-    Serve.handle t
-      (req
-         [
-           ("op", J.String "synth"); ("family", J.String "cycle-drf0");
-           ("seed", J.Int 2);
-         ])
-  in
-  check "synth ok" true (get_bool "ok" resp = Some true);
-  (* check: first cold, then a cache hit against the same store *)
-  let creq =
-    req
-      [
-        ("op", J.String "check"); ("family", J.String "cycle-drf0");
-        ("seed", J.Int 2); ("runs", J.Int 3); ("spec", spec_json);
-      ]
-  in
-  let resp, _ = Serve.handle t creq in
-  check "check cold" true
-    (get_bool "ok" resp = Some true && get_bool "cache_hit" resp = Some false);
-  let resp, _ = Serve.handle t creq in
-  check "check warm" true (get_bool "cache_hit" resp = Some true);
-  (* sweep over 4 seeds: seed 2 is already settled *)
-  let resp, _ =
-    Serve.handle t
-      (req
-         [
-           ("op", J.String "sweep"); ("family", J.String "cycle-drf0");
-           ("seed", J.Int 1); ("count", J.Int 4); ("runs", J.Int 3);
-           ("spec", spec_json);
-         ])
-  in
-  check "sweep reuses the settled cell" true
-    (get_int "cells" resp = Some 4 && get_int "cache_hits" resp = Some 1);
-  (* errors keep the connection open *)
-  let resp, ctl = Serve.handle t (req [ ("op", J.String "nope") ]) in
-  check "unknown op" true (get_bool "ok" resp = Some false && ctl = `Continue);
-  let resp, ctl = Serve.handle t (req [ ("x", J.Int 1) ]) in
-  check "missing op" true (get_bool "ok" resp = Some false && ctl = `Continue);
-  let line, ctl = Serve.handle_line t "{not json" in
-  check "parse error answered" true
-    (ctl = `Continue && String.length line > 0 &&
-     (match J.of_string line with
-     | Ok j -> get_bool "ok" j = Some false
-     | Error _ -> false));
-  (* stats and shutdown *)
-  let resp, _ = Serve.handle t (req [ ("op", J.String "stats") ]) in
-  check "stats counts requests" true
-    (match get_int "requests" resp with Some n -> n >= 8 | None -> false);
-  let _, ctl = Serve.handle t (req [ ("op", J.String "shutdown") ]) in
-  check "shutdown stops" true (ctl = `Stop);
-  Sys.remove path
-
-let test_serve_check_matches_campaign_key () =
-  (* A serve check and a campaign run with the same parameters must
-     settle the same store cell: run a campaign, then ask the server —
-     every answer must be a cache hit. *)
-  let path = temp_store () in
-  let cases = cases () in
-  let specs = [ Option.get (Wo_machines.Presets.spec_of "wo-new") ] in
-  let cfg = { (C.default_config ~store_path:path) with C.runs = 3 } in
-  let r = C.run cfg ~specs ~cases in
-  check "campaign settled" true (r.C.r_executed > 0);
-  let t = Serve.create ~store_path:path in
-  Fun.protect ~finally:(fun () -> Serve.close t) @@ fun () ->
-  let spec_json = Wo_machines.Spec.to_json (List.hd specs) in
-  List.iter
-    (fun (c : S.case) ->
-      let resp, _ =
-        Serve.handle t
-          (req
-             [
-               ("op", J.String "check");
-               ("family", J.String c.S.family);
-               ("seed", J.Int c.S.seed);
-               ("runs", J.Int 3);
-               ("spec", spec_json);
-             ])
-      in
-      check
-        (Printf.sprintf "serve replays campaign cell %s" c.S.name)
-        true
-        (get_bool "cache_hit" resp = Some true))
-    cases;
-  Sys.remove path
-
 let tests =
   [
     Alcotest.test_case "store: add, find, reopen" `Quick test_store_basic;
@@ -320,8 +237,6 @@ let tests =
       `Quick test_campaign_resume_identical;
     Alcotest.test_case "campaign emits observability counters" `Quick
       test_campaign_counters;
-    Alcotest.test_case "serve: protocol round-trip on the pure handler" `Quick
-      test_serve_handle;
-    Alcotest.test_case "serve check replays campaign-settled cells" `Quick
-      test_serve_check_matches_campaign_key;
+    Alcotest.test_case "store: unopenable paths raise Sys_error naming the file"
+      `Quick test_store_unopenable;
   ]

@@ -1,13 +1,11 @@
 (* Scale-out: snapshot readers against live writers (qcheck over torn
-   tails), compaction byte-identity (qcheck), the shared in-process
-   handle under domain concurrency, the multi-process coordinator's
-   claim/segment/merge protocol, and the pooled serve loop. *)
+   tails), compaction byte-identity (qcheck), per-domain snapshot readers
+   under a live in-process appender, and the multi-process coordinator's
+   claim/segment/merge protocol. *)
 
 module C = Wo_campaign.Campaign
 module Store = Wo_campaign.Store
 module Coordinator = Wo_campaign.Coordinator
-module Serve = Wo_campaign.Serve
-module J = Wo_obs.Json
 module S = Wo_synth.Synth
 
 let check = Alcotest.(check bool)
@@ -117,46 +115,63 @@ let prop_compaction_identity =
       Sys.remove path;
       after_ok && stats_ok)
 
-(* --- the shared handle under domain concurrency ------------------------------- *)
+(* --- snapshot readers under a live in-process appender ------------------------ *)
 
-let test_shared_concurrent () =
+(* The coordinator's reading discipline, under domain concurrency:
+   domain 0 appends through the one writer handle while every other
+   domain holds its own snapshot (a handle is per-domain: [refresh]
+   reads through the descriptor's shared offset) and refreshes it to
+   chase the published high-water mark.  Every key at or below the mark
+   must answer exactly its value — a torn or missing read is a protocol
+   violation. *)
+let test_snapshot_readers_concurrent () =
   let path = temp_store () in
-  Store.close (Store.openf path);
-  let h = Store.Shared.openf path in
-  Fun.protect ~finally:(fun () -> Store.Shared.close h) @@ fun () ->
   let n = 300 in
   let written = Atomic.make 0 in
   let torn = Atomic.make 0 in
   let key i = Printf.sprintf "cell-%d" i in
   let value i = Printf.sprintf "verdict-%d-%s" i (String.make (i mod 41) 'w') in
-  (* worker 0 appends; the others chase the high-water mark with
-     lock-free finds — every key at or below it must answer exactly its
-     value (a torn or missing read is a protocol violation) *)
-  Wo_workload.Sweep.parallel_iter ~domains:4
-    (fun w ->
-      if w = 0 then
-        for i = 1 to n do
-          ignore (Store.Shared.add_if_absent h ~key:(key i) ~value:(value i));
-          Atomic.set written i
-        done
-      else
-        while Atomic.get written < n do
-          let hi = Atomic.get written in
-          if hi > 0 then begin
-            let i = 1 + ((hi * (w + 7)) mod hi) in
-            match Store.Shared.find h ~key:(key i) with
+  let writer = Store.openf path in
+  let lengths =
+    Fun.protect ~finally:(fun () -> Store.close writer) @@ fun () ->
+    Wo_workload.Sweep.parallel_map ~domains:4
+      (fun w ->
+        if w = 0 then begin
+          for i = 1 to n do
+            Store.add writer ~key:(key i) ~value:(value i);
+            Atomic.set written i
+          done;
+          n
+        end
+        else begin
+          let snap = ref (Store.Snapshot.load path) in
+          Fun.protect ~finally:(fun () -> Store.Snapshot.close !snap)
+          @@ fun () ->
+          let expect i =
+            match Store.Snapshot.find !snap ~key:(key i) with
             | Some v when String.equal v (value i) -> ()
             | _ -> Atomic.incr torn
-          end;
-          Domain.cpu_relax ()
-        done)
-    [ 0; 1; 2; 3 ];
+          in
+          let rec chase step =
+            let hi = Atomic.get written in
+            if hi > 0 then begin
+              (* the mark is published after the append returns, so a
+                 refresh now must see every record at or below it: probe
+                 the newest one and an older one that moves with [step] *)
+              snap := Store.Snapshot.refresh !snap;
+              expect hi;
+              expect (1 + (step * ((2 * w) + 7) mod hi))
+            end;
+            Domain.cpu_relax ();
+            if hi < n then chase (step + 1)
+          in
+          chase 0;
+          Store.Snapshot.length (Store.Snapshot.refresh !snap)
+        end)
+      [ 0; 1; 2; 3 ]
+  in
   check "no torn or missing concurrent reads" true (Atomic.get torn = 0);
-  check "all records present" true (Store.Shared.length h = n);
-  check "add_if_absent refuses duplicates" false
-    (Store.Shared.add_if_absent h ~key:(key 1) ~value:"other");
-  check "duplicate add did not overwrite" true
-    (Store.Shared.find h ~key:(key 1) = Some (value 1));
+  check "every reader sees all records" true (List.for_all (( = ) n) lengths);
   Sys.remove path
 
 (* --- the coordinator protocol ------------------------------------------------- *)
@@ -341,80 +356,12 @@ let test_auto_compact () =
     (again.C.r_executed = 0 && again.C.r_compacted = None);
   Sys.remove path
 
-(* --- the pooled serve loop ------------------------------------------------------ *)
-
-let test_serve_pool_socket () =
-  let path = temp_store () in
-  let sock_path = Filename.temp_file "wo-serve-test" ".sock" in
-  Sys.remove sock_path;
-  let server = Serve.create ~store_path:path in
-  let d =
-    Domain.spawn (fun () ->
-        Serve.serve ~pool:2 server (Serve.Unix_socket sock_path))
-  in
-  let deadline = Unix.gettimeofday () +. 10. in
-  while
-    (not (Sys.file_exists sock_path)) && Unix.gettimeofday () < deadline
-  do
-    ignore (Unix.select [] [] [] 0.02)
-  done;
-  let rpc fd line =
-    let s = line ^ "\n" in
-    ignore (Unix.write_substring fd s 0 (String.length s));
-    let buf = Bytes.create 65536 in
-    let b = Buffer.create 256 in
-    let rec go () =
-      let n = Unix.read fd buf 0 (Bytes.length buf) in
-      if n > 0 then begin
-        Buffer.add_subbytes b buf 0 n;
-        if not (String.contains (Buffer.contents b) '\n') then go ()
-      end
-    in
-    go ();
-    J.of_string (String.trim (Buffer.contents b))
-  in
-  let connect () =
-    (* the socket path appears at bind, a moment before listen *)
-    let rec go tries =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX sock_path) with
-      | () -> fd
-      | exception Unix.Unix_error _ when tries > 0 ->
-        Unix.close fd;
-        ignore (Unix.select [] [] [] 0.05);
-        go (tries - 1)
-    in
-    go 100
-  in
-  (* two clients connected at once, both served *)
-  let c1 = connect () and c2 = connect () in
-  let ping c =
-    match rpc c "{\"op\": \"ping\"}" with
-    | Ok j -> Option.bind (J.member "pong" j) J.to_bool_opt = Some true
-    | Error _ -> false
-  in
-  check "client 1 served" true (ping c1);
-  check "client 2 served concurrently" true (ping c2);
-  Unix.close c1;
-  (* shutdown wakes the whole pool and serve returns *)
-  (match rpc c2 "{\"op\": \"shutdown\"}" with
-  | Ok j ->
-    check "shutdown acknowledged" true
-      (Option.bind (J.member "stopping" j) J.to_bool_opt = Some true)
-  | Error e -> Alcotest.failf "shutdown response: %s" e);
-  Unix.close c2;
-  Domain.join d;
-  check "requests counted across the pool" true (Serve.requests server >= 3);
-  Serve.close server;
-  check "socket path removed on exit" false (Sys.file_exists sock_path);
-  Sys.remove path
-
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_snapshot_never_torn;
     QCheck_alcotest.to_alcotest prop_compaction_identity;
-    Alcotest.test_case "shared store: lock-free reads under a live writer"
-      `Quick test_shared_concurrent;
+    Alcotest.test_case "snapshot readers: lock-free reads under a live writer"
+      `Quick test_snapshot_readers_concurrent;
     Alcotest.test_case
       "coordinator: two workers reproduce the single-process report" `Quick
       test_coordinator_identity;
@@ -424,6 +371,4 @@ let tests =
       test_live_lock_respected;
     Alcotest.test_case "campaign auto-compacts a half-superseded store" `Quick
       test_auto_compact;
-    Alcotest.test_case "serve pool: concurrent clients, clean shutdown" `Quick
-      test_serve_pool_socket;
   ]
