@@ -55,17 +55,19 @@ let machine_files_arg =
     & info [ "machine-file" ] ~docv:"FILE"
         ~doc:(machine_file_doc ^ " Repeatable; adds to $(b,-m)."))
 
-(* Counts that must be at least 1 (run batches, shard sizes): zero or a
-   negative value is a usage error (exit 124), never a vacuous pass. *)
-let positive_int =
+(* Counts with a floor (run batches, shard sizes, state bounds): a value
+   below it is a usage error (exit 124), never a vacuous pass. *)
+let int_at_least lo what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ ->
-      Error
-        (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 "a positive integer"
+
+let non_negative_int = int_at_least 0 "a non-negative integer"
 
 let runs_arg =
   Arg.(
@@ -1309,9 +1311,11 @@ let difftest_cmd =
   in
   let count_arg =
     Arg.(
-      value & opt int 8
+      value & opt non_negative_int 8
       & info [ "c"; "count" ] ~docv:"N"
-          ~doc:"Synthesized cases generated from the family.")
+          ~doc:
+            "Synthesized cases generated from the family; $(b,0) runs the \
+             litmus corpus alone.")
   in
   let runs_arg =
     Arg.(
@@ -1321,7 +1325,7 @@ let difftest_cmd =
   in
   let max_states_arg =
     Arg.(
-      value & opt int 2_000_000
+      value & opt positive_int 2_000_000
       & info [ "max-states" ] ~docv:"N"
           ~doc:
             "State bound for the axiomatic reference enumeration; cells \

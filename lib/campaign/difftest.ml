@@ -4,8 +4,11 @@
    violation depends on what is knowable about the case:
 
    - DRF0, loop-free: the allowed set is the SC set (Definition 2), so
-     any outcome outside {!Wo_prog.Enumerate.outcomes} is a violation,
-     and so is a Lemma-1 trace failure.
+     any outcome outside it is a violation, and so is a Lemma-1 trace
+     failure.  SC sets come from the stateful search on one domain
+     ({!Wo_prog.Enumerate.outcomes_stateful}), the call the campaign
+     makes, which finishes on six-processor cycles where tree search
+     gives up.
    - DRF0 with loops: the SC set cannot be enumerated; the Lemma-1
      oracle alone decides.
    - Known-racy, loop-free: the machine is allowed to leave the SC set,
@@ -99,16 +102,6 @@ let default_cases ?(family = "cycle-racy") ?(count = 8) () =
   in
   litmus @ synth
 
-(* One entry per distinct (program, model) pair: the axiomatic sets are
-   the expensive part, and every machine of a model shares them. *)
-let memo_outcomes tbl key f =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-    let v = f () in
-    Hashtbl.replace tbl key v;
-    v
-
 let in_set set o = List.exists (fun a -> Wo_prog.Outcome.compare a o = 0) set
 
 let find_witness session ~base_seed ~runs ~compiled program bad =
@@ -127,99 +120,127 @@ let find_witness session ~base_seed ~runs ~compiled program bad =
   in
   search base_seed
 
+type machine = {
+  mspec : S.t;
+  mbuilt : M.t;
+  session : M.session;
+  hw : SM.hardware;
+}
+
+(* One (case, machine) check.  [sc_set] is the case's SC set ([] for
+   loopy cases); [model_set] memoizes its axiomatic set per model. *)
+let check_case ~runs ~base_seed ~witnesses ~sc_set ~model_set (c : case) m =
+  let check =
+    if c.drf0 then if c.loops then Lemma1_only else Against_sc
+    else if c.racy && not c.loops then Against_model
+    else Report_only
+  in
+  (* the litmus-style sweep: histogram, SC violations, Lemma 1 *)
+  let test =
+    {
+      L.name = c.cname;
+      description = "";
+      program = c.program;
+      drf0 = c.drf0;
+      loops = c.loops;
+      interesting = [];
+    }
+  in
+  let rep =
+    R.run ~runs ~base_seed ~check_lemma1:c.drf0 ~sc_outcomes:sc_set
+      ~session:m.session m.mbuilt test
+  in
+  let beyond_sc =
+    List.fold_left (fun n (_, k) -> n + k) 0 rep.R.violations
+  in
+  let check, allowed_set =
+    match check with
+    | Against_model -> (
+      match model_set m.hw with
+      | Some set -> (Against_model, Some set)
+      | None -> (Report_only, None))
+    | Against_sc -> (Against_sc, Some sc_set)
+    | (Lemma1_only | Report_only) as k -> (k, None)
+  in
+  let violations =
+    match (check, allowed_set) with
+    | (Against_sc | Against_model), Some set ->
+      List.filter (fun (o, _) -> not (in_set set o)) rep.R.histogram
+    | _ -> []
+  in
+  let witness =
+    match (witnesses, violations) with
+    | true, (bad, _) :: _ ->
+      find_witness m.session ~base_seed ~runs ~compiled:None c.program bad
+    | _ -> None
+  in
+  {
+    rcase = c;
+    rmachine = m.mspec.S.name;
+    rmodel = S.model_to_string m.mspec.S.model;
+    rruns = runs;
+    rcheck = check;
+    allowed = (match allowed_set with Some s -> List.length s | None -> 0);
+    distinct = List.length rep.R.histogram;
+    beyond_sc;
+    violations;
+    lemma1_failures = rep.R.lemma1_failures;
+    witness;
+  }
+
+(* Reports come out machine by machine, but the walk goes case by case:
+   a case's reference sets (the expensive part, shared by every machine
+   of a model) are dropped as soon as its machines are checked, so
+   memory does not grow with the corpus.  Machine sessions reset in
+   place between runs, so the order of runs changes no result. *)
 let run ?(specs = Wo_machines.Presets.model_specs) ?(runs = 40) ?(base_seed = 1)
     ?max_states ?(engine = M.Compiled) ?(witnesses = true) ?cases () : summary
     =
   let cases =
     match cases with Some cs -> cs | None -> default_cases ()
   in
-  let sc_sets : (string, Wo_prog.Outcome.t list) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let model_sets : (string * string, Wo_prog.Outcome.t list option) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let reports =
-    List.concat_map
+  let machines =
+    List.map
       (fun (spec : S.t) ->
-        let machine = S.build spec in
-        let session = M.new_session machine engine in
-        let hw = S.model_hardware spec.S.model in
-        List.map
-          (fun (c : case) ->
-            let sc_set =
-              if c.loops then []
-              else
-                memo_outcomes sc_sets c.cname (fun () ->
-                    Wo_prog.Enumerate.outcomes c.program)
-            in
-            let check =
-              if c.drf0 then if c.loops then Lemma1_only else Against_sc
-              else if c.racy && not c.loops then Against_model
-              else Report_only
-            in
-            (* the litmus-style sweep: histogram, SC violations, Lemma 1 *)
-            let test =
-              {
-                L.name = c.cname;
-                description = "";
-                program = c.program;
-                drf0 = c.drf0;
-                loops = c.loops;
-                interesting = [];
-              }
-            in
-            let rep =
-              R.run ~runs ~base_seed ~check_lemma1:c.drf0 ~sc_outcomes:sc_set
-                ~session machine test
-            in
-            let beyond_sc =
-              List.fold_left (fun n (_, k) -> n + k) 0 rep.R.violations
-            in
-            let check, allowed_set =
-              match check with
-              | Against_model -> (
-                match
-                  memo_outcomes model_sets (c.cname, hw.SM.hname) (fun () ->
-                      match Wo_prog.Relaxed.outcomes ?max_states hw c.program with
-                      | set -> Some set
-                      | exception Wo_prog.Relaxed.Too_many_states _ -> None)
-                with
-                | Some set -> (Against_model, Some set)
-                | None -> (Report_only, None))
-              | Against_sc -> (Against_sc, Some sc_set)
-              | (Lemma1_only | Report_only) as k -> (k, None)
-            in
-            let violations =
-              match (check, allowed_set) with
-              | (Against_sc | Against_model), Some set ->
-                List.filter (fun (o, _) -> not (in_set set o)) rep.R.histogram
-              | _ -> []
-            in
-            let witness =
-              match (witnesses, violations) with
-              | true, (bad, _) :: _ ->
-                find_witness session ~base_seed ~runs ~compiled:None c.program
-                  bad
-              | _ -> None
-            in
-            {
-              rcase = c;
-              rmachine = spec.S.name;
-              rmodel = S.model_to_string spec.S.model;
-              rruns = runs;
-              rcheck = check;
-              allowed =
-                (match allowed_set with Some s -> List.length s | None -> 0);
-              distinct = List.length rep.R.histogram;
-              beyond_sc;
-              violations;
-              lemma1_failures = rep.R.lemma1_failures;
-              witness;
-            })
-          cases)
+        let mbuilt = S.build spec in
+        {
+          mspec = spec;
+          mbuilt;
+          session = M.new_session mbuilt engine;
+          hw = S.model_hardware spec.S.model;
+        })
       specs
   in
+  let by_case =
+    List.map
+      (fun (c : case) ->
+        let sc_set =
+          if c.loops then []
+          else fst (Wo_prog.Enumerate.outcomes_stateful ~domains:1 c.program)
+        in
+        let model_sets = Hashtbl.create 4 in
+        let model_set (hw : SM.hardware) =
+          match Hashtbl.find_opt model_sets hw.SM.hname with
+          | Some v -> v
+          | None ->
+            let v =
+              match Wo_prog.Relaxed.outcomes ?max_states hw c.program with
+              | set -> Some set
+              | exception Wo_prog.Relaxed.Too_many_states _ -> None
+            in
+            Hashtbl.replace model_sets hw.SM.hname v;
+            v
+        in
+        List.map
+          (check_case ~runs ~base_seed ~witnesses ~sc_set ~model_set c)
+          machines)
+      cases
+  in
+  let rec by_machine = function
+    | [] | [] :: _ -> []
+    | rows -> List.map List.hd rows :: by_machine (List.map List.tl rows)
+  in
+  let reports = List.concat (by_machine by_case) in
   {
     reports;
     cases = List.length cases;

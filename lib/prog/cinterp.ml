@@ -292,17 +292,6 @@ let exact_key st =
 
 module Inc = Wo_core.Drf0_inc
 
-let emit_varint buf n =
-  let z = if n >= 0 then n lsl 1 else lnot (n lsl 1) in
-  let rec go z =
-    if z < 0x80 then Buffer.add_char buf (Char.unsafe_chr z)
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (z land 0x7f)));
-      go (z lsr 7)
-    end
-  in
-  go z
-
 (* Rank compression, as State_key.emit_ranks: order-preserving
    per-coordinate renumbering of the summary values. *)
 let emit_ranks buf vals =
@@ -314,7 +303,7 @@ let emit_ranks buf vals =
     in
     go 0 distinct
   in
-  List.iter (fun v -> emit_varint buf (rank v)) vals
+  List.iter (fun v -> P.emit_varint buf (rank v)) vals
 
 (* Runtime signature of one thread: static symmetry class + pc +
    register values.  Two threads with equal signatures have the same
@@ -335,14 +324,14 @@ let encode_arrangement st (sm : Inc.summary) order =
   let t = st.prog in
   let nprocs = t.P.nprocs in
   let buf = Buffer.create 128 in
-  emit_varint buf st.next_event_id;
+  P.emit_varint buf st.next_event_id;
   Array.iter
     (fun p ->
-      emit_varint buf t.P.classes.(p);
-      emit_varint buf st.pcs.(p);
+      P.emit_varint buf t.P.classes.(p);
+      P.emit_varint buf st.pcs.(p);
       let base = t.P.reg_base.(p) in
       for i = 0 to Array.length t.P.reg_ids.(p) - 1 do
-        emit_varint buf st.regs.(base + i)
+        P.emit_varint buf st.regs.(base + i)
       done)
     order;
   (* Live locations (reachable from some thread's pc), renamed by first
@@ -369,7 +358,7 @@ let encode_arrangement st (sm : Inc.summary) order =
     order;
   let live = List.rev !live_rev in
   Buffer.add_char buf 'M';
-  List.iter (fun li -> emit_varint buf st.mem.(li)) live;
+  List.iter (fun li -> P.emit_varint buf st.mem.(li)) live;
   Buffer.add_char buf 'H';
   let loc_summaries =
     List.map

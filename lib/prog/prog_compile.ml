@@ -448,17 +448,15 @@ let compile p = if within_bounds p then Some (compile_exn p) else None
 (* --- canonical encoding ----------------------------------------------------- *)
 
 (* Varint (LEB128, zigzagged) writer shared with the packed state keys;
-   self-delimiting, so a fixed field sequence is injective. *)
+   self-delimiting, so a fixed field sequence is injective.  A loop, not
+   a local recursive function, so a call allocates nothing. *)
 let emit_varint buf n =
-  let z = if n >= 0 then n lsl 1 else lnot (n lsl 1) in
-  let rec go z =
-    if z < 0x80 then Buffer.add_char buf (Char.unsafe_chr z)
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (z land 0x7f)));
-      go (z lsr 7)
-    end
-  in
-  go z
+  let z = ref (if n >= 0 then n lsl 1 else lnot (n lsl 1)) in
+  while !z >= 0x80 do
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (!z land 0x7f)));
+    z := !z lsr 7
+  done;
+  Buffer.add_char buf (Char.unsafe_chr !z)
 
 let emit_array buf a =
   emit_varint buf (Array.length a);

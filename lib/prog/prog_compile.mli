@@ -126,3 +126,8 @@ val encoding : t -> string
 
 val encode_program : Program.t -> string option
 (** [encoding] of [compile], when it succeeds. *)
+
+val emit_varint : Buffer.t -> int -> unit
+(** Append one zigzagged LEB128 varint — the self-delimiting field
+    writer behind {!encoding} and the packed state keys: a fixed
+    sequence of fields written with it is injective. *)

@@ -77,7 +77,7 @@ let len_bits = 20
 let off_bits = 22
 let max_key_len = (1 lsl len_bits) - 1
 let max_chunk = 1 lsl off_bits (* 4 MiB *)
-let first_chunk = 4096
+let first_chunk = 256
 
 let meta ~chunk ~off ~len =
   (chunk lsl (len_bits + off_bits)) lor (off lsl len_bits) lor len
@@ -91,7 +91,11 @@ let probe_buckets = 16
 (* --- construction ----------------------------------------------------------- *)
 
 let default_shards = 64
-let initial_cap = 256
+
+(* Small starting sizes (16 slots, a 256-byte first chunk): most tables
+   back searches of a few hundred states, made by the hundred per
+   difftest or campaign call, and both regions double as they fill. *)
+let initial_cap = 16
 
 let make_slots cap =
   let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (3 * cap) in
