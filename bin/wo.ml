@@ -422,7 +422,7 @@ let check_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt non_negative_int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Number of OCaml domains to search with; $(b,0) picks the \
@@ -438,7 +438,7 @@ let check_cmd =
               "%S has spin loops, so its idealized executions are unbounded; \
                use `wo races %s' (dynamic sampling) instead"
               test.L.name test.L.name));
-    let domains = if jobs <= 0 then None else Some (max 1 jobs) in
+    let domains = if jobs = 0 then None else Some jobs in
     Format.printf "%a@.@." Wo_prog.Program.pp test.L.program;
     let t0 = Unix.gettimeofday () in
     let result, s =
@@ -542,7 +542,7 @@ let workload_cmd =
 let sweep_cmd =
   let jobs_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Number of OCaml domains to fan the campaign over; $(b,0) \
@@ -572,7 +572,7 @@ let sweep_cmd =
     in
     let specs = expand_models model_names specs in
     let machines = List.map Wo_machines.Spec.build specs in
-    let domains = if jobs <= 0 then None else Some jobs in
+    let domains = if jobs = 0 then None else Some jobs in
     machine_errors @@ fun () ->
     let t0 = Unix.gettimeofday () in
     let campaign =
@@ -906,7 +906,7 @@ let synth_cmd =
   in
   let count_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "c"; "count" ] ~docv:"N"
           ~doc:"Cases to generate, at seeds $(i,SEED)..$(i,SEED)+$(docv)-1.")
   in
@@ -989,7 +989,7 @@ let campaign_cmd =
   in
   let count_arg =
     Arg.(
-      value & opt int 250
+      value & opt positive_int 250
       & info [ "c"; "count" ] ~docv:"N" ~doc:"Cases generated per family.")
   in
   let runs_arg =
@@ -999,7 +999,7 @@ let campaign_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"OCaml domains; $(b,0) picks the recommended count.")
   in
@@ -1035,7 +1035,7 @@ let campaign_cmd =
   in
   let workers_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Fork $(docv) local worker processes that claim shards via the \
@@ -1137,7 +1137,7 @@ let campaign_cmd =
       {
         Wo_campaign.Campaign.runs;
         base_seed = seed;
-        domains = (if jobs <= 0 then None else Some jobs);
+        domains = (if jobs = 0 then None else Some jobs);
         shard;
         max_shards;
         store_path;

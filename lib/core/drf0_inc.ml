@@ -81,6 +81,7 @@ type t = {
   clocks : Vector_clock.t array; (* per-processor current clock *)
   counts : int array; (* events pushed per processor = epoch counter *)
   locs : (Event.loc, locrec) Hashtbl.t;
+  absent : locrec; (* an untouched location's record, shared (immutable) *)
   mutable trail : frame list;
 }
 
@@ -92,17 +93,16 @@ let create ?(mode = Mode_drf0) ~nprocs () =
     clocks = Array.init nprocs (fun _ -> Vector_clock.zero nprocs);
     counts = Array.make nprocs 0;
     locs = Hashtbl.create 31;
+    absent =
+      {
+        last_write = Array.make nprocs None;
+        last_read = Array.make nprocs None;
+        sync_clock = Vector_clock.zero nprocs;
+      };
     trail = [];
   }
 
 let depth t = List.length t.trail
-
-let fresh_locrec t =
-  {
-    last_write = Array.make t.nprocs None;
-    last_read = Array.make t.nprocs None;
-    sync_clock = Vector_clock.zero t.nprocs;
-  }
 
 (* Among the latest conflicting access of each other processor, the
    unordered one with the smallest event id (ids are assigned in
@@ -143,7 +143,7 @@ let push t (e : Event.t) =
     invalid_arg "Drf0_inc.push: processor out of range";
   let loc = e.Event.loc in
   let prev_binding = Hashtbl.find_opt t.locs loc in
-  let lr = match prev_binding with Some r -> r | None -> fresh_locrec t in
+  let lr = match prev_binding with Some r -> r | None -> t.absent in
   let old_clock = t.clocks.(p) in
   (* Acquire: past synchronization on this location orders us; the edge
      targets this event itself, so it participates in this event's own
@@ -196,6 +196,25 @@ let reset t =
 
 (* --- state summaries for memoized (stateful) exploration ------------------ *)
 
+(* Read accessors: the summary's values, read in place.  [loc_view]
+   returns the bound record (or the shared absent one), so a caller
+   looks a location up once and then reads it coordinate by coordinate
+   without allocating. *)
+let clock t p q = Vector_clock.get t.clocks.(p) q
+
+type loc_view = locrec
+
+let loc_view t loc =
+  match Hashtbl.find_opt t.locs loc with Some lr -> lr | None -> t.absent
+
+let epoch_of = function Some (epoch, _) -> epoch | None -> -1
+
+let last_write lv q = epoch_of lv.last_write.(q)
+
+let last_read lv q = epoch_of lv.last_read.(q)
+
+let sync lv q = Vector_clock.get lv.sync_clock q
+
 type loc_summary = {
   ls_loc : Event.loc;
   ls_last_write : int array; (* per proc: epoch of last write, or -1 *)
@@ -209,9 +228,7 @@ type summary = {
 }
 
 let summary t =
-  let epochs src =
-    Array.map (function Some (epoch, _) -> epoch | None -> -1) src
-  in
+  let epochs src = Array.map epoch_of src in
   let locs =
     Hashtbl.fold
       (fun loc (lr : locrec) acc ->

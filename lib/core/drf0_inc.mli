@@ -17,7 +17,12 @@
     so they never race in an idealized execution and the verdict over
     real events equals the closure-based verdict over the augmented
     execution.  {!Drf0.races} remains the oracle; the agreement is
-    property-tested in the suite. *)
+    property-tested in the suite.
+
+    The stateful enumerator keys its visited table on this metadata: the
+    AST engine through a materialised {!summary}, the compiled engine
+    through the allocation-free in-place reads ({!clock},
+    {!loc_view}). *)
 
 type mode =
   | Mode_drf0  (** every same-location sync pair synchronizes *)
@@ -83,7 +88,35 @@ type summary = {
 }
 
 val summary : t -> summary
-(** A snapshot of the checker's happens-before state (arrays are fresh). *)
+(** A snapshot of the checker's happens-before state (arrays are fresh).
+    The AST engine's canonical key ([Wo_prog.State_key]) reads it; the
+    compiled key reads the same values in place through the accessors
+    below. *)
+
+(** {3 In-place reads}
+
+    The values of {!summary}, read without building it: no allocation
+    per coordinate, one table lookup per location. *)
+
+val clock : t -> int -> int -> int
+(** [clock t p q] = [(summary t).sm_clocks.(p).(q)]. *)
+
+type loc_view
+(** One location's metadata as of the lookup (immutable: later pushes
+    and pops leave it as it was). *)
+
+val loc_view : t -> Event.loc -> loc_view
+(** Look a location up once.  A location no pushed event touched reads
+    as absent from {!summary}'s [sm_locs]: epochs -1, sync clock 0. *)
+
+val last_write : loc_view -> int -> int
+(** [last_write v q]: [ls_last_write.(q)], or -1 when absent. *)
+
+val last_read : loc_view -> int -> int
+(** [last_read v q]: [ls_last_read.(q)], or -1 when absent. *)
+
+val sync : loc_view -> int -> int
+(** [sync v q]: [ls_sync.(q)], or 0 when absent. *)
 
 val first_race :
   ?mode:mode -> nprocs:int -> Event.t list -> Drf0.race option

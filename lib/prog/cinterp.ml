@@ -241,6 +241,12 @@ let memory st =
 
 let events_so_far st = st.next_event_id
 
+let pc st p = st.pcs.(p)
+
+let reg st i = st.regs.(i)
+
+let load st li = st.mem.(li)
+
 let outcome st =
   let registers =
     Array.to_list st.prog.P.obs_regs
@@ -256,18 +262,15 @@ let execution st = Wo_core.Execution.of_ordered_events (List.rev st.events_rev)
    counts (nprocs, nregs, nlocs) are fixed, so the concatenation is
    injective on states of one compiled program. *)
 let put b pos n =
-  let z = if n >= 0 then n lsl 1 else lnot (n lsl 1) in
-  let rec go z pos =
-    if z < 0x80 then begin
-      Bytes.unsafe_set b pos (Char.unsafe_chr z);
-      pos + 1
-    end
-    else begin
-      Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (z land 0x7f)));
-      go (z lsr 7) (pos + 1)
-    end
-  in
-  go z pos
+  let z = ref (if n >= 0 then n lsl 1 else lnot (n lsl 1)) in
+  let pos = ref pos in
+  while !z >= 0x80 do
+    Bytes.unsafe_set b !pos (Char.unsafe_chr (0x80 lor (!z land 0x7f)));
+    z := !z lsr 7;
+    incr pos
+  done;
+  Bytes.unsafe_set b !pos (Char.unsafe_chr !z);
+  !pos + 1
 
 let put_all b pos a =
   let pos = ref pos in
@@ -290,153 +293,372 @@ let exact_key st =
 
 (* --- canonical DRF0 keys ---------------------------------------------------- *)
 
+(* The key of a DRF0 search state, quotiented by location renaming,
+   symmetric-thread permutation and per-coordinate rank compression of
+   the happens-before metadata (the compiled analogue of
+   State_key.canonical).  Layout, for one arrangement [order] of the
+   processors:
+
+     event count;
+     per processor in [order]: class, pc, registers;
+     'M', memory of each live location (reachable from some thread's
+       pc), locations renamed by first occurrence scanning the threads
+       in [order];
+     'H', per coordinate q in [order]: the ranks of every processor's
+       clock component q (processors in [order]) and of each renamed
+       live location's (last write, last read, sync) component q.
+
+   Dead locations cannot be accessed again, so their values and
+   metadata are dropped.  Same-class threads have position-wise
+   corresponding live streams (same code, operands related by the class
+   renaming), so the composite renaming is arrangement-invariant.
+
+   Threads with equal (class, pc, registers) signatures are
+   interchangeable: every arrangement permuting within equal-signature
+   groups is encoded (unless there are more than [max_arrangements];
+   then only the identity order is) and the smallest encoding wins,
+   the first in enumeration order on ties.  (The AST signature also
+   distinguishes an unbound register from one bound to 0; compiled
+   execution cannot, so merging them is sound here.)
+
+   Everything is computed in a per-walk workspace: the metadata is read
+   in place from the checker, each location looked up once per state;
+   a coordinate's value set does not depend on the arrangement, so its
+   ranks are counted once per state; arrangements encode into reused
+   bytes and only the winner is copied out. *)
+
 module Inc = Wo_core.Drf0_inc
 
-(* Rank compression, as State_key.emit_ranks: order-preserving
-   per-coordinate renumbering of the summary values. *)
-let emit_ranks buf vals =
-  let distinct = List.sort_uniq Int.compare vals in
-  let rank v =
-    let rec go i = function
-      | [] -> assert false
-      | x :: rest -> if x = v then i else go (i + 1) rest
-    in
-    go 0 distinct
-  in
-  List.iter (fun v -> P.emit_varint buf (rank v)) vals
-
-(* Runtime signature of one thread: static symmetry class + pc +
-   register values.  Two threads with equal signatures have the same
-   remaining compiled code up to a private location renaming (class
-   fixes the whole code array up to renaming; pc fixes the suffix) and
-   the same register file, so permuting them maps the state to an
-   isomorphic one — the compiled analogue of State_key's
-   thread_signature.  (Coarser in one spot: the AST signature
-   distinguishes an unbound register from one bound to 0; compiled
-   execution cannot, so merging them is sound here.) *)
-let signature st p =
-  let t = st.prog in
-  ( t.P.classes.(p),
-    st.pcs.(p),
-    Array.sub st.regs t.P.reg_base.(p) (Array.length t.P.reg_ids.(p)) )
-
-let encode_arrangement st (sm : Inc.summary) order =
-  let t = st.prog in
-  let nprocs = t.P.nprocs in
-  let buf = Buffer.create 128 in
-  P.emit_varint buf st.next_event_id;
-  Array.iter
-    (fun p ->
-      P.emit_varint buf t.P.classes.(p);
-      P.emit_varint buf st.pcs.(p);
-      let base = t.P.reg_base.(p) in
-      for i = 0 to Array.length t.P.reg_ids.(p) - 1 do
-        P.emit_varint buf st.regs.(base + i)
-      done)
-    order;
-  (* Live locations (reachable from some thread's pc), renamed by first
-     occurrence scanning threads in arrangement order; dead locations
-     cannot be accessed again, so their values and happens-before
-     metadata are dropped.  Same-class threads have position-wise
-     corresponding live streams (same CFG, operands related by the class
-     renaming), so the composite renaming is arrangement-invariant. *)
-  let nlocs = Array.length t.P.locs in
-  let rename = Array.make nlocs (-1) in
-  let live_rev = ref [] in
-  let next = ref 0 in
-  Array.iter
-    (fun p ->
-      let ll = t.P.live_locs.(p).(st.pcs.(p) / stride) in
-      Array.iter
-        (fun li ->
-          if rename.(li) < 0 then begin
-            rename.(li) <- !next;
-            incr next;
-            live_rev := li :: !live_rev
-          end)
-        ll)
-    order;
-  let live = List.rev !live_rev in
-  Buffer.add_char buf 'M';
-  List.iter (fun li -> P.emit_varint buf st.mem.(li)) live;
-  Buffer.add_char buf 'H';
-  let loc_summaries =
-    List.map
-      (fun li ->
-        List.find_opt
-          (fun (l : Inc.loc_summary) -> l.Inc.ls_loc = t.P.locs.(li))
-          sm.Inc.sm_locs)
-      live
-  in
-  for q' = 0 to nprocs - 1 do
-    let q = order.(q') in
-    let clock_vals =
-      List.init nprocs (fun p' -> sm.Inc.sm_clocks.(order.(p')).(q))
-    in
-    let loc_vals =
-      List.concat_map
-        (function
-          | Some (l : Inc.loc_summary) ->
-            [ l.Inc.ls_last_write.(q); l.Inc.ls_last_read.(q); l.Inc.ls_sync.(q) ]
-          | None -> [ -1; -1; 0 ])
-        loc_summaries
-    in
-    emit_ranks buf (clock_vals @ loc_vals)
-  done;
-  Buffer.contents buf
-
-(* Arrangements permuting threads within equal-signature groups, capped
-   exactly like State_key.arrangements. *)
 let max_arrangements = 24
 
-let arrangements st =
-  let nprocs = st.prog.P.nprocs in
-  let classes =
-    List.init nprocs (fun p -> (signature st p, p))
-    |> List.sort compare
-    |> List.fold_left
-         (fun acc (sg, p) ->
-           match acc with
-           | (sg', ps) :: rest when sg' = sg -> (sg', p :: ps) :: rest
-           | _ -> (sg, [ p ]) :: acc)
-         []
-    |> List.rev_map (fun (_, ps) -> List.rev ps)
-  in
-  let rec perms = function
-    | [] -> [ [] ]
-    | l ->
-      List.concat_map
-        (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l)))
-        l
-  in
-  let count =
-    List.fold_left
-      (fun acc c ->
-        let rec fact n = if n <= 1 then 1 else n * fact (n - 1) in
-        acc * fact (List.length c))
-      1 classes
-  in
-  if count > max_arrangements then [ Array.init nprocs (fun p -> p) ]
-  else
-    List.fold_left
-      (fun acc cls ->
-        List.concat_map
-          (fun prefix -> List.map (fun perm -> prefix @ perm) (perms cls))
-          acc)
-      [ [] ] classes
-    |> List.map Array.of_list
+type key_workspace = {
+  ks_prog : P.t;
+  identity : int array;
+  sorted : int array;  (* processors by (signature, index) *)
+  group : int array;  (* starts of the equal-signature runs in [sorted] *)
+  order : int array;  (* the arrangement being encoded *)
+  best_order : int array;
+  slot : int array;  (* per location index: its slot in [live], or -1 *)
+  live : int array;  (* slot -> location index *)
+  renamed : int array;  (* per slot: already renamed in this arrangement *)
+  ren : int array;  (* renaming: position -> slot *)
+  rclock : int array;  (* [p * nprocs + q]: rank of clock p, component q *)
+  mutable rloc : int array;  (* [(slot * nprocs + q) * 3 + j]: ranks *)
+  mutable count : int array;  (* per value + 1: presence, then rank *)
+  mutable buf : Bytes.t;
+  mutable best : Bytes.t;
+}
 
-let canonical_key ?(symmetry = true) st sm =
-  let identity = Array.init st.prog.P.nprocs (fun p -> p) in
-  if not symmetry then (encode_arrangement st sm identity, identity)
+let key_workspace (t : P.t) =
+  let n = t.P.nprocs and nlocs = Array.length t.P.locs in
+  {
+    ks_prog = t;
+    identity = Array.init n Fun.id;
+    sorted = Array.make n 0;
+    group = Array.make (n + 1) 0;
+    order = Array.make n 0;
+    best_order = Array.make n 0;
+    slot = Array.make nlocs (-1);
+    live = Array.make nlocs 0;
+    renamed = Array.make nlocs 0;
+    ren = Array.make nlocs 0;
+    rclock = Array.make (n * n) 0;
+    rloc = [||];
+    count = [||];
+    buf = Bytes.create 256;
+    best = Bytes.create 256;
+  }
+
+(* Replace every value of coordinate [q] by its rank among the
+   coordinate's distinct values.  Values lie in [-1, max] (epochs are -1
+   or positive, clock components non-negative), so a presence array and
+   a prefix sum rank them without sorting. *)
+let rank_coordinate ks ~nprocs ~nlive q =
+  let hi = ref (-1) in
+  for p = 0 to nprocs - 1 do
+    hi := Int.max !hi ks.rclock.((p * nprocs) + q)
+  done;
+  for k = 0 to nlive - 1 do
+    let b = ((k * nprocs) + q) * 3 in
+    hi := Int.max !hi (Int.max ks.rloc.(b) (Int.max ks.rloc.(b + 1) ks.rloc.(b + 2)))
+  done;
+  let width = !hi + 2 in
+  if Array.length ks.count < width then
+    ks.count <- Array.make (Int.max width (2 * Array.length ks.count)) 0
+  else Array.fill ks.count 0 width 0;
+  let count = ks.count in
+  for p = 0 to nprocs - 1 do
+    count.(ks.rclock.((p * nprocs) + q) + 1) <- 1
+  done;
+  for k = 0 to nlive - 1 do
+    let b = ((k * nprocs) + q) * 3 in
+    for j = 0 to 2 do
+      count.(ks.rloc.(b + j) + 1) <- 1
+    done
+  done;
+  let r = ref 0 in
+  for i = 0 to width - 1 do
+    let c = count.(i) in
+    count.(i) <- !r;
+    r := !r + c
+  done;
+  for p = 0 to nprocs - 1 do
+    let i = (p * nprocs) + q in
+    ks.rclock.(i) <- count.(ks.rclock.(i) + 1)
+  done;
+  for k = 0 to nlive - 1 do
+    let b = ((k * nprocs) + q) * 3 in
+    for j = 0 to 2 do
+      ks.rloc.(b + j) <- count.(ks.rloc.(b + j) + 1)
+    done
+  done
+
+(* Collect the live locations into slots and read their metadata and
+   the clocks, ranked per coordinate.  Returns the live count; [slot]
+   stays set until [release_slots]. *)
+let load_ranks ks st inc =
+  let t = st.prog in
+  let n = t.P.nprocs in
+  let nlive = ref 0 in
+  for p = 0 to n - 1 do
+    let ll = t.P.live_locs.(p).(st.pcs.(p) / stride) in
+    for i = 0 to Array.length ll - 1 do
+      let li = ll.(i) in
+      if ks.slot.(li) < 0 then begin
+        ks.slot.(li) <- !nlive;
+        ks.live.(!nlive) <- li;
+        incr nlive
+      end
+    done
+  done;
+  let nlive = !nlive in
+  if Array.length ks.rloc < nlive * n * 3 then
+    ks.rloc <- Array.make (Int.max (nlive * n * 3) (2 * Array.length ks.rloc)) 0;
+  for k = 0 to nlive - 1 do
+    let lv = Inc.loc_view inc t.P.locs.(ks.live.(k)) in
+    for q = 0 to n - 1 do
+      let b = ((k * n) + q) * 3 in
+      ks.rloc.(b) <- Inc.last_write lv q;
+      ks.rloc.(b + 1) <- Inc.last_read lv q;
+      ks.rloc.(b + 2) <- Inc.sync lv q
+    done
+  done;
+  for p = 0 to n - 1 do
+    for q = 0 to n - 1 do
+      ks.rclock.((p * n) + q) <- Inc.clock inc p q
+    done
+  done;
+  for q = 0 to n - 1 do
+    rank_coordinate ks ~nprocs:n ~nlive q
+  done;
+  nlive
+
+let release_slots ks nlive =
+  for k = 0 to nlive - 1 do
+    ks.slot.(ks.live.(k)) <- -1
+  done
+
+(* Encode arrangement [order] into [ks.buf]; returns the length. *)
+let encode_arrangement ks st ~nlive order =
+  let t = st.prog in
+  let n = t.P.nprocs in
+  let worst =
+    10 * (3 + (2 * n) + Array.length st.regs + nlive + (n * (n + (3 * nlive))))
+  in
+  if Bytes.length ks.buf < worst then
+    ks.buf <- Bytes.create (Int.max worst (2 * Bytes.length ks.buf));
+  let b = ks.buf in
+  let pos = ref (put b 0 st.next_event_id) in
+  for i = 0 to n - 1 do
+    let p = order.(i) in
+    pos := put b !pos t.P.classes.(p);
+    pos := put b !pos st.pcs.(p);
+    let base = t.P.reg_base.(p) in
+    for r = 0 to Array.length t.P.reg_ids.(p) - 1 do
+      pos := put b !pos st.regs.(base + r)
+    done
+  done;
+  Array.fill ks.renamed 0 nlive 0;
+  let nren = ref 0 in
+  for i = 0 to n - 1 do
+    let p = order.(i) in
+    let ll = t.P.live_locs.(p).(st.pcs.(p) / stride) in
+    for j = 0 to Array.length ll - 1 do
+      let k = ks.slot.(ll.(j)) in
+      if ks.renamed.(k) = 0 then begin
+        ks.renamed.(k) <- 1;
+        ks.ren.(!nren) <- k;
+        incr nren
+      end
+    done
+  done;
+  Bytes.unsafe_set b !pos 'M';
+  incr pos;
+  for r = 0 to nlive - 1 do
+    pos := put b !pos st.mem.(ks.live.(ks.ren.(r)))
+  done;
+  Bytes.unsafe_set b !pos 'H';
+  incr pos;
+  for i = 0 to n - 1 do
+    let q = order.(i) in
+    for j = 0 to n - 1 do
+      pos := put b !pos ks.rclock.((order.(j) * n) + q)
+    done;
+    for r = 0 to nlive - 1 do
+      let c = ((ks.ren.(r) * n) + q) * 3 in
+      pos := put b !pos ks.rloc.(c);
+      pos := put b !pos ks.rloc.(c + 1);
+      pos := put b !pos ks.rloc.(c + 2)
+    done
+  done;
+  !pos
+
+(* Signature order: (class, pc, registers) lexicographically, then the
+   processor index — the order a polymorphic sort of (signature, p)
+   tuples gives, since equal classes imply equal register counts.
+   [~full:false] compares signatures only. *)
+let compare_procs ~full st p1 p2 =
+  let t = st.prog in
+  let c = Int.compare t.P.classes.(p1) t.P.classes.(p2) in
+  if c <> 0 then c
   else
-    match arrangements st with
-    | [ order ] -> (encode_arrangement st sm order, order)
-    | orders ->
-      List.fold_left
-        (fun (best_key, best_order) order ->
-          let key = encode_arrangement st sm order in
-          if String.compare key best_key < 0 then (key, order)
-          else (best_key, best_order))
-        (encode_arrangement st sm (List.hd orders), List.hd orders)
-        (List.tl orders)
+    let c = Int.compare st.pcs.(p1) st.pcs.(p2) in
+    if c <> 0 then c
+    else begin
+      let b1 = t.P.reg_base.(p1) and b2 = t.P.reg_base.(p2) in
+      let nr = Array.length t.P.reg_ids.(p1) in
+      let rec regs i =
+        if i = nr then if full then Int.compare p1 p2 else 0
+        else
+          let c = Int.compare st.regs.(b1 + i) st.regs.(b2 + i) in
+          if c <> 0 then c else regs (i + 1)
+      in
+      regs 0
+    end
+
+(* Sort processors by signature (insertion sort: nprocs is small) and
+   record the equal-signature runs; returns how many there are. *)
+let group_procs ks st =
+  let n = st.prog.P.nprocs in
+  let a = ks.sorted in
+  for p = 0 to n - 1 do
+    let j = ref (p - 1) in
+    while !j >= 0 && compare_procs ~full:true st a.(!j) p > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- p
+  done;
+  let ngroups = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || compare_procs ~full:false st a.(i - 1) a.(i) <> 0 then begin
+      ks.group.(!ngroups) <- i;
+      incr ngroups
+    end
+  done;
+  ks.group.(!ngroups) <- n;
+  !ngroups
+
+(* The number of arrangements (the product of the groups' factorials),
+   counted no further than past the cap. *)
+let count_arrangements ks ngroups =
+  let acc = ref 1 in
+  for g = 0 to ngroups - 1 do
+    for k = 2 to ks.group.(g + 1) - ks.group.(g) do
+      if !acc <= max_arrangements then acc := !acc * k
+    done
+  done;
+  !acc
+
+let reverse a lo hi =
+  let lo = ref lo and hi = ref (hi - 1) in
+  while !lo < !hi do
+    let x = a.(!lo) in
+    a.(!lo) <- a.(!hi);
+    a.(!hi) <- x;
+    incr lo;
+    decr hi
+  done
+
+(* Lexicographic successor of [a.(lo..hi-1)]; false (after resetting
+   the slice to ascending) when it was the last permutation. *)
+let next_perm a lo hi =
+  let i = ref (hi - 2) in
+  while !i >= lo && a.(!i) >= a.(!i + 1) do
+    decr i
+  done;
+  if !i < lo then begin
+    reverse a lo hi;
+    false
+  end
+  else begin
+    let j = ref (hi - 1) in
+    while a.(!j) <= a.(!i) do
+      decr j
+    done;
+    let x = a.(!i) in
+    a.(!i) <- a.(!j);
+    a.(!j) <- x;
+    reverse a (!i + 1) hi;
+    true
+  end
+
+(* Next arrangement: the groups form an odometer, the last group
+   permuting fastest, each group through its permutations in
+   lexicographic order from ascending. *)
+let next_arrangement ks ngroups =
+  let rec go g =
+    g >= 0
+    && (next_perm ks.order ks.group.(g) ks.group.(g + 1) || go (g - 1))
+  in
+  go (ngroups - 1)
+
+let compare_bytes a alen b blen =
+  let n = Int.min alen blen in
+  let rec go i =
+    if i = n then Int.compare alen blen
+    else
+      let c = Char.compare (Bytes.unsafe_get a i) (Bytes.unsafe_get b i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+let canonical_key ?(symmetry = true) ks st inc =
+  if ks.ks_prog != st.prog then
+    invalid_arg "Cinterp.canonical_key: workspace of another program";
+  let n = st.prog.P.nprocs in
+  let nlive = load_ranks ks st inc in
+  let single order =
+    let len = encode_arrangement ks st ~nlive order in
+    (Bytes.sub_string ks.buf 0 len, order)
+  in
+  let result =
+    if not symmetry then single ks.identity
+    else
+      let ngroups = group_procs ks st in
+      let count = count_arrangements ks ngroups in
+      if count > max_arrangements then single ks.identity
+      else if count = 1 then single ks.sorted
+      else begin
+        Array.blit ks.sorted 0 ks.order 0 n;
+        Array.blit ks.order 0 ks.best_order 0 n;
+        let best_len = ref (encode_arrangement ks st ~nlive ks.order) in
+        let swap () =
+          let b = ks.best in
+          ks.best <- ks.buf;
+          ks.buf <- b
+        in
+        swap ();
+        while next_arrangement ks ngroups do
+          let len = encode_arrangement ks st ~nlive ks.order in
+          if compare_bytes ks.buf len ks.best !best_len < 0 then begin
+            swap ();
+            best_len := len;
+            Array.blit ks.order 0 ks.best_order 0 n
+          end
+        done;
+        (Bytes.sub_string ks.best 0 !best_len, ks.best_order)
+      end
+  in
+  release_slots ks nlive;
+  result

@@ -319,6 +319,11 @@ let check_drf0_closure ?strategy ?model ?max_events ?max_executions program =
 
 let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
+(* A table only one domain touches needs no lock striping: one stripe
+   grows as one region, instead of 64 that each start small. *)
+let visited_table ~domains =
+  if domains = 1 then Visited.create ~shards:1 () else Visited.create ()
+
 type stateful_stats = {
   sf_states : int;
   sf_distinct : int;
@@ -426,7 +431,7 @@ let emit_compiled_obs ~elapsed ~tbl (s : stateful_stats) =
 
 let ast_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains
     program =
-  let tbl = Visited.create () in
+  let tbl = visited_table ~domains:num_domains in
   let leaves = Atomic.make 0 in
   (* Per-worker slots are written only by their owner and read after the
      scheduler joins every domain, so plain arrays are race-free. *)
@@ -487,7 +492,7 @@ let ast_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains
    space, and the two state spaces generate the same executions). *)
 let c_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains cp =
   let t0 = Unix.gettimeofday () in
-  let tbl = Visited.create () in
+  let tbl = visited_table ~domains:num_domains in
   let leaves = Atomic.make 0 in
   let per_domain = Array.make num_domains 0 in
   let outs = Array.make num_domains Outcome_set.empty in
@@ -633,12 +638,12 @@ let c_stateful_racy ?model ~max_events state =
 
 let c_drf0_dag_walk ~strategy ~symmetry ?model ~max_events ~max_executions
     ~tbl ~leaves ~on_node ~offload inc root root_sleep =
+  (* Key working memory: one per walk, so one per stolen task. *)
+  let workspace = Cinterp.key_workspace (Cinterp.compiled root) in
   let rec go state sleep =
     let state = c_drain_silent state in
     if Cinterp.events_so_far state > max_events then raise Limit_exceeded;
-    let key, order =
-      Cinterp.canonical_key ~symmetry state (Wo_core.Drf0_inc.summary inc)
-    in
+    let key, order = Cinterp.canonical_key ~symmetry workspace state inc in
     match Visited.try_claim tbl key (State_key.map_sleep ~order sleep) with
     | `Skip -> ()
     | `Explore canon_sleep -> (
@@ -686,7 +691,7 @@ let c_check_drf0_stateful ~strategy ?model ~symmetry ~max_events
   let nprocs = cp.Prog_compile.nprocs in
   let final_tbl = ref None in
   let run_seq () =
-    let tbl = Visited.create () in
+    let tbl = visited_table ~domains:1 in
     final_tbl := Some tbl;
     let leaves = Atomic.make 0 in
     let states = ref 0 in
@@ -796,7 +801,7 @@ let check_drf0_stateful ?(engine = Compiled) ?(strategy = Por) ?model
        children explored in tree order, so the first racy prefix found —
        and hence the report — coincides with [check_drf0]'s. *)
     let run_seq () =
-      let tbl = Visited.create () in
+      let tbl = visited_table ~domains:1 in
       let leaves = Atomic.make 0 in
       let states = ref 0 in
       let inc = Wo_core.Drf0_inc.create ~mode ~nprocs () in

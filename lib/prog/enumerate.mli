@@ -26,7 +26,10 @@
       quantifier additionally quotients by processor/location symmetry, and
       [domains > 1] runs share the table under a work-stealing scheduler
       ({!Wsq}).  This is the production path for Definition 3 and for SC
-      outcome sets; the tree enumerators stay as its oracles.
+      outcome sets; the tree enumerators stay as its oracles.  The
+      compiled DRF0 walk reads its key straight from the incremental
+      checker ({!Cinterp.canonical_key}, working memory made once per
+      walk); a table only one domain touches has one lock stripe.
 
     Programs with loops can have unboundedly many executions — bound them
     with [max_events] and check [truncated]. *)
@@ -169,8 +172,10 @@ val check_drf0_stateful :
   (unit, Wo_core.Drf0.report) result * stateful_stats
 (** Definition 3 as a DAG search.  The visited table is keyed on
     canonical encodings ({!State_key.canonical} for [Ast],
-    {!Cinterp.canonical_key} for the default [Compiled]) — interpreter state plus the
-    incremental checker's happens-before summary, quotiented by the
+    {!Cinterp.canonical_key} for the default [Compiled]) — interpreter
+    state plus the incremental checker's happens-before metadata (a
+    {!Wo_core.Drf0_inc.summary} for [Ast], read in place for
+    [Compiled]; the key bytes are the same), quotiented by the
     isomorphisms the verdict cannot observe: location renaming, permutation
     of symmetric processors ([symmetry], default [true]; Dekker-style
     mirrored programs collapse onto one orbit representative), and

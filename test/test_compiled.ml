@@ -304,6 +304,111 @@ let test_visited_widen_survives_growth () =
   | `Skip -> ()
   | `Explore _ -> Alcotest.fail "covered claim must skip after growth"
 
+(* --- canonical DRF0 key identity ------------------------------------------- *)
+
+(* Walk the state DAG under every schedule, carrying an incremental
+   checker along the path like the search does, and require the
+   production key (read in place, per-walk workspace) to equal the
+   summary-based reference byte for byte, key and arrangement, with and
+   without symmetry.  States are deduplicated on the reference's
+   symmetry-free key; [budget] bounds the walk on large programs. *)
+let canonical_identity ?(max_events = 24) ?(budget = 3000) program =
+  match PC.compile program with
+  | None -> true
+  | Some cp ->
+    let inc = Wo_core.Drf0_inc.create ~nprocs:cp.PC.nprocs () in
+    let workspace = C.key_workspace cp in
+    let seen = Hashtbl.create 256 in
+    let ok = ref true and left = ref budget in
+    let same symmetry st sm =
+      let key, order = C.canonical_key ~symmetry workspace st inc in
+      let key', order' = Canonical_ref.canonical_key ~symmetry st sm in
+      if not (String.equal key key' && order = order') then ok := false;
+      key'
+    in
+    let rec go st =
+      if !ok && !left > 0 && C.events_so_far st <= max_events then begin
+        let sm = Wo_core.Drf0_inc.summary inc in
+        ignore (same true st sm);
+        let raw = same false st sm in
+        if not (Hashtbl.mem seen raw) then begin
+          Hashtbl.add seen raw ();
+          decr left;
+          List.iter
+            (fun p ->
+              match C.step st p with
+              | st', None -> go st'
+              | st', Some e ->
+                ignore (Wo_core.Drf0_inc.push inc e);
+                go st';
+                Wo_core.Drf0_inc.pop inc)
+            (C.runnable st)
+        end
+      end
+    in
+    go (C.init cp);
+    !ok
+
+(* [procs] identical threads of sync writes to one location: every
+   thread permutation is an automorphism, so up to four threads take the
+   multi-arrangement path and five or more the 24-arrangement cap. *)
+let mirrored_sync ~procs ~len =
+  P.make
+    (List.init procs (fun _ ->
+         List.init len (fun _ -> I.Sync_write (0, I.Const 1))))
+
+(* Symmetric threads over private locations with registers: the
+   location renaming and the register half of the signature matter. *)
+let mirrored_private ~procs =
+  P.make
+    (List.init procs (fun p ->
+         [
+           I.Write (10 + p, I.Const 1);
+           I.Sync_write (0, I.Const (p mod 2));
+           I.Read (1, 10 + p);
+           I.Sync_read (2, 0);
+         ]))
+
+let test_canonical_key_identity_symmetric () =
+  List.iter
+    (fun (name, program) ->
+      check (name ^ ": key equals the reference") true
+        (canonical_identity program))
+    [
+      ("mirrored_sync x3", mirrored_sync ~procs:3 ~len:2);
+      ("mirrored_sync x4", mirrored_sync ~procs:4 ~len:2);
+      ("mirrored_sync x5 (cap)", mirrored_sync ~procs:5 ~len:1);
+      ("mirrored_sync x6 (cap)", mirrored_sync ~procs:6 ~len:1);
+      ("mirrored_private x3", mirrored_private ~procs:3);
+      ("mirrored_private x5 (cap)", mirrored_private ~procs:5);
+    ]
+
+let test_canonical_key_identity_litmus () =
+  List.iter
+    (fun program ->
+      check "litmus key equals the reference" true
+        (canonical_identity program))
+    litmus_programs
+
+let prop_canonical_key_identity_racy =
+  QCheck.Test.make
+    ~name:
+      "canonical_key equals the summary-based reference on random racy \
+       programs (every DAG node, symmetry on and off)"
+    ~count:40 QCheck.small_int (fun pseed ->
+      canonical_identity
+        (Wo_synth.Synth.racy ~seed:pseed ~procs:3 ~ops_per_proc:3 ~locs:2 ()))
+
+let prop_canonical_key_identity_lock_disciplined =
+  QCheck.Test.make
+    ~name:
+      "canonical_key equals the summary-based reference on random \
+       lock-disciplined programs"
+    ~count:20 QCheck.small_int (fun pseed ->
+      canonical_identity ~max_events:16
+        (Wo_synth.Synth.lock_disciplined ~seed:pseed ~procs:3
+           ~sections_per_proc:1 ~ops_per_section:1 ()))
+
 let test_hash64_deterministic_and_spread () =
   let h = V.hash64 "some-state-key" in
   check "hash is deterministic" true (h = V.hash64 "some-state-key");
@@ -336,4 +441,10 @@ let tests =
     QCheck_alcotest.to_alcotest prop_exact_key_separates;
     QCheck_alcotest.to_alcotest prop_engines_agree_on_outcomes;
     QCheck_alcotest.to_alcotest prop_engines_agree_on_drf0;
+    Alcotest.test_case "canonical key identity: symmetric threads" `Quick
+      test_canonical_key_identity_symmetric;
+    Alcotest.test_case "canonical key identity: litmus" `Quick
+      test_canonical_key_identity_litmus;
+    QCheck_alcotest.to_alcotest prop_canonical_key_identity_racy;
+    QCheck_alcotest.to_alcotest prop_canonical_key_identity_lock_disciplined;
   ]

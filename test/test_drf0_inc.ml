@@ -79,6 +79,87 @@ let test_interleaved_push_pop () =
   check "same suffix twice after backtracking" true (a = b);
   check_int "prefix depth preserved" half (Inc.depth t)
 
+(* --- in-place reads agree with the summary ----------------------------------- *)
+
+(* Every accessor against [summary]: each processor's clock, and each
+   location the pool touches plus one no event touches (absent). *)
+let reads_agree t ~nprocs locs =
+  let sm = Inc.summary t in
+  let clocks_ok =
+    List.for_all
+      (fun p ->
+        List.for_all
+          (fun q -> Inc.clock t p q = sm.Inc.sm_clocks.(p).(q))
+          (List.init nprocs Fun.id))
+      (List.init nprocs Fun.id)
+  in
+  clocks_ok
+  && List.for_all
+       (fun loc ->
+         let v = Inc.loc_view t loc in
+         let lw, lr, sy =
+           match
+             List.find_opt (fun l -> l.Inc.ls_loc = loc) sm.Inc.sm_locs
+           with
+           | Some l ->
+             (l.Inc.ls_last_write, l.Inc.ls_last_read, l.Inc.ls_sync)
+           | None ->
+             (Array.make nprocs (-1), Array.make nprocs (-1), Array.make nprocs 0)
+         in
+         List.for_all
+           (fun q ->
+             Inc.last_write v q = lw.(q)
+             && Inc.last_read v q = lr.(q)
+             && Inc.sync v q = sy.(q))
+           (List.init nprocs Fun.id))
+       (-7 :: locs)
+
+(* Random push/pop walks: each op either pops (when something is
+   pushed) or pushes the next event of one of the program's executions,
+   so paths mix prefixes of different executions like a DFS does. *)
+let prop_reads_match_summary =
+  QCheck.Test.make
+    ~name:"clock/loc_view reads equal summary after random push/pop"
+    ~count:60
+    QCheck.(pair small_int (list_of_size Gen.(int_range 1 40) small_nat))
+    (fun (pseed, ops) ->
+      let program =
+        Wo_synth.Synth.lock_disciplined ~seed:pseed ~procs:3
+          ~sections_per_proc:1 ~ops_per_section:2 ()
+      in
+      let racy = random_program pseed in
+      let pools =
+        List.concat_map
+          (fun p ->
+            List.of_seq
+              (Seq.take 3
+                 (Seq.map
+                    (fun e -> Array.of_list (Ex.events e))
+                    (En.executions ~max_events:40 p))))
+          [ racy; program ]
+        |> Array.of_list
+      in
+      let nprocs =
+        max (Wo_prog.Program.num_procs program)
+          (Wo_prog.Program.num_procs racy)
+      in
+      let locs =
+        Array.to_list pools
+        |> List.concat_map (fun a ->
+               Array.to_list (Array.map (fun e -> e.Wo_core.Event.loc) a))
+        |> List.sort_uniq Int.compare
+      in
+      let t = Inc.create ~nprocs () in
+      Array.length pools = 0
+      || List.for_all
+           (fun op ->
+             let d = Inc.depth t in
+             let pool = pools.(op mod Array.length pools) in
+             if (op mod 3 = 0 && d > 0) || d >= Array.length pool then Inc.pop t
+             else ignore (Inc.push t pool.(d));
+             reads_agree t ~nprocs locs)
+           ops)
+
 (* --- agreement with the closure oracle, per execution ----------------------- *)
 
 let races_agree ?model ?mode execution =
@@ -185,6 +266,7 @@ let tests =
     Alcotest.test_case "interleaved push/pop" `Quick test_interleaved_push_pop;
     Alcotest.test_case "litmus verdicts match closure" `Quick
       test_litmus_verdicts_match;
+    QCheck_alcotest.to_alcotest prop_reads_match_summary;
     QCheck_alcotest.to_alcotest prop_first_race_matches_closure;
     QCheck_alcotest.to_alcotest prop_first_race_matches_closure_drf1;
     QCheck_alcotest.to_alcotest prop_check_drf0_matches_closure_checker;

@@ -175,6 +175,44 @@ let test_symmetry_reduces_states () =
   check "symmetry expands fewer states" true
     (s_sym.En.sf_states < s_raw.En.sf_states)
 
+(* Six-processor critical cycles of the {Rf, Rf, Fr, Fr, Ws, Ws} kind
+   set, the shape E19's drf0-check runs: every endpoint a sync op (race
+   free), or the last edge's endpoints plain data (racy).  The state key
+   must not move the search, so the one-domain counts are pinned, and
+   the verdict and report must not depend on the domain count. *)
+let six_cycle ~racy =
+  let module Cy = Wo_synth.Cycle in
+  let kinds = Cy.[ Rf; Rf; Fr; Fr; Ws; Ws ] in
+  Cy.program ~name:(if racy then "six-racy" else "six-sync")
+    {
+      Cy.edges =
+        List.mapi
+          (fun i conflict ->
+            let sync = not (racy && i = 5) in
+            { Cy.conflict; sync_from = sync; sync_to = sync })
+          kinds;
+      padding = [ 0; 1; 2; 0; 1; 2 ];
+    }
+
+let test_six_cycle_counts_pinned () =
+  List.iter
+    (fun (racy, (states, distinct, hits)) ->
+      let p = six_cycle ~racy in
+      let r1, s = En.check_drf0_stateful ~domains:1 p in
+      let what = if racy then "racy" else "sync" in
+      check (what ^ " verdict") racy (Result.is_error r1);
+      check_int (what ^ " states") states s.En.sf_states;
+      check_int (what ^ " distinct") distinct s.En.sf_distinct;
+      check_int (what ^ " hits") hits s.En.sf_hits;
+      List.iter
+        (fun domains ->
+          check
+            (Printf.sprintf "%s report with %d domains" what domains)
+            true
+            (reports_agree r1 (fst (En.check_drf0_stateful ~domains p))))
+        [ 2; 4 ])
+    [ (false, (2701, 2701, 5406)); (true, (15, 15, 0)) ]
+
 let test_check_stateful_custom_model_falls_back () =
   (* A custom model (unknown name, so no incremental mode) must take the
      closure-oracle fallback and still agree with it. *)
@@ -269,6 +307,8 @@ let tests =
       test_check_stateful_litmus;
     Alcotest.test_case "symmetry reduces states" `Quick
       test_symmetry_reduces_states;
+    Alcotest.test_case "six-processor cycle counts pinned" `Quick
+      test_six_cycle_counts_pinned;
     Alcotest.test_case "custom model falls back" `Quick
       test_check_stateful_custom_model_falls_back;
     Alcotest.test_case "stateful limits raise" `Quick test_stateful_limits_raise;
