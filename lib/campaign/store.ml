@@ -12,39 +12,53 @@ let max_part = 1 lsl 26
 type entry = { e_off : int; e_klen : int; e_vlen : int }
 (* [e_off] is the offset of the key bytes (past the record header). *)
 
+(* The index key of a store key: two seeded C-level hashes of the whole
+   string, 30 bits each, packed into 60 bits.  It only routes a lookup
+   to its candidate entries — every hit is confirmed against the full
+   key bytes — so a collision costs one comparison, never a wrong
+   value. *)
+let key_hash key =
+  Hashtbl.seeded_hash 0 key lxor (Hashtbl.seeded_hash 1 key lsl 30)
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash h = h land max_int
+end)
+
 type t = {
   fd : Unix.file_descr;
   file : string;
-  index : (string, entry list) Hashtbl.t;  (* key digest -> entries, log order *)
+  index : entry list Itbl.t;  (* key hash -> entries, log order *)
   mutable tail : int;  (* append offset = end of last complete record *)
   mutable count : int;
-  mutable live : int;  (* records that were first for their digest *)
+  mutable live : int;  (* records that were first for their key hash *)
   mutable dropped : int;
+  mutable unsynced : bool;  (* bytes may sit in the page cache unsynced *)
+  mutable scratch : Bytes.t;  (* [find]/[iter] read buffer, grown on demand *)
 }
 
-let fnv32 parts =
-  let h = ref 0x811c9dc5 in
-  List.iter
-    (fun s ->
-      String.iter
-        (fun c ->
-          h := !h lxor Char.code c;
-          h := !h * 0x01000193 land 0xffffffff)
-        s)
-    parts;
-  !h
+(* FNV-1a (32-bit) over [b.[off, off+len)].  The product is left
+   unmasked inside the loop — the low 32 bits of a product (and of an
+   xor with a byte) depend only on the low 32 bits of its operands, so
+   one mask at the end gives the same checksum — and the state is an
+   unboxed [int64], which keeps the tag fix-ups of [int] arithmetic off
+   the loop's xor-multiply dependency chain. *)
+let fnv32 b off len =
+  let h = ref 0x811c9dc5L in
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x01000193L
+  done;
+  Int64.to_int !h land 0xffffffff
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr (v land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff))
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-let get_u32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 
 let really_read fd buf off len =
   let got = ref 0 in
@@ -57,14 +71,18 @@ let really_read fd buf off len =
    with Exit -> ());
   !got
 
-(* Positioned read through the fd's shared offset — only safe on an fd
-   with a single user (the writer handle, or a load-time scan).
-   Concurrent readers go through the mmap'ed views below instead. *)
-let pread_at fd ~off ~len =
+(* Positioned read of [len] bytes into [buf.[0, len)] through the fd's
+   shared offset — only safe on an fd with a single user (the writer
+   handle, or a load-time scan).  Concurrent readers go through the
+   mmap'ed views below instead. *)
+let pread_into fd buf ~off ~len =
   ignore (Unix.lseek fd off Unix.SEEK_SET);
+  really_read fd buf 0 len = len
+
+let pread_at fd ~off ~len =
   let buf = Bytes.create len in
-  let got = really_read fd buf 0 len in
-  if got = len then Some (Bytes.unsafe_to_string buf) else None
+  if pread_into fd buf ~off ~len then Some (Bytes.unsafe_to_string buf)
+  else None
 
 let write_all fd s =
   let len = String.length s in
@@ -73,27 +91,26 @@ let write_all fd s =
     off := !off + Unix.write_substring fd s !off (len - !off)
   done
 
-let digest key = Digest.string key
-
 let encode_record ~key ~value =
-  let b =
-    Buffer.create (rec_header_len + String.length key + String.length value)
-  in
-  put_u32 b (String.length key);
-  put_u32 b (String.length value);
-  put_u32 b (fnv32 [ key; value ]);
-  Buffer.add_string b key;
-  Buffer.add_string b value;
-  Buffer.contents b
+  let klen = String.length key and vlen = String.length value in
+  let b = Bytes.create (rec_header_len + klen + vlen) in
+  set_u32 b 0 klen;
+  set_u32 b 4 vlen;
+  Bytes.blit_string key 0 b rec_header_len klen;
+  Bytes.blit_string value 0 b (rec_header_len + klen) vlen;
+  set_u32 b 8 (fnv32 b rec_header_len (klen + vlen));
+  Bytes.unsafe_to_string b
 
-(* Walk the complete records in [start, size), calling [emit] for each;
-   returns the offset just past the last complete record — the torn
-   tail, if any, begins there.  The scan is strictly forward, so it
-   streams through one reused buffer — a large store opens with a
-   handful of big sequential reads, not two positioned reads per record
-   (the warm-resume open would otherwise dominate). *)
+(* Walk the complete records in [start, size), calling [emit] with each
+   record's key hash and entry; returns the offset just past the last
+   complete record — the torn tail, if any, begins there.  The scan is
+   strictly forward, so it streams through one reused buffer sized to
+   the range (capped at 1 MiB) — a large store opens with a handful of
+   big sequential reads, a snapshot refresh of a few records allocates
+   a few records' worth — and checksums each record in place; only the
+   key is copied out, to hash it. *)
 let scan_fd fd ~start ~size ~emit =
-  let cap = 1 lsl 20 in
+  let cap = min (1 lsl 20) (max 0 (size - start)) in
   let buf = Bytes.create cap in
   let tail = ref start in
   let w_off = ref start in  (* file offset of buf.[0] *)
@@ -119,43 +136,42 @@ let scan_fd fd ~start ~size ~emit =
       !w_len >= len
     end
   in
-  let get_str ~at len = Bytes.sub_string buf (at - !w_off) len in
   let ok = ref true in
   while !ok && !tail + rec_header_len <= size do
     if not (ensure rec_header_len) then ok := false
     else begin
-      let hdr = get_str ~at:!tail rec_header_len in
-      let klen = get_u32 hdr 0 and vlen = get_u32 hdr 4 in
-      let sum = get_u32 hdr 8 in
+      let at = !tail - !w_off in
+      let klen = get_u32 buf at and vlen = get_u32 buf (at + 4) in
+      let sum = get_u32 buf (at + 8) in
       let rec_len = rec_header_len + klen + vlen in
       if
         klen <= 0 || klen > max_part || vlen < 0 || vlen > max_part
         || !tail + rec_len > size
       then ok := false
       else begin
+        (* the payload [key ‖ value] as (bytes, offset) *)
         let payload =
-          if ensure rec_len then
-            Some (get_str ~at:(!tail + rec_header_len) (klen + vlen))
+          if ensure rec_len then Some (buf, !tail - !w_off + rec_header_len)
           else
             (* one record larger than the streaming buffer: positioned
                read, then re-seat the stream after it *)
-            match pread_at fd ~off:(!tail + rec_header_len) ~len:(klen + vlen)
-            with
-            | Some p ->
+            let p = Bytes.create (klen + vlen) in
+            if pread_into fd p ~off:(!tail + rec_header_len) ~len:(klen + vlen)
+            then begin
               w_off := !tail + rec_len;
               w_len := 0;
               ignore (Unix.lseek fd !w_off Unix.SEEK_SET);
-              Some p
-            | None -> None
+              Some (p, 0)
+            end
+            else None
         in
         match payload with
         | None -> ok := false
-        | Some payload ->
-          let key = String.sub payload 0 klen in
-          let value = String.sub payload klen vlen in
-          if fnv32 [ key; value ] <> sum then ok := false
+        | Some (b, off) ->
+          if fnv32 b off (klen + vlen) <> sum then ok := false
           else begin
-            emit ~key
+            emit
+              (key_hash (Bytes.sub_string b off klen))
               { e_off = !tail + rec_header_len; e_klen = klen; e_vlen = vlen };
             tail := !tail + rec_len
           end
@@ -164,13 +180,12 @@ let scan_fd fd ~start ~size ~emit =
   done;
   !tail
 
-let index_add t key entry =
-  let d = digest key in
-  (match Hashtbl.find_opt t.index d with
+let index_add t h entry =
+  (match Itbl.find_opt t.index h with
   | None ->
     t.live <- t.live + 1;
-    Hashtbl.replace t.index d [ entry ]
-  | Some prev -> Hashtbl.replace t.index d (prev @ [ entry ]));
+    Itbl.replace t.index h [ entry ]
+  | Some prev -> Itbl.replace t.index h (prev @ [ entry ]));
   t.count <- t.count + 1
 
 (* Every way a path fails to open as a store surfaces as the one
@@ -189,6 +204,12 @@ let check_magic fd file =
     Unix.close fd;
     fail_file file "not a WOCAMPS1 campaign store"
 
+let make fd file ~records ~tail =
+  {
+    fd; file; index = Itbl.create (max 16 records); tail; count = 0; live = 0;
+    dropped = 0; unsynced = true; scratch = Bytes.create 4096;
+  }
+
 let openf file =
   let fd = open_fd file [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
@@ -199,39 +220,23 @@ let openf file =
       Unix.close fd;
       fail_file file "short header write"
     end;
-    {
-      fd; file; index = Hashtbl.create 16; tail = header_len; count = 0;
-      live = 0; dropped = 0;
-    }
+    make fd file ~records:0 ~tail:header_len
   end
   else begin
     check_magic fd file;
-    (* Collect (digest, entry) pairs first, then build the index sized
-       for the final record count: the digest buckets are allocated
-       once, never rehashed mid-scan, and lookups on a freshly opened
-       store meet a table at its final geometry — this is what pulled
-       the lookup p99 tail (8.3 µs on E15) back towards the p50. *)
+    (* Collect (hash, entry) pairs first, then build the index sized
+       for the final record count: the buckets are allocated once,
+       never rehashed mid-scan, and lookups on a freshly opened store
+       meet a table at its final geometry — this is what pulled the
+       lookup p99 tail (8.3 µs on E15) back towards the p50. *)
     let recs = ref [] and n = ref 0 in
     let tail =
-      scan_fd fd ~start:header_len ~size ~emit:(fun ~key e ->
-          recs := (digest key, e) :: !recs;
+      scan_fd fd ~start:header_len ~size ~emit:(fun h e ->
+          recs := (h, e) :: !recs;
           incr n)
     in
-    let t =
-      {
-        fd; file; index = Hashtbl.create (max 16 !n); tail; count = 0;
-        live = 0; dropped = 0;
-      }
-    in
-    List.iter
-      (fun (d, e) ->
-        (match Hashtbl.find_opt t.index d with
-        | None ->
-          t.live <- t.live + 1;
-          Hashtbl.replace t.index d [ e ]
-        | Some prev -> Hashtbl.replace t.index d (prev @ [ e ]));
-        t.count <- t.count + 1)
-      (List.rev !recs);
+    let t = make fd file ~records:!n ~tail in
+    List.iter (fun (h, e) -> index_add t h e) (List.rev !recs);
     if t.tail < size then begin
       t.dropped <- size - t.tail;
       Unix.ftruncate fd t.tail
@@ -252,21 +257,42 @@ let dead_estimate t = t.count - t.live
 
 let tail_dropped t = t.dropped
 
+(* Read entry [e]'s key and value, contiguous on disk, into
+   [t.scratch.[0, klen+vlen)] with one positioned read. *)
+let read_entry t e =
+  let len = e.e_klen + e.e_vlen in
+  if Bytes.length t.scratch < len then
+    t.scratch <- Bytes.create (max len (2 * Bytes.length t.scratch));
+  pread_into t.fd t.scratch ~off:e.e_off ~len
+
+(* [t.scratch] starts with exactly [key] (whose length the caller has
+   matched), compared eight bytes at a time. *)
+let scratch_key_is t key =
+  let b = t.scratch and len = String.length key in
+  let i = ref 0 in
+  while !i + 8 <= len && Bytes.get_int64_ne b !i = String.get_int64_ne key !i do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.get b !i = String.get key !i do
+    incr i
+  done;
+  !i = len
+
+(* The first entry whose key is exactly [key], left read into
+   [t.scratch]. *)
 let find_entry t ~key =
-  match Hashtbl.find_opt t.index (digest key) with
+  match Itbl.find_opt t.index (key_hash key) with
   | None -> None
   | Some entries ->
     List.find_opt
       (fun e ->
-        match pread_at t.fd ~off:e.e_off ~len:e.e_klen with
-        | Some k -> String.equal k key
-        | None -> false)
+        e.e_klen = String.length key && read_entry t e && scratch_key_is t key)
       entries
 
 let find t ~key =
   match find_entry t ~key with
   | None -> None
-  | Some e -> pread_at t.fd ~off:(e.e_off + e.e_klen) ~len:e.e_vlen
+  | Some e -> Some (Bytes.sub_string t.scratch e.e_klen e.e_vlen)
 
 let mem t ~key = find_entry t ~key <> None
 
@@ -275,29 +301,35 @@ let add t ~key ~value =
   ignore (Unix.lseek t.fd t.tail Unix.SEEK_SET);
   let n = Unix.write_substring t.fd s 0 (String.length s) in
   if n <> String.length s then failwith "campaign store: short record write";
-  index_add t key
+  index_add t (key_hash key)
     {
       e_off = t.tail + rec_header_len;
       e_klen = String.length key;
       e_vlen = String.length value;
     };
-  t.tail <- t.tail + String.length s
+  t.tail <- t.tail + String.length s;
+  t.unsynced <- true
 
-let sync t = Unix.fsync t.fd
+(* [unsynced] starts true, so the first sync after [openf] always
+   reaches the disk: it covers the header of a fresh log, a truncated
+   torn tail, and bytes a killed predecessor left in the page cache. *)
+let sync t =
+  if t.unsynced then begin
+    Unix.fsync t.fd;
+    t.unsynced <- false
+  end
 
 let iter t f =
   (* Log order: collect entries and sort by offset. *)
   let all = ref [] in
-  Hashtbl.iter (fun _ es -> all := es @ !all) t.index;
+  Itbl.iter (fun _ es -> all := es @ !all) t.index;
   let sorted = List.sort (fun a b -> compare a.e_off b.e_off) !all in
   List.iter
     (fun e ->
-      match
-        ( pread_at t.fd ~off:e.e_off ~len:e.e_klen,
-          pread_at t.fd ~off:(e.e_off + e.e_klen) ~len:e.e_vlen )
-      with
-      | Some key, Some value -> f ~key ~value
-      | _ -> ())
+      if read_entry t e then
+        f
+          ~key:(Bytes.sub_string t.scratch 0 e.e_klen)
+          ~value:(Bytes.sub_string t.scratch e.e_klen e.e_vlen))
     sorted
 
 (* --- compaction ------------------------------------------------------------- *)
@@ -331,16 +363,14 @@ let compact_log file =
     write_all out magic;
     (* First record per exact key survives ([find] returns the first:
        settled verdicts are immutable, so later duplicates are dead);
-       the digest only routes — the full key bytes decide. *)
-    let seen : (string, string list) Hashtbl.t =
-      Hashtbl.create (max 16 t.live)
-    in
+       the hash only routes — the full key bytes decide. *)
+    let seen : string list Itbl.t = Itbl.create (max 16 t.live) in
     let kept = ref 0 and bytes = ref header_len in
     iter t (fun ~key ~value ->
-        let d = digest key in
-        let ks = Option.value ~default:[] (Hashtbl.find_opt seen d) in
+        let h = key_hash key in
+        let ks = Option.value ~default:[] (Itbl.find_opt seen h) in
         if not (List.exists (String.equal key) ks) then begin
-          Hashtbl.replace seen d (key :: ks);
+          Itbl.replace seen h (key :: ks);
           let r = encode_record ~key ~value in
           write_all out r;
           incr kept;
@@ -368,13 +398,13 @@ let compact file =
 
 (* --- immutable read views ---------------------------------------------------- *)
 
-module Dmap = Map.Make (String)
+module Hmap = Map.Make (Int)
 
 type view = {
   v_data :
     (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
       (* the validated prefix [0, v_tail) of the log, mmap'ed *)
-  v_index : entry list Dmap.t;  (* digest -> entries, log order *)
+  v_index : entry list Hmap.t;  (* key hash -> entries, log order *)
   v_tail : int;
   v_count : int;
 }
@@ -387,12 +417,11 @@ let map_prefix fd tail =
     Bigarray.array1_of_genarray
       (Unix.map_file fd ~pos:0L Bigarray.char Bigarray.c_layout false [| tail |])
 
-let empty_view = { v_data = empty_data; v_index = Dmap.empty; v_tail = header_len; v_count = 0 }
+let empty_view = { v_data = empty_data; v_index = Hmap.empty; v_tail = header_len; v_count = 0 }
 
-let view_index_add index key entry =
-  let d = digest key in
-  let prev = Option.value ~default:[] (Dmap.find_opt d index) in
-  Dmap.add d (prev @ [ entry ]) index
+let view_index_add index h entry =
+  let prev = Option.value ~default:[] (Hmap.find_opt h index) in
+  Hmap.add h (prev @ [ entry ]) index
 
 let view_key_matches v e key =
   e.e_klen = String.length key
@@ -412,7 +441,7 @@ let view_read v ~off ~len =
   Bytes.unsafe_to_string b
 
 let view_find_entry v ~key =
-  match Dmap.find_opt (digest key) v.v_index with
+  match Hmap.find_opt (key_hash key) v.v_index with
   | None -> None
   | Some entries -> List.find_opt (fun e -> view_key_matches v e key) entries
 
@@ -422,7 +451,7 @@ let view_find v ~key =
   | Some e -> Some (view_read v ~off:(e.e_off + e.e_klen) ~len:e.e_vlen)
 
 let view_iter v f =
-  let all = Dmap.fold (fun _ es acc -> es @ acc) v.v_index [] in
+  let all = Hmap.fold (fun _ es acc -> es @ acc) v.v_index [] in
   let sorted = List.sort (fun a b -> compare a.e_off b.e_off) all in
   List.iter
     (fun e ->
@@ -445,8 +474,8 @@ module Snapshot = struct
     else begin
       let index = ref base.v_index and count = ref base.v_count in
       let tail =
-        scan_fd fd ~start:base.v_tail ~size ~emit:(fun ~key e ->
-            index := view_index_add !index key e;
+        scan_fd fd ~start:base.v_tail ~size ~emit:(fun h e ->
+            index := view_index_add !index h e;
             incr count)
       in
       {

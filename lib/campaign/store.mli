@@ -1,6 +1,6 @@
 (** The cross-run persistent verdict store.
 
-    An append-only binary log plus an in-memory digest index, promoting
+    An append-only binary log plus an in-memory hash index, promoting
     {!Wo_workload.Sweep}'s in-run SC memoization to something that
     survives the process: once a (program encoding, machine-spec JSON,
     seed) triple is settled, no future campaign re-runs it.
@@ -29,12 +29,18 @@
     {!openf} scans the log, indexes every complete record, stops at the
     first short or checksum-failing one and truncates the file there —
     so a crashed campaign loses only its in-flight shard and a resumed
-    one skips everything settled.  {!sync} forces the log to stable
-    storage (machine-crash durability; process crashes need nothing).
+    one skips everything settled.  The scan checksums each record in
+    place in its read buffer.  {!sync} forces the log to stable storage
+    (machine-crash durability; process crashes need nothing).
 
-    The index maps the 16-byte digest of each key to its log offset;
-    lookups confirm the full key bytes from disk, so a digest collision
-    can never alias two distinct triples.
+    {2 Index}
+
+    The index maps a 60-bit hash of each key — two seeded
+    [Hashtbl.seeded_hash] values of the whole key, packed — to its log
+    entries.  A lookup reads each candidate entry's key and value, which
+    are contiguous on disk, with one positioned read and confirms the
+    full key bytes in that buffer, so a hash collision costs one
+    comparison and can never alias two distinct triples.
 
     {2 Concurrent access}
 
@@ -57,9 +63,10 @@ type t
 
 val openf : string -> t
 (** Open (creating if absent) the log at a path, scan and index it,
-    and truncate any torn tail.  The digest index is sized from the
+    and truncate any torn tail.  The index is sized from the
     scanned record count, so buckets are allocated once at their final
-    geometry rather than grown (and rehashed) during the scan.
+    geometry rather than grown (and rehashed) during the scan.  The scan
+    buffer is sized to the log, up to 1 MiB.
     @raise Sys_error ["FILE: reason"] on an unopenable path or a
     foreign or short header *)
 
@@ -71,9 +78,9 @@ val length : t -> int
 (** Complete records indexed. *)
 
 val live : t -> int
-(** Records that are the first for their key digest — what would
-    survive {!compact}.  Conservative: a digest shared by two distinct
-    keys counts one live, but real collisions are ~never. *)
+(** Records that are the first for their key hash — what would
+    survive {!compact}.  Conservative: a hash shared by two distinct
+    keys counts one live, but 60-bit collisions are ~never. *)
 
 val dead_estimate : t -> int
 (** [length t - live t]: superseded duplicates that compaction would
@@ -83,7 +90,8 @@ val tail_dropped : t -> int
 (** Bytes of torn tail discarded by {!openf} (0 on a clean log). *)
 
 val find : t -> key:string -> string option
-(** The value of the first record with exactly this key. *)
+(** The value of the first record with exactly this key: one positioned
+    read per candidate entry (one, barring a hash collision). *)
 
 val mem : t -> key:string -> bool
 
@@ -93,7 +101,12 @@ val add : t -> key:string -> value:string -> unit
     returning the first — settled verdicts are immutable. *)
 
 val sync : t -> unit
-(** [fsync] the log (call once per shard, not per record). *)
+(** [fsync] the log (call once per shard, not per record).  A no-op when
+    this handle has appended nothing since its last [fsync] — a warm
+    replay that only reads never touches the disk — except that the
+    first [sync] after {!openf} always reaches it, covering bytes a
+    killed predecessor left in the page cache and a truncated torn
+    tail. *)
 
 val iter : t -> (key:string -> value:string -> unit) -> unit
 (** Every indexed record in log order (reads from disk). *)
@@ -138,8 +151,9 @@ module Snapshot : sig
       non-regular file, or a foreign or short header *)
 
   val refresh : s -> s
-  (** Extend the snapshot with records appended since it was taken.
-      The old value stays valid (views are immutable). *)
+  (** Extend the snapshot with records appended since it was taken,
+      scanning only the grown range through a buffer sized to it.  The
+      old value stays valid (views are immutable). *)
 
   val close : s -> unit
 

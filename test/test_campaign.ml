@@ -92,6 +92,71 @@ let prop_truncation_recovery =
       Sys.remove path;
       ok && ok2)
 
+(* Corruption that keeps every length field intact: flip one byte
+   inside a mid-log record's key or value.  Only the record checksum can
+   notice, so [openf] must recover exactly the records before it and
+   truncate there, and a [Snapshot] of the same bytes must see the same
+   prefix — the truncation property above cannot tell a skipped
+   checksum from a checked one. *)
+let prop_flipped_byte_recovery =
+  QCheck.Test.make
+    ~name:"store truncates at a record whose key or value bytes were flipped"
+    ~count:40
+    QCheck.(triple (int_range 2 20) (int_range 0 1000) (int_range 0 10_000))
+    (fun (n, victim_rand, byte_rand) ->
+      let path = temp_store () in
+      let kv i = (Printf.sprintf "key-%d-%s" i (String.make (i mod 5) 'k'),
+                  Printf.sprintf "value-%d-%s" i (String.make (i * 7 mod 40) 'v'))
+      in
+      with_store path (fun s ->
+          for i = 1 to n do
+            let k, v = kv i in
+            Store.add s ~key:k ~value:v
+          done);
+      (* record [victim] (1-based) starts at [start]: past the 8-byte
+         magic and every earlier record's 12-byte header and payload *)
+      let victim = 1 + (victim_rand mod n) in
+      let start = ref 8 in
+      for i = 1 to victim - 1 do
+        let k, v = kv i in
+        start := !start + 12 + String.length k + String.length v
+      done;
+      let k, v = kv victim in
+      let at = !start + 12 + (byte_rand mod (String.length k + String.length v)) in
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+      let b = Bytes.create 1 in
+      ignore (Unix.lseek fd at Unix.SEEK_SET);
+      ignore (Unix.read fd b 0 1);
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x20));
+      ignore (Unix.lseek fd at Unix.SEEK_SET);
+      ignore (Unix.write fd b 0 1);
+      Unix.close fd;
+      let prefix_only length find mem =
+        length = victim - 1
+        && List.for_all
+             (fun i ->
+               let k, v = kv i in
+               if i < victim then find k = Some v else not (mem k))
+             (List.init n (fun i -> i + 1))
+      in
+      let snap = Store.Snapshot.load path in
+      let snap_ok =
+        prefix_only (Store.Snapshot.length snap)
+          (fun key -> Store.Snapshot.find snap ~key)
+          (fun key -> Store.Snapshot.mem snap ~key)
+      in
+      Store.Snapshot.close snap;
+      let store_ok =
+        with_store path (fun s ->
+            prefix_only (Store.length s)
+              (fun key -> Store.find s ~key)
+              (fun key -> Store.mem s ~key)
+            && Store.tail_dropped s > 0)
+      in
+      let truncated_there = (Unix.stat path).Unix.st_size = !start in
+      Sys.remove path;
+      snap_ok && store_ok && truncated_there)
+
 let test_store_rejects_foreign () =
   let path = Filename.temp_file "wo-campaign-test" ".store" in
   let oc = open_out path in
@@ -135,13 +200,18 @@ let test_store_unopenable () =
 
 (* --- verdicts ---------------------------------------------------------------- *)
 
+let ok_prefix = {|{"ok":true,|}
+
+let kept_verdict =
+  {
+    C.v_ok = true; v_expected_sc = true; v_appears_sc = true;
+    v_violations = []; v_lemma1 = 0; v_error = None; v_witness = None;
+  }
+
 let test_verdict_roundtrip () =
   let vs =
     [
-      {
-        C.v_ok = true; v_expected_sc = true; v_appears_sc = true;
-        v_violations = []; v_lemma1 = 0; v_error = None; v_witness = None;
-      };
+      kept_verdict;
       {
         C.v_ok = false; v_expected_sc = true; v_appears_sc = false;
         v_violations = [ "P0:r0=1 /\\ [x]=2"; "P1:r0=0" ]; v_lemma1 = 3;
@@ -155,6 +225,13 @@ let test_verdict_roundtrip () =
       match C.verdict_of_string (C.verdict_to_string v) with
       | Ok v' -> check "verdict round-trips" true (v = v')
       | Error e -> Alcotest.failf "verdict parse: %s" e)
+    vs;
+  (* the findings pass skips stored values with this prefix undecoded:
+     it must mark exactly the kept promises *)
+  List.iter
+    (fun v ->
+      check "ok prefix iff v_ok" v.C.v_ok
+        (String.starts_with ~prefix:ok_prefix (C.verdict_to_string v)))
     vs
 
 (* --- campaigns: resume and determinism --------------------------------------- *)
@@ -199,7 +276,47 @@ let test_campaign_resume_identical () =
   let warm = C.run (config path) ~specs ~cases in
   check "warm run executes nothing" true (warm.C.r_executed = 0);
   check "warm run all cache hits" true (warm.C.r_cache_hits = warm.C.r_total);
+  Alcotest.(check string)
+    "warm report byte-identical to uninterrupted"
+    (C.findings_report r_ref) (C.findings_report warm);
   Sys.remove ref_path;
+  Sys.remove path
+
+(* A store seeded by hand: every cell settled with a kept promise except
+   one failing verdict, one malformed value that starts like a kept
+   promise, and one malformed value that does not.  The run simulates
+   nothing and reports exactly the failing cell — malformed values are
+   skipped whether or not they carry the kept-promise prefix. *)
+let test_campaign_findings_from_seeded_store () =
+  let cases = cases () in
+  let path = temp_store () in
+  let cfg = config path in
+  let p = C.plan cfg ~specs ~cases in
+  let failing =
+    C.verdict_to_string
+      { kept_verdict with C.v_ok = false; v_appears_sc = false;
+        v_violations = [ "P0:r0=0 /\\ P1:r0=0" ] }
+  in
+  let seeded = [ (1, failing); (2, ok_prefix ^ "garbage"); (4, {|{"ok":false,|}) ] in
+  with_store path (fun s ->
+      for idx = 0 to C.plan_cells p - 1 do
+        let value =
+          Option.value (List.assoc_opt idx seeded)
+            ~default:(C.verdict_to_string kept_verdict)
+        in
+        Store.add s ~key:(C.cell_store_key p idx) ~value
+      done);
+  let r = C.run cfg ~specs ~cases in
+  check "nothing simulated" true (r.C.r_executed = 0);
+  let nspecs = List.length specs in
+  let case = List.nth cases (1 / nspecs) and spec = List.nth specs (1 mod nspecs) in
+  (match r.C.r_findings with
+  | [ f ] ->
+    Alcotest.(check string) "finding case" case.S.name f.C.f_case;
+    Alcotest.(check string) "finding machine" spec.Wo_machines.Spec.name f.C.f_machine;
+    check "finding carries the stored verdict" true
+      (C.verdict_to_string f.C.f_verdict = failing)
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs));
   Sys.remove path
 
 let test_campaign_counters () =
@@ -229,12 +346,15 @@ let tests =
   [
     Alcotest.test_case "store: add, find, reopen" `Quick test_store_basic;
     QCheck_alcotest.to_alcotest prop_truncation_recovery;
+    QCheck_alcotest.to_alcotest prop_flipped_byte_recovery;
     Alcotest.test_case "store: foreign magic rejected" `Quick
       test_store_rejects_foreign;
     Alcotest.test_case "verdict JSON round-trips" `Quick test_verdict_roundtrip;
     Alcotest.test_case
       "interrupted+resumed campaign = uninterrupted (byte-identical report)"
       `Quick test_campaign_resume_identical;
+    Alcotest.test_case "seeded store: only the failing verdict is a finding"
+      `Quick test_campaign_findings_from_seeded_store;
     Alcotest.test_case "campaign emits observability counters" `Quick
       test_campaign_counters;
     Alcotest.test_case "store: unopenable paths raise Sys_error naming the file"
