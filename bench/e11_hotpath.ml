@@ -4,7 +4,7 @@
    Three independent speedups, each measured against the retained
    reference implementation with the result-equality asserted:
 
-   - DRF0 quantifier: Enumerate.check_drf0 threads a vector-clock
+   - DRF0 quantifier: the tree check_drf0 threads a vector-clock
      checker through the DFS (O(P) per event, prune at first race)
      vs. check_drf0_closure (O(n^3) Warshall closure per complete
      execution).  Verdicts must be identical; the Figure-1/Dekker
@@ -22,7 +22,7 @@
 
 module I = Wo_prog.Instr
 module P = Wo_prog.Program
-module En = Wo_prog.Enumerate
+module En = Wo_oracle.Enum_ref
 module L = Wo_litmus.Litmus
 module M = Wo_machines.Machine
 module Sweep = Wo_workload.Sweep

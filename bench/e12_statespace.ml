@@ -8,8 +8,9 @@
    engines and — first — asserts that it buys nothing semantically:
 
    - identity: outcome sets, DRF0 verdicts and racy reports equal the tree
-     oracles on the litmus catalogue and the synthetic families, at one and
-     several domains (the -j determinism flags);
+     oracles (the test-only wo_oracle library) on the litmus catalogue
+     and the synthetic families, at one and several domains (the -j
+     determinism flags);
    - dedup: states visited, visited-table hit rate, and the state reduction
      vs. the tree on convergent/mirrored families;
    - wall clock: stateful vs. the tree engines at full bounds, sequential
@@ -22,6 +23,7 @@
 module I = Wo_prog.Instr
 module P = Wo_prog.Program
 module En = Wo_prog.Enumerate
+module Ref = Wo_oracle.Enum_ref
 module L = Wo_litmus.Litmus
 module J = Wo_obs.Json
 
@@ -52,19 +54,6 @@ let mirrored_sync ~procs ~ops =
     (List.init procs (fun _ ->
          List.init ops (fun _ -> I.Sync_write (0, I.Const 1))))
 
-let outcome_sets_equal a b =
-  List.length a = List.length b
-  && List.for_all2 (fun x y -> Wo_prog.Outcome.equal x y) a b
-
-let reports_agree a b =
-  match (a, b) with
-  | Ok (), Ok () -> true
-  | Error ra, Error rb ->
-    ra.Wo_core.Drf0.races = rb.Wo_core.Drf0.races
-    && Wo_core.Execution.events ra.Wo_core.Drf0.execution
-       = Wo_core.Execution.events rb.Wo_core.Drf0.execution
-  | _ -> false
-
 let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
 
 let speedup slow fast = if fast <= 0.0 then 0.0 else slow /. fast
@@ -84,9 +73,9 @@ type identity_row = {
 }
 
 let identity_check domains_list program =
-  let tree_outs = En.outcomes program in
-  let oracle = En.check_drf0_closure program in
-  let inc = En.check_drf0 program in
+  let tree_outs = Ref.outcomes program in
+  let oracle = Ref.check_drf0_closure program in
+  let inc = Ref.check_drf0 program in
   let per_domain =
     List.map
       (fun domains ->
@@ -95,10 +84,10 @@ let identity_check domains_list program =
         let verdict_nosym, _ =
           En.check_drf0_stateful ~symmetry:false ~domains program
         in
-        ( outcome_sets_equal tree_outs outs,
+        ( Ref.outcome_sets_equal tree_outs outs,
           (verdict = Ok ()) = (oracle = Ok ())
           && (verdict_nosym = Ok ()) = (oracle = Ok ()),
-          reports_agree inc verdict ))
+          Ref.reports_agree inc verdict ))
       domains_list
   in
   {
@@ -137,7 +126,7 @@ type family_row = {
 (* Outcome collection: tree (PR-1/PR-3 engine) vs. stateful DAG. *)
 let measure_outcomes ~domains program =
   let (tree_outs, tree_stats), tree_seconds =
-    time (fun () -> En.outcomes_with_stats program)
+    time (fun () -> Ref.outcomes_with_stats program)
   in
   let (dag_outs, dag_stats), dag_seconds =
     time (fun () -> En.outcomes_stateful ~domains:1 program)
@@ -148,7 +137,7 @@ let measure_outcomes ~domains program =
   {
     fam_name = "convergent-outcomes";
     fam_program = program.P.name;
-    tree_states = tree_stats.En.states;
+    tree_states = tree_stats.Ref.states;
     dag_states = dag_stats.En.sf_states;
     dag_distinct = dag_stats.En.sf_distinct;
     dag_hits = dag_stats.En.sf_hits;
@@ -159,15 +148,15 @@ let measure_outcomes ~domains program =
     dag_par_steals = par_stats.En.sf_steals;
     fam_domains = domains;
     fam_identical =
-      outcome_sets_equal tree_outs dag_outs
-      && outcome_sets_equal tree_outs par_outs;
+      Ref.outcome_sets_equal tree_outs dag_outs
+      && Ref.outcome_sets_equal tree_outs par_outs;
   }
 
 (* DRF0 quantifier: path-incremental tree (the PR-3 engine) vs. stateful
    DAG with symmetry reduction. *)
 let measure_drf0 ~domains program =
   let (tree_result, tree_stats), tree_seconds =
-    time (fun () -> En.check_drf0_with_stats program)
+    time (fun () -> Ref.check_drf0_with_stats program)
   in
   let (dag_result, dag_stats), dag_seconds =
     time (fun () -> En.check_drf0_stateful ~domains:1 program)
@@ -178,7 +167,7 @@ let measure_drf0 ~domains program =
   {
     fam_name = "mirrored-sync-drf0";
     fam_program = program.P.name;
-    tree_states = tree_stats.En.states;
+    tree_states = tree_stats.Ref.states;
     dag_states = dag_stats.En.sf_states;
     dag_distinct = dag_stats.En.sf_distinct;
     dag_hits = dag_stats.En.sf_hits;

@@ -8,8 +8,9 @@
    order of importance:
 
    - identity: the compiled engine's outcome sets, DRF0 verdicts and
-     racy reports are bit-identical to the AST engine's (which PR-4's
-     E12 already ties to the tree oracles), at one and several domains;
+     racy reports are bit-identical to the AST engine's (the one-domain
+     stateful walks of the test-only wo_oracle library; E12 ties the
+     compiled search to the tree oracles), at one and several domains;
    - throughput: >=10x states/sec over the AST stateful path on the E12
      convergent family at full bounds;
    - capacity: a single-domain search sustains >=10^7 distinct visited
@@ -23,6 +24,7 @@
 module I = Wo_prog.Instr
 module P = Wo_prog.Program
 module En = Wo_prog.Enumerate
+module Ref = Wo_oracle.Enum_ref
 module C = Wo_prog.Cinterp
 module PC = Wo_prog.Prog_compile
 module V = Wo_prog.Visited
@@ -51,19 +53,6 @@ let mirrored_sync ~procs ~ops =
     (List.init procs (fun _ ->
          List.init ops (fun _ -> I.Sync_write (0, I.Const 1))))
 
-let outcome_sets_equal a b =
-  List.length a = List.length b
-  && List.for_all2 (fun x y -> Wo_prog.Outcome.equal x y) a b
-
-let reports_agree a b =
-  match (a, b) with
-  | Ok (), Ok () -> true
-  | Error ra, Error rb ->
-    ra.Wo_core.Drf0.races = rb.Wo_core.Drf0.races
-    && Wo_core.Execution.events ra.Wo_core.Drf0.execution
-       = Wo_core.Execution.events rb.Wo_core.Drf0.execution
-  | _ -> false
-
 (* --- identity: compiled vs AST engine --------------------------------------- *)
 
 type identity_row = {
@@ -75,25 +64,20 @@ type identity_row = {
 }
 
 let identity_check domains_list program =
-  let ast_outs, _ = En.outcomes_stateful ~engine:En.Ast ~domains:1 program in
-  let ast_verdict, _ =
-    En.check_drf0_stateful ~engine:En.Ast ~domains:1 program
-  in
+  let ast_outs, _ = Ref.outcomes_stateful program in
+  let ast_verdict, _ = Ref.check_drf0_stateful program in
   let per_domain =
     List.map
       (fun domains ->
-        let outs, _ = En.outcomes_stateful ~engine:En.Compiled ~domains program in
-        let verdict, _ =
-          En.check_drf0_stateful ~engine:En.Compiled ~domains program
-        in
+        let outs, _ = En.outcomes_stateful ~domains program in
+        let verdict, _ = En.check_drf0_stateful ~domains program in
         let verdict_nosym, _ =
-          En.check_drf0_stateful ~engine:En.Compiled ~symmetry:false ~domains
-            program
+          En.check_drf0_stateful ~symmetry:false ~domains program
         in
-        ( outcome_sets_equal ast_outs outs,
+        ( Ref.outcome_sets_equal ast_outs outs,
           (verdict = Ok ()) = (ast_verdict = Ok ())
           && (verdict_nosym = Ok ()) = (ast_verdict = Ok ()),
-          reports_agree ast_verdict verdict ))
+          Ref.reports_agree ast_verdict verdict ))
       domains_list
   in
   {
@@ -127,13 +111,10 @@ let sps states seconds =
    scheduler. *)
 let measure_outcome_throughput program ~max_events =
   let (ast_outs, ast_stats), ast_seconds =
-    time (fun () ->
-        En.outcomes_stateful ~engine:En.Ast ~domains:1 ~max_events program)
+    time (fun () -> Ref.outcomes_stateful ~max_events program)
   in
   let (c_outs, c_stats), compiled_seconds =
-    time (fun () ->
-        En.outcomes_stateful ~engine:En.Compiled ~domains:1 ~max_events
-          program)
+    time (fun () -> En.outcomes_stateful ~domains:1 ~max_events program)
   in
   let ast_sps = sps ast_stats.En.sf_states ast_seconds in
   let compiled_sps = sps c_stats.En.sf_states compiled_seconds in
@@ -147,20 +128,17 @@ let measure_outcome_throughput program ~max_events =
     ast_sps;
     compiled_sps;
     th_ratio = (if ast_sps <= 0.0 then 0.0 else compiled_sps /. ast_sps);
-    th_identical = outcome_sets_equal ast_outs c_outs;
+    th_identical = Ref.outcome_sets_equal ast_outs c_outs;
   }
 
 (* DRF0 quantification over a mirrored-sync member (informational — the
    gate is on the convergent/outcome rows, where key cost dominates). *)
 let measure_drf0_throughput program ~max_events =
   let (ast_r, ast_stats), ast_seconds =
-    time (fun () ->
-        En.check_drf0_stateful ~engine:En.Ast ~domains:1 ~max_events program)
+    time (fun () -> Ref.check_drf0_stateful ~max_events program)
   in
   let (c_r, c_stats), compiled_seconds =
-    time (fun () ->
-        En.check_drf0_stateful ~engine:En.Compiled ~domains:1 ~max_events
-          program)
+    time (fun () -> En.check_drf0_stateful ~domains:1 ~max_events program)
   in
   let ast_sps = sps ast_stats.En.sf_states ast_seconds in
   let compiled_sps = sps c_stats.En.sf_states compiled_seconds in
@@ -234,7 +212,7 @@ let obs_counters program =
   let recorder = Wo_obs.Recorder.create () in
   ignore
     (Wo_obs.Recorder.with_sink recorder (fun () ->
-         En.check_drf0_stateful ~engine:En.Compiled ~domains:1 program));
+         En.check_drf0_stateful ~domains:1 program));
   List.filter_map
     (function
       | Wo_obs.Recorder.Counter { name; value; track; _ }

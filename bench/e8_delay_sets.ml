@@ -92,7 +92,7 @@ let rows () =
       let program = test.L.program in
       (* fences are no-ops on the idealized architecture, so the fenced
          program has the same SC outcome set *)
-      let sc = Wo_prog.Enumerate.outcomes program in
+      let sc, _ = Wo_prog.Enumerate.outcomes_stateful ~domains:1 program in
       let fenced = Wo_prog.Delay_set.insert_fences program in
       let fences = List.length (Wo_prog.Delay_set.fence_positions program) in
       [

@@ -5,8 +5,9 @@
    measures what partial-order reduction (sleep sets over a per-step
    independence test) buys over the naive oracle: search-tree states
    explored, executions enumerated, wall time — with outcome-set equality
-   asserted.  Multicore search is measured by E12 (the stateful
-   enumerator's work-stealing [-j]).
+   asserted.  Both are the tree oracles of the test-only wo_oracle
+   library; the production stateful search is measured by E12 (with its
+   work-stealing [-j]) and E14.
 
    Programs are the Figure-1 / Dekker litmus shapes, optionally padded with
    per-processor private writes (independent work, the paper's "local
@@ -17,7 +18,7 @@
 
 module I = Wo_prog.Instr
 module P = Wo_prog.Program
-module En = Wo_prog.Enumerate
+module En = Wo_oracle.Enum_ref
 module L = Wo_litmus.Litmus
 
 let now () = Unix.gettimeofday ()
@@ -64,9 +65,7 @@ let seq_measure program =
     naive_seconds;
     por_stats;
     por_seconds;
-    outcomes_equal =
-      List.length naive_outs = List.length por_outs
-      && List.for_all2 Wo_prog.Outcome.equal naive_outs por_outs;
+    outcomes_equal = En.outcome_sets_equal naive_outs por_outs;
     distinct_outcomes = List.length por_outs;
   }
 

@@ -14,7 +14,8 @@ let figure1 = Wo_litmus.Litmus.figure1
 let test_enumerate =
   Test.make ~name:"e1.enumerate-figure1"
     (Staged.stage @@ fun () ->
-     Wo_prog.Enumerate.outcomes figure1.Wo_litmus.Litmus.program)
+     Wo_prog.Enumerate.outcomes_stateful ~domains:1
+       figure1.Wo_litmus.Litmus.program)
 
 let fig2b = Wo_litmus.Figure2.execution_b
 

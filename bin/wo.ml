@@ -830,10 +830,27 @@ let litmus_file_cmd =
         Printf.eprintf "%s:%d: %s\n" file line message;
         exit 1
     in
+    (* The parser's DRF0 search stops at the first race, so a racy file
+       can parse and still be too long to enumerate. *)
+    let max_events = 64 and max_executions = 1_000_000 in
+    let sc_outcomes =
+      try
+        fst
+          (Wo_prog.Enumerate.outcomes_stateful ~max_events ~max_executions
+             ~domains:1 test.L.program)
+      with Wo_prog.Enumerate.Limit_exceeded ->
+        Printf.eprintf
+          "%s: cannot enumerate SC outcomes: an execution has more than %d \
+           events or there are more than %d executions\n"
+          file max_events max_executions;
+        exit 1
+    in
     let machine = or_die (get_machine machine) in
     Format.printf "%a@.@." Wo_prog.Program.pp test.L.program;
     Printf.printf "DRF0: %s\n\n" (if test.L.drf0 then "yes" else "no");
-    let report = Wo_litmus.Runner.run ~runs ~base_seed:seed machine test in
+    let report =
+      Wo_litmus.Runner.run ~runs ~base_seed:seed ~sc_outcomes machine test
+    in
     Format.printf "%a@.@." Wo_litmus.Runner.pp_report report;
     List.iter
       (fun (o, n) ->

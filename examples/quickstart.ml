@@ -53,7 +53,7 @@ let drf0 =
 let show_program program = Format.printf "%a@.@." Wo_prog.Program.pp program
 
 let show_sc_outcomes program =
-  let outcomes = Wo_prog.Enumerate.outcomes program in
+  let outcomes, _ = Wo_prog.Enumerate.outcomes_stateful ~domains:1 program in
   Printf.printf "sequentially consistent outcomes (%d):\n"
     (List.length outcomes);
   List.iter (fun o -> Format.printf "  %a@." Wo_prog.Outcome.pp o) outcomes;
@@ -89,7 +89,7 @@ let () =
   print_endline "--- the racy version ---\n";
   show_program racy;
   let sc_racy = show_sc_outcomes racy in
-  (match Wo_prog.Enumerate.check_drf0 racy with
+  (match fst (Wo_prog.Enumerate.check_drf0_stateful ~domains:1 racy) with
   | Ok () -> print_endline "DRF0: obeyed (unexpected!)\n"
   | Error report ->
     Printf.printf "DRF0: violated — %d race(s) in one idealized execution:\n"

@@ -71,7 +71,7 @@ val reset : t -> unit
     race tests compare an epoch against one clock component), so any
     order-preserving per-component renumbering of a summary leaves the
     set of reachable races unchanged — the property the canonical state
-    key's rank compression relies on (see [Wo_prog.State_key]). *)
+    key's rank compression relies on (see [Wo_prog.Cinterp]). *)
 
 type loc_summary = {
   ls_loc : Event.loc;
@@ -89,9 +89,9 @@ type summary = {
 
 val summary : t -> summary
 (** A snapshot of the checker's happens-before state (arrays are fresh).
-    The AST engine's canonical key ([Wo_prog.State_key]) reads it; the
-    compiled key reads the same values in place through the accessors
-    below. *)
+    The AST oracle's canonical key (the test-only [wo_oracle] library)
+    reads it; the compiled key reads the same values in place through
+    the accessors below. *)
 
 (** {3 In-place reads}
 

@@ -111,13 +111,21 @@ let parse_call s =
     Some (f, args)
   | _ -> None
 
-let parse_statement st ln s =
+(* The longest thread a file may define, checked before a [nop*K]
+   allocates its [K] ops. *)
+let max_thread_ops = 0xffff
+
+let too_long ln = fail ln "thread exceeds the limit of %d ops" max_thread_ops
+
+(* [room]: how many more ops the thread may hold. *)
+let parse_statement st ln ~room s =
   let s = String.trim s in
   if s = "" then []
   else if s = "fence" then [ I.Fence ]
   else if s = "nop" then [ I.Nop ]
   else if String.length s > 4 && String.sub s 0 4 = "nop*" then begin
     match int_of_string_opt (String.sub s 4 (String.length s - 4)) with
+    | Some k when k > room -> too_long ln
     | Some k when k >= 0 -> List.init k (fun _ -> I.Nop)
     | _ -> fail ln "bad repetition in %S" s
   end
@@ -155,7 +163,13 @@ let parse_statement st ln s =
           [ I.Write (location st ln lhs, parse_expr ln rhs) ])
 
 let parse_thread st ln body =
-  String.split_on_char ';' body |> List.concat_map (parse_statement st ln)
+  let ops = ref 0 in
+  String.split_on_char ';' body
+  |> List.concat_map (fun s ->
+         let instrs = parse_statement st ln ~room:(max_thread_ops - !ops) s in
+         ops := !ops + List.length instrs;
+         if !ops > max_thread_ops then too_long ln;
+         instrs)
 
 let parse_init st ln body =
   String.split_on_char ' ' body

@@ -25,6 +25,8 @@
     - [fence]                wait for all previous accesses to perform
     - [nop] or [nop*K]       local work
 
+    A thread holds at most 65,535 ops (each [nop*K] counts [K]).
+
     Locations are identifiers; [x y z a b c s t u] map to the conventional
     locations of {!Wo_prog.Names}, anything else gets a fresh location.
     [#] starts a comment.  Programs are loop-free by construction, so the
@@ -37,7 +39,8 @@ exception Parse_error of { line : int; message : string }
 
 val of_string : string -> Litmus.t
 (** @raise Parse_error on malformed text, on a processor numbered
-    {!Wo_prog.Program.max_procs} or higher, and (with [line = 0]) when the
+    {!Wo_prog.Program.max_procs} or higher, on a thread longer than
+    65,535 ops (before allocating it), and (with [line = 0]) when the
     DRF0 check exceeds its bounds (64 events per execution, 200,000
     executions) — an undecided program is never labelled racy. *)
 

@@ -295,9 +295,8 @@ let exact_key st =
 
 (* The key of a DRF0 search state, quotiented by location renaming,
    symmetric-thread permutation and per-coordinate rank compression of
-   the happens-before metadata (the compiled analogue of
-   State_key.canonical).  Layout, for one arrangement [order] of the
-   processors:
+   the happens-before metadata.  Layout, for one arrangement [order] of
+   the processors:
 
      event count;
      per processor in [order]: class, pc, registers;
@@ -421,7 +420,7 @@ let load_ranks ks st inc =
   let n = t.P.nprocs in
   let nlive = ref 0 in
   for p = 0 to n - 1 do
-    let ll = t.P.live_locs.(p).(st.pcs.(p) / stride) in
+    let ll = P.live_locs t p st.pcs.(p) in
     for i = 0 to Array.length ll - 1 do
       let li = ll.(i) in
       if ks.slot.(li) < 0 then begin
@@ -482,7 +481,7 @@ let encode_arrangement ks st ~nlive order =
   let nren = ref 0 in
   for i = 0 to n - 1 do
     let p = order.(i) in
-    let ll = t.P.live_locs.(p).(st.pcs.(p) / stride) in
+    let ll = P.live_locs t p st.pcs.(p) in
     for j = 0 to Array.length ll - 1 do
       let k = ks.slot.(ll.(j)) in
       if ks.renamed.(k) = 0 then begin
@@ -662,3 +661,19 @@ let canonical_key ?(symmetry = true) ks st inc =
   in
   release_slots ks nlive;
   result
+
+(* Sleep-set transport: bit [p] of a concrete bitset is bit [i] of the
+   canonical one, where [order.(i) = p]. *)
+let map_sleep ~order sleep =
+  let canon = ref 0 in
+  Array.iteri
+    (fun i p -> if sleep land (1 lsl p) <> 0 then canon := !canon lor (1 lsl i))
+    order;
+  !canon
+
+let unmap_sleep ~order canon =
+  let sleep = ref 0 in
+  Array.iteri
+    (fun i p -> if canon land (1 lsl i) <> 0 then sleep := !sleep lor (1 lsl p))
+    order;
+  !sleep

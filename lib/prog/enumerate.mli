@@ -2,141 +2,42 @@
 
     DRF0 (Definition 3) quantifies over {e all} executions on the idealized
     architecture, and Definition 2's appears-SC test needs the full set of
-    sequentially consistent outcomes.  This module enumerates the
-    interleavings of a program's memory operations by depth-first search
-    over scheduling choices.  Local computation is not a branch point
-    (it commutes), so the branching factor is the number of processors with
-    a pending memory operation.
+    sequentially consistent outcomes.  This module answers both, one search
+    per job, by depth-first search over the interleavings of a program's
+    memory operations.  Local computation is not a branch point (it
+    commutes), so the branching factor is the number of processors with a
+    pending memory operation.
 
-    Three enumerators, of increasing aggression:
+    Both searches run one walk over the {!Prog_compile}d program, executed
+    by {!Cinterp}:
 
-    - {b Naive} ({!executions}, [~strategy:Naive]): every interleaving,
-      once.  Exponential, by design; the oracle the others are tested
-      against.
-    - {b Partial-order reduction} ({!executions_por}, the default
-      [~strategy:Por]): sleep-set pruning driven by a per-step independence
-      test — two pending steps commute unless they touch the same location
-      with a write or either is a synchronization operation.  Explores one
-      representative per Mazurkiewicz trace; outcome sets and DRF0 verdicts
-      are identical to the naive enumerator because both are invariant
-      under commuting independent steps.
-    - {b Stateful} ({!outcomes_stateful}, {!check_drf0_stateful}): the
-      search {e tree} becomes a DAG — a visited table keyed on canonical
-      state encodings ({!State_key}) merges convergent schedules, the DRF0
-      quantifier additionally quotients by processor/location symmetry, and
-      [domains > 1] runs share the table under a work-stealing scheduler
-      ({!Wsq}).  This is the production path for Definition 3 and for SC
-      outcome sets; the tree enumerators stay as its oracles.  The
-      compiled DRF0 walk reads its key straight from the incremental
-      checker ({!Cinterp.canonical_key}, working memory made once per
-      walk); a table only one domain touches has one lock stripe.
+    - {b Partial-order reduction}: sleep-set pruning driven by a per-step
+      independence test — two pending steps commute unless they touch the
+      same location with a write or either is a synchronization operation.
+      Outcome sets and DRF0 verdicts are invariant under commuting
+      independent steps, so they equal those of the exhaustive tree.
+    - {b Stateful}: the search {e tree} becomes a DAG — a visited table
+      ({!Visited}) keyed on packed state encodings merges convergent
+      schedules.  The outcome search keys on the exact state
+      ({!Cinterp.exact_key}); the DRF0 quantifier keys on a canonical
+      state read in place from the incremental checker
+      ({!Cinterp.canonical_key}), quotiented by processor/location
+      symmetry, and pushes/pops each edge's event on that checker.
+    - {b Parallel}: [domains > 1] runs share a striped table under a
+      work-stealing scheduler ({!Wsq}).
+
+    The oracles these searches are tested against — the naive and POR
+    tree enumerators, the closure and tree-incremental DRF0 checkers, and
+    a twin of each stateful walk over the AST interpreter {!Interp} with
+    its own state keys — live in the test-only [wo_oracle] library
+    ([test/oracle/]); no production code links it.
 
     Programs with loops can have unboundedly many executions — bound them
-    with [max_events] and check [truncated]. *)
+    with [max_events]. *)
 
 exception Limit_exceeded
-(** Raised when a bound is hit by an enumerator with raising semantics. *)
-
-type strategy =
-  | Naive  (** every interleaving — the exhaustive oracle *)
-  | Por  (** sleep-set partial-order reduction — same outcomes, fewer states *)
-
-type stats = {
-  executions : int;  (** number of complete executions enumerated *)
-  states : int;  (** search-tree nodes visited (the pruning metric) *)
-  truncated : bool;  (** a bound stopped the enumeration *)
-}
-
-val executions :
-  ?max_events:int -> ?max_executions:int -> Program.t ->
-  Wo_core.Execution.t Seq.t
-(** All idealized executions, lazily, one per interleaving.  [max_events]
-    (default 64) bounds the length of a single execution; [max_executions]
-    (default 1_000_000) bounds their number.  @raise Limit_exceeded when
-    forcing the sequence past a bound. *)
-
-val executions_por :
-  ?max_events:int -> ?max_executions:int -> Program.t ->
-  Wo_core.Execution.t Seq.t
-(** One representative execution per Mazurkiewicz trace, lazily, under
-    sleep-set partial-order reduction.  @raise Limit_exceeded as for
-    {!executions}. *)
-
-val outcomes :
-  ?strategy:strategy -> ?max_events:int -> ?max_executions:int ->
-  Program.t -> Outcome.t list
-(** Distinct sequentially consistent outcomes, sorted.  The default
-    [Por] strategy produces exactly the same set as [Naive].
-    @raise Limit_exceeded as for {!executions}. *)
-
-val outcomes_with_stats :
-  ?strategy:strategy -> ?max_events:int -> ?max_executions:int ->
-  Program.t -> Outcome.t list * stats
-(** Like {!outcomes} but bounds truncate instead of raising, and the
-    search-effort counters are returned. *)
-
-val check_drf0 :
-  ?strategy:strategy ->
-  ?model:Wo_core.Sync_model.t ->
-  ?max_events:int -> ?max_executions:int ->
-  Program.t ->
-  (unit, Wo_core.Drf0.report) result
-(** Definition 3: the program obeys the model iff every idealized execution
-    is race-free.  Returns a racy execution's report otherwise (under [Por],
-    the representative of the racy trace; a program is racy under [Por] iff
-    it is racy under [Naive]).
-
-    For the built-in {!Wo_core.Sync_model.drf0} and
-    {!Wo_core.Sync_model.drf1} models the check is {e path-incremental}:
-    a vector-clock checker ({!Wo_core.Drf0_inc}) rides the DFS, detects a
-    race at the event that creates it, and prunes the whole subtree below
-    the racy prefix — no per-execution closure is built.  Racy programs
-    still get a full closure-based report for the completed racy
-    execution.  Custom models fall back to {!check_drf0_closure}.
-    @raise Limit_exceeded as for {!executions}. *)
-
-val check_drf0_with_stats :
-  ?strategy:strategy ->
-  ?model:Wo_core.Sync_model.t ->
-  ?max_events:int -> ?max_executions:int ->
-  Program.t ->
-  (unit, Wo_core.Drf0.report) result * stats
-(** {!check_drf0} with the search-effort counters ([states] counts DFS
-    nodes visited; with incremental checking a racy program visits only
-    the nodes up to its first racy prefix). *)
-
-val check_drf0_closure :
-  ?strategy:strategy ->
-  ?model:Wo_core.Sync_model.t ->
-  ?max_events:int -> ?max_executions:int ->
-  Program.t ->
-  (unit, Wo_core.Drf0.report) result
-(** The closure-based oracle: same DFS, but every complete execution is
-    checked with {!Wo_core.Drf0.check} (O(n{^ 3}) closure per leaf) and no
-    subtree is pruned early.  Same verdict as {!check_drf0}; retained for
-    property tests and the E11 bench.  @raise Limit_exceeded as for
-    {!executions}. *)
-
-val check_drf0_closure_with_stats :
-  ?strategy:strategy ->
-  ?model:Wo_core.Sync_model.t ->
-  ?max_events:int -> ?max_executions:int ->
-  Program.t ->
-  (unit, Wo_core.Drf0.report) result * stats
-(** {!check_drf0_closure} with search-effort counters. *)
-
-(** {2 Stateful (DAG) exploration} *)
-
-type engine =
-  | Compiled
-      (** execute the {!Prog_compile}d program with {!Cinterp} and key
-          the visited table on packed int encodings — the default hot
-          path.  Programs the compiler cannot lower (see
-          {!Prog_compile.compilable}) fall back to [Ast]
-          automatically, so the choice never changes observable
-          results. *)
-  | Ast  (** the persistent {!Interp} with {!State_key} encodings — the
-             oracle the compiled path is differentially tested against *)
+(** Raised when a search bound is hit, or when the program cannot be
+    compiled ({!Prog_compile.compilable}). *)
 
 type stateful_stats = {
   sf_states : int;  (** DAG nodes expanded (tree re-expansions merged away) *)
@@ -148,42 +49,56 @@ type stateful_stats = {
 }
 
 val outcomes_stateful :
-  ?engine:engine ->
-  ?strategy:strategy -> ?max_events:int -> ?max_executions:int ->
+  ?max_events:int -> ?max_executions:int ->
   ?domains:int -> Program.t -> Outcome.t list * stateful_stats
-(** {!outcomes} as a DAG search: states are claimed in a visited table
-    keyed on exact structural snapshots ({!State_key.exact} for [Ast],
-    {!Cinterp.exact_key} for the default [Compiled]), so schedules
-    converging on the same state expand it once.  The outcome set is
-    identical to {!outcomes} for every [engine], [strategy] and [domains] value
-    (outcome collection commutes with dedup: a pruned subtree's outcomes
-    were all reached from the first visit).  [domains > 1] explores under a
-    work-stealing scheduler with a shared sharded table; [max_executions]
-    is a global bound, not per-domain.  @raise Limit_exceeded as for
-    {!executions}. *)
+(** Distinct sequentially consistent outcomes, sorted.  States are claimed
+    in a visited table keyed on exact snapshots ({!Cinterp.exact_key}),
+    so schedules converging on the same state expand it once; outcome
+    collection commutes with dedup (a pruned subtree's outcomes were all
+    reached from the first visit), so the set does not depend on
+    [domains].  [max_events] (default 64) bounds the length of a single
+    execution; [max_executions] (default 1_000_000) bounds the number of
+    complete executions reached, globally across domains.  [domains]
+    defaults to one less than the recommended domain count; [1] runs on
+    the calling domain.
+    @raise Limit_exceeded past a bound or on an uncompilable program. *)
 
 val check_drf0_stateful :
-  ?engine:engine ->
-  ?strategy:strategy ->
-  ?model:Wo_core.Sync_model.t ->
   ?symmetry:bool ->
   ?max_events:int -> ?max_executions:int ->
   ?domains:int -> Program.t ->
   (unit, Wo_core.Drf0.report) result * stateful_stats
-(** Definition 3 as a DAG search.  The visited table is keyed on
-    canonical encodings ({!State_key.canonical} for [Ast],
-    {!Cinterp.canonical_key} for the default [Compiled]) — interpreter
-    state plus the incremental checker's happens-before metadata (a
-    {!Wo_core.Drf0_inc.summary} for [Ast], read in place for
-    [Compiled]; the key bytes are the same), quotiented by the
-    isomorphisms the verdict cannot observe: location renaming, permutation
-    of symmetric processors ([symmetry], default [true]; Dekker-style
-    mirrored programs collapse onto one orbit representative), and
-    per-coordinate rank compression of the clocks.  The verdict always
-    equals {!check_drf0}'s; on racy programs the report is identical too —
-    sequential walks visit children in tree order so the same first racy
-    prefix is found (pruned subtrees are race-free), and parallel walks
-    re-search sequentially once a race is known, so the report is
-    deterministic across [domains].  Custom models (no incremental mode)
-    fall back to the closure tree oracle.  [max_executions] is a global
-    bound.  @raise Limit_exceeded as for {!executions}. *)
+(** Definition 3: the program obeys DRF0 iff every idealized execution is
+    race-free.  A vector-clock checker ({!Wo_core.Drf0_inc}) rides the
+    walk and stops it at the event that creates the first race; the
+    racy prefix is completed and checked with {!Wo_core.Drf0.check}, so
+    [Error] carries a full report.
+
+    The visited table is keyed on canonical encodings
+    ({!Cinterp.canonical_key}) — interpreter state plus the checker's
+    happens-before metadata — quotiented by the isomorphisms the verdict
+    cannot observe: location renaming, permutation of symmetric
+    processors ([symmetry], default [true]; Dekker-style mirrored
+    programs collapse onto one orbit representative), and per-coordinate
+    rank compression of the clocks.  On racy programs the report is
+    deterministic: sequential walks visit children in tree order, so they
+    find the tree search's first racy prefix (pruned subtrees are
+    race-free), and parallel walks re-search sequentially once a race is
+    known.  Bounds and [domains] as for {!outcomes_stateful}.
+    @raise Limit_exceeded past a bound or on an uncompilable program. *)
+
+(** {2 Shim for the E19 trace} *)
+
+type stats = {
+  executions : int;  (** complete executions reached *)
+  states : int;  (** DAG nodes expanded *)
+  truncated : bool;  (** always [false]: bounds raise *)
+}
+
+val outcomes_with_stats :
+  ?max_events:int -> ?max_executions:int ->
+  Program.t -> Outcome.t list * stats
+(** {!outcomes_stateful} on one domain, with [states = sf_states] and
+    [executions = sf_executions].  Kept for the E19 trace
+    ([bench/e2e/workloads.ml]).  @raise Limit_exceeded as for
+    {!outcomes_stateful}. *)

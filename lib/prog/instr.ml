@@ -84,8 +84,6 @@ let regs instrs =
     [] instrs
   |> List.sort_uniq Int.compare
 
-let static_op_count instrs = fold (fun n _ -> n + 1) 0 instrs
-
 let rec pp_expr ppf = function
   | Const n -> Format.pp_print_int ppf n
   | Reg r -> Format.fprintf ppf "r%d" r

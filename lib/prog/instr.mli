@@ -57,9 +57,6 @@ val memory_locs : t list -> Wo_core.Event.loc list
 val regs : t list -> reg list
 (** Registers statically mentioned, sorted and deduplicated. *)
 
-val static_op_count : t list -> int
-(** Number of instruction nodes (loop bodies counted once). *)
-
 val pp : Format.formatter -> t -> unit
 
 val pp_block : Format.formatter -> t list -> unit

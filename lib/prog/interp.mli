@@ -60,8 +60,8 @@ val view : state -> view
 (** A structural snapshot of everything the future behaviour of [state]
     depends on (plus the event count, which fixes the remaining
     [max_events] budget).  Two states with equal views generate
-    identical subtrees of executions — the foundation of the stateful
-    enumerator's visited table ({!State_key}). *)
+    identical subtrees of executions — what the AST oracle's state keys
+    (the test-only [wo_oracle] library) encode. *)
 
 val outcome : state -> Outcome.t
 (** Outcome of a finished (or partial) state: observable registers plus

@@ -12,8 +12,7 @@
 
    - symmetry classes: threads whose compiled code is identical up to a
      private location renaming (and that name the same source registers)
-     can be permuted by the DRF0 canonical key, exactly like the
-     thread-signature classes of the AST path (State_key);
+     can be permuted by the DRF0 canonical key;
    - live locations per program point: the locations reachable from
      each pc in the thread's control-flow graph, in a deterministic
      first-occurrence order — the renaming stream for canonical keys,
@@ -63,14 +62,13 @@ type t = {
   max_stack : int;
   obs_regs : (int * int * int) array;
   classes : int array;
-  live_locs : int array array array;
+  live_cache : int array array array;
 }
 
-(* Packing bounds: the packed state key and the visited table index
-   locations and registers in 16 bits, and per-thread code beyond a few
-   thousand ops signals generated input the AST engine should handle. *)
+(* Packing bound: location and register indices fit in 16 bits.  Code
+   length is unbounded — pcs are varints in the packed keys, and a key's
+   length does not grow with the code. *)
 let max_index = 0xffff
-let max_ops_per_thread = 2048
 
 (* --- growable int vector ---------------------------------------------------- *)
 
@@ -241,33 +239,44 @@ let reachable code pc =
   go pc;
   seen
 
-(* Live locations from every program point, in deterministic
+(* Live locations from one program point, in deterministic
    first-occurrence order: scan the reachable ops in ascending address
    order.  Renaming-stable: two threads with identical renamed code have
-   position-wise corresponding streams. *)
-let live_locs_of code nlocs =
+   position-wise corresponding streams.  O(code length), so computed only
+   for the program points a search reaches ({!live_locs}). *)
+let live_from code nlocs pc =
   let nops = Array.length code / op_stride in
-  Array.init (nops + 1) (fun i ->
-      if i = nops then [||]
-      else begin
-        let seen_op = reachable code (i * op_stride) in
-        let seen_loc = Array.make nlocs false in
-        let out = vec_create () in
-        for j = 0 to nops - 1 do
-          if seen_op.(j) then begin
-            let pc = j * op_stride in
-            let slot = op_loc_operand code.(pc) in
-            if slot >= 0 then begin
-              let l = code.(pc + slot) in
-              if not seen_loc.(l) then begin
-                seen_loc.(l) <- true;
-                vec_push out l
-              end
-            end
-          end
-        done;
-        vec_contents out
-      end)
+  let seen_op = reachable code pc in
+  let seen_loc = Array.make nlocs false in
+  let out = vec_create () in
+  for j = 0 to nops - 1 do
+    if seen_op.(j) then begin
+      let pc = j * op_stride in
+      let slot = op_loc_operand code.(pc) in
+      if slot >= 0 then begin
+        let l = code.(pc + slot) in
+        if not seen_loc.(l) then begin
+          seen_loc.(l) <- true;
+          vec_push out l
+        end
+      end
+    end
+  done;
+  vec_contents out
+
+(* Cache marker: a live stream holds location indices, never -1. *)
+let unknown = [| -1 |]
+
+let live_locs t p pc =
+  let cache = t.live_cache.(p) in
+  let ll = cache.(pc / op_stride) in
+  if ll != unknown then ll
+  else begin
+    let ll = live_from t.code.(p) (Array.length t.locs) pc in
+    (* Domains racing here store equal arrays. *)
+    cache.(pc / op_stride) <- ll;
+    ll
+  end
 
 (* Renaming-invariant encoding of one thread's compiled code, used to
    group threads into symmetry classes: locations are renamed by first
@@ -342,7 +351,6 @@ let class_encoding t p =
 let compile_exn (p : Program.t) =
   let nprocs = Program.num_procs p in
   let locs = Array.of_list (Program.locs p) in
-  let nlocs = Array.length locs in
   let loc_tbl = Hashtbl.create 16 in
   Array.iteri (fun i l -> Hashtbl.replace loc_tbl l i) locs;
   let loc_index l = Hashtbl.find loc_tbl l in
@@ -414,7 +422,10 @@ let compile_exn (p : Program.t) =
       max_stack = !(ctx.stack_hi);
       obs_regs;
       classes = [||];
-      live_locs = [||];
+      live_cache =
+        Array.map
+          (fun c -> Array.make ((Array.length c / op_stride) + 1) unknown)
+          code;
     }
   in
   let class_keys =
@@ -428,22 +439,17 @@ let compile_exn (p : Program.t) =
         find 0)
       class_keys
   in
-  let live_locs = Array.map (fun c -> live_locs_of c nlocs) code in
-  { t with classes; live_locs }
+  { t with classes }
 
-let within_bounds (p : Program.t) =
+let compilable (p : Program.t) =
   let nprocs = Program.num_procs p in
   nprocs <= Program.max_procs
   && List.length (Program.locs p) <= max_index
   && Array.for_all
-       (fun code ->
-         Instr.static_op_count code <= max_ops_per_thread
-         && List.length (Instr.regs code) <= max_index)
+       (fun code -> List.length (Instr.regs code) <= max_index)
        p.Program.threads
 
-let compilable = within_bounds
-
-let compile p = if within_bounds p then Some (compile_exn p) else None
+let compile p = if compilable p then Some (compile_exn p) else None
 
 (* --- canonical encoding ----------------------------------------------------- *)
 

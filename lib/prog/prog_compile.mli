@@ -8,11 +8,12 @@
     ({!Cinterp}) runs over plain [int array]s: no boxed environments, no
     list walking, no hashing of structural keys.
 
-    Compilation is total on every program the repository generates; the
-    [option] exists for pathological inputs (more locations/registers
-    than the packed state key can index, threads beyond the sleep-set
-    bitset, enormous code) — callers fall back to the AST engine, which
-    handles everything.
+    Compilation is total on every program the repository generates, at
+    any code length.  The [option] covers the one packing limit: more
+    locations or flat registers than a 16-bit index, or more processors
+    than the sleep-set bitset.  There is no AST fallback — {!Enumerate}
+    raises [Limit_exceeded] and {!Relaxed} [Too_many_states] on such
+    programs.
 
     The compiled form also provides {!encoding}: a canonical, versioned
     byte string of the whole program (code, index tables, initial
@@ -98,12 +99,19 @@ type t = private {
           code is identical up to a private location renaming (and uses
           the same source register ids), i.e. the static half of the
           thread-signature test processor-symmetry reduction needs *)
-  live_locs : int array array array;
-      (** [live_locs.(p).(pc / op_stride)]: the location indices reachable
-          from [pc] in [p]'s control-flow graph, in deterministic
-          first-occurrence order — the renaming stream for canonical DRF0
-          keys.  One extra entry (empty) for [pc = code length]. *)
+  live_cache : int array array array;
+      (** per processor and op index: the memo behind {!live_locs}; read
+          it through that function *)
 }
+
+val live_locs : t -> int -> int -> int array
+(** [live_locs t p pc]: the location indices reachable from [pc] in
+    [p]'s control-flow graph, in deterministic first-occurrence order —
+    the renaming stream for canonical DRF0 keys; empty at [pc = code
+    length].  Computed on first use, in time linear in the code, and
+    cached in [t], so a long thread costs only for the program points a
+    search reaches.  Safe to call from several domains (racing callers
+    store equal arrays). *)
 
 val compile : Program.t -> t option
 (** Compile, or [None] when the program exceeds a packing bound
@@ -113,8 +121,8 @@ val compile : Program.t -> t option
 
 val compilable : Program.t -> bool
 (** Would {!compile} succeed?  False when the program has more than
-    [0xffff] locations or flat registers, a thread with more than 2048
-    ops, or more processors than sleep-set bitset bits. *)
+    [0xffff] locations or flat registers, or more processors than
+    sleep-set bitset bits ({!Program.max_procs}). *)
 
 val encoding : t -> string
 (** Canonical byte encoding of the compiled program: index tables, code

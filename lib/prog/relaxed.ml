@@ -386,10 +386,11 @@ let outcomes ?(max_states = 2_000_000) (hw : SM.hardware) (program : Program.t)
     : Outcome.t list =
   if Program.has_loops program then
     invalid_arg "Relaxed.outcomes: program has loops";
-  match Prog_compile.compile program with
-  | None -> raise (Too_many_states max_states)
-  | Some _ when hw.SM.relaxations = [] -> (
+  if hw.SM.relaxations = [] then
     match Enumerate.outcomes_stateful ~domains:1 program with
     | outs, _ -> outs
-    | exception Enumerate.Limit_exceeded -> raise (Too_many_states max_states))
-  | Some cp -> buffered_outcomes ~max_states hw cp
+    | exception Enumerate.Limit_exceeded -> raise (Too_many_states max_states)
+  else
+    match Prog_compile.compile program with
+    | None -> raise (Too_many_states max_states)
+    | Some cp -> buffered_outcomes ~max_states hw cp

@@ -34,7 +34,7 @@ val outcomes :
   Outcome.t list
 (** All outcomes the hardware model allows for the program, sorted by
     {!Outcome.compare}.  Under {!Wo_core.Sync_model.sc_hw} this equals
-    {!Enumerate.outcomes} (as a set); each weaker model's set contains
+    {!Enumerate.outcomes_stateful}'s; each weaker model's set contains
     the stronger ones'.
 
     [max_states] (default 2,000,000) bounds the number of distinct
@@ -44,5 +44,5 @@ val outcomes :
     @raise Invalid_argument on programs with loops.
     @raise Too_many_states when the bound is exceeded, when the SC
     search hits its event or execution bound, or when the program
-    cannot be compiled ({!Prog_compile.compilable}: more than 2,048 ops
-    in a thread, or more than 65,535 locations or registers). *)
+    cannot be compiled ({!Prog_compile.compilable}: more than 65,535
+    locations or registers). *)

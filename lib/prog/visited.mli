@@ -1,6 +1,6 @@
 (** Off-heap visited table for the stateful (DAG) enumerator.
 
-    Keys are complete {!State_key}/{!Cinterp} encodings.  Slots live in
+    Keys are complete state encodings ({!Cinterp}).  Slots live in
     an int [Bigarray] (fingerprint + claimed sleep bitset + arena
     reference) and full keys in bump-allocated [Bytes] chunks, so the
     table's footprint is invisible to the GC — a search can hold

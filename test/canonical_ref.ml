@@ -11,8 +11,6 @@ module P = Wo_prog.Prog_compile
 module C = Wo_prog.Cinterp
 module Inc = Wo_core.Drf0_inc
 
-let stride = P.op_stride
-
 (* Order-preserving per-coordinate renumbering of the summary values. *)
 let emit_ranks buf vals =
   let distinct = List.sort_uniq Int.compare vals in
@@ -55,7 +53,7 @@ let encode_arrangement st (sm : Inc.summary) order =
   let next = ref 0 in
   Array.iter
     (fun p ->
-      let ll = t.P.live_locs.(p).(C.pc st p / stride) in
+      let ll = P.live_locs t p (C.pc st p) in
       Array.iter
         (fun li ->
           if rename.(li) < 0 then begin

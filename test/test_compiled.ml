@@ -2,9 +2,10 @@
    int-machine, packed state keys, and the off-heap visited table.  The
    contract is equivalence — the compiled interpreter must be
    observationally identical to the AST interpreter (its oracle) under
-   every schedule, and the stateful enumerator must produce identical
-   results under either engine.  The key/table tests pin the packing and
-   claim disciplines the enumerator's soundness rests on. *)
+   every schedule, and the compiled stateful search must produce the
+   results of its AST twin in [Wo_oracle.Enum_ref].  The key/table tests
+   pin the packing and claim disciplines the enumerator's soundness
+   rests on. *)
 
 module I = Wo_prog.Instr
 module P = Wo_prog.Program
@@ -12,24 +13,12 @@ module PC = Wo_prog.Prog_compile
 module C = Wo_prog.Cinterp
 module In = Wo_prog.Interp
 module En = Wo_prog.Enumerate
+module Ref = Wo_oracle.Enum_ref
 module V = Wo_prog.Visited
 module O = Wo_prog.Outcome
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let outcome_sets_equal a b =
-  List.length a = List.length b && List.for_all2 O.equal a b
-
-let reports_agree (a : (unit, Wo_core.Drf0.report) result)
-    (b : (unit, Wo_core.Drf0.report) result) =
-  match (a, b) with
-  | Ok (), Ok () -> true
-  | Error ra, Error rb ->
-    ra.Wo_core.Drf0.races = rb.Wo_core.Drf0.races
-    && Wo_core.Execution.events ra.Wo_core.Drf0.execution
-       = Wo_core.Execution.events rb.Wo_core.Drf0.execution
-  | _ -> false
 
 let litmus_programs =
   [
@@ -189,11 +178,11 @@ let prop_engines_agree_on_outcomes =
         Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
-      let reference, _ = En.outcomes_stateful ~engine:En.Ast ~domains:1 program in
+      let reference, _ = Ref.outcomes_stateful program in
       List.for_all
         (fun domains ->
-          outcome_sets_equal reference
-            (fst (En.outcomes_stateful ~engine:En.Compiled ~domains program)))
+          Ref.outcome_sets_equal reference
+            (fst (En.outcomes_stateful ~domains program)))
         [ 1; 3 ])
 
 let prop_engines_agree_on_drf0 =
@@ -206,46 +195,64 @@ let prop_engines_agree_on_drf0 =
         Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
-      let reference, _ =
-        En.check_drf0_stateful ~engine:En.Ast ~domains:1 program
-      in
+      let reference, _ = Ref.check_drf0_stateful program in
       List.for_all
         (fun (symmetry, domains) ->
-          reports_agree reference
-            (fst
-               (En.check_drf0_stateful ~engine:En.Compiled ~symmetry ~domains
-                  program)))
+          Ref.reports_agree reference
+            (fst (En.check_drf0_stateful ~symmetry ~domains program)))
         [ (true, 1); (false, 1); (true, 3) ])
 
 let test_engines_agree_on_litmus () =
   List.iter
     (fun program ->
-      let ast_outs, _ = En.outcomes_stateful ~engine:En.Ast program in
-      let c_outs, _ = En.outcomes_stateful ~engine:En.Compiled program in
+      let ast_outs, _ = Ref.outcomes_stateful program in
+      let c_outs, _ = En.outcomes_stateful program in
       check "litmus outcome sets equal across engines" true
-        (outcome_sets_equal ast_outs c_outs);
-      let ast_r, _ = En.check_drf0_stateful ~engine:En.Ast program in
-      let c_r, _ = En.check_drf0_stateful ~engine:En.Compiled program in
+        (Ref.outcome_sets_equal ast_outs c_outs);
+      let ast_r, _ = Ref.check_drf0_stateful program in
+      let c_r, _ = En.check_drf0_stateful program in
       check "litmus DRF0 reports equal across engines" true
-        (reports_agree ast_r c_r))
+        (Ref.reports_agree ast_r c_r))
     litmus_programs
 
-let test_uncompilable_falls_back () =
-  (* Beyond the packing bounds the compiled engine must silently fall
-     back to the AST path rather than fail.  A single thread one op past
-     the per-thread op-count bound is uncompilable yet trivially
-     enumerable (one schedule, one chain of states). *)
-  let ops = 2049 in
-  let p = P.make [ List.init ops (fun _ -> I.Write (0, I.Const 1)) ] in
+let test_long_thread_compiles () =
+  (* Code length is not a packing bound: a store-buffering test behind
+     5,000 local steps compiles, and both searches agree with the AST
+     walks. *)
+  let p =
+    P.make
+      [
+        List.init 5000 (fun _ -> I.Nop)
+        @ [ I.Write (0, I.Const 1); I.Read (0, 1) ];
+        [ I.Write (1, I.Const 1); I.Read (0, 0) ];
+      ]
+  in
+  check "a 5,000-op thread is compilable" true (PC.compilable p);
+  check "outcome set equals the AST walk's" true
+    (Ref.outcome_sets_equal
+       (fst (Ref.outcomes_stateful p))
+       (fst (En.outcomes_stateful ~domains:1 p)));
+  check "DRF0 report equals the AST walk's" true
+    (Ref.reports_agree
+       (fst (Ref.check_drf0_stateful p))
+       (fst (En.check_drf0_stateful ~domains:1 p)))
+
+let test_uncompilable_raises () =
+  (* Beyond the 16-bit location index the program cannot be packed, and
+     there is no other engine: both searches raise. *)
+  let p =
+    P.make
+      ~initial:(List.init 0x10000 (fun l -> (l, 0)))
+      [ [ I.Write (0, I.Const 1) ] ]
+  in
   check "program is beyond compiler bounds" false (PC.compilable p);
-  let outs, _ =
-    En.outcomes_stateful ~engine:En.Compiled ~domains:1 ~max_events:(ops + 1) p
+  let raises f =
+    match f () with _ -> false | exception En.Limit_exceeded -> true
   in
-  let reference, _ =
-    En.outcomes_stateful ~engine:En.Ast ~domains:1 ~max_events:(ops + 1) p
-  in
-  check "fallback produces the AST result" true
-    (outcome_sets_equal reference outs)
+  check "outcomes_stateful raises" true
+    (raises (fun () -> En.outcomes_stateful ~domains:1 p));
+  check "check_drf0_stateful raises" true
+    (raises (fun () -> En.check_drf0_stateful ~domains:1 p))
 
 let test_compile_canonical_encoding_stable () =
   (* The sweep memoizer keys on the canonical encoding: structurally
@@ -426,8 +433,9 @@ let tests =
       test_exact_key_distinguishes_event_count;
     Alcotest.test_case "engines agree on litmus" `Quick
       test_engines_agree_on_litmus;
-    Alcotest.test_case "uncompilable programs fall back" `Quick
-      test_uncompilable_falls_back;
+    Alcotest.test_case "long threads compile" `Quick test_long_thread_compiles;
+    Alcotest.test_case "uncompilable programs raise" `Quick
+      test_uncompilable_raises;
     Alcotest.test_case "canonical encoding is stable" `Quick
       test_compile_canonical_encoding_stable;
     Alcotest.test_case "visited grows without losing claims" `Quick

@@ -19,7 +19,7 @@ let prop_enumeration_count_matches_linearizations =
         Wo_synth.Synth.racy ~seed ~procs:2 ~ops_per_proc:3 ~locs:2 ()
       in
       let executions =
-        List.of_seq (Wo_prog.Enumerate.executions program)
+        List.of_seq (Wo_oracle.Enum_ref.executions program)
       in
       match executions with
       | [] -> false
@@ -69,7 +69,7 @@ let prop_all_executions_agree =
         (fun exn ->
           (Wo_core.Drf0.races ~augment:false exn <> [])
           = not (Wo_race.Detector.is_race_free exn))
-        (Wo_prog.Enumerate.executions program))
+        (Wo_oracle.Enum_ref.executions program))
 
 (* 4. Machine outcome vs. trace: replaying the trace's reads against the
    recorded write values through the SC witness reproduces the machine's

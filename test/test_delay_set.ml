@@ -75,11 +75,9 @@ let test_fences_preserve_sc_outcomes () =
   (* fences are no-ops on the idealized architecture *)
   let program = L.figure1.L.program in
   let fenced = D.insert_fences program in
-  let a = Wo_prog.Enumerate.outcomes program in
-  let b = Wo_prog.Enumerate.outcomes fenced in
-  check "same SC outcome sets" true
-    (List.length a = List.length b
-    && List.for_all2 (fun x y -> Wo_prog.Outcome.compare x y = 0) a b)
+  let a = Wo_oracle.Enum_ref.outcomes program in
+  let b = Wo_oracle.Enum_ref.outcomes fenced in
+  check "same SC outcome sets" true (Wo_oracle.Enum_ref.outcome_sets_equal a b)
 
 let test_fenced_figure1_is_sc_on_weak_machines () =
   let fenced = D.insert_fences L.figure1.L.program in
@@ -105,7 +103,7 @@ let prop_fencing_restores_sc =
         Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:4
           ~locs:2 ()
       in
-      let sc = Wo_prog.Enumerate.outcomes program in
+      let sc = Wo_oracle.Enum_ref.outcomes program in
       let fenced = D.insert_fences program in
       List.for_all
         (fun seed ->

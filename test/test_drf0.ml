@@ -102,11 +102,11 @@ let test_drf1_model_reports_more_races () =
 
 let test_program_obeys () =
   let sb = Wo_litmus.Litmus.figure1.Wo_litmus.Litmus.program in
-  (match D.program_obeys (Wo_prog.Enumerate.executions sb) with
+  (match D.program_obeys (Wo_oracle.Enum_ref.executions sb) with
   | Ok () -> Alcotest.fail "figure1 is racy"
   | Error report -> check "found races" true (report.D.races <> []));
   let ds = Wo_litmus.Litmus.dekker_sync.Wo_litmus.Litmus.program in
-  match D.program_obeys (Wo_prog.Enumerate.executions ds) with
+  match D.program_obeys (Wo_oracle.Enum_ref.executions ds) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "dekker-sync obeys DRF0"
 

@@ -9,7 +9,7 @@
 
 module D = Wo_core.Drf0
 module Inc = Wo_core.Drf0_inc
-module En = Wo_prog.Enumerate
+module En = Wo_oracle.Enum_ref
 module Ex = Wo_core.Execution
 
 let check = Alcotest.(check bool)

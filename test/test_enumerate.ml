@@ -3,7 +3,7 @@
 
 module I = Wo_prog.Instr
 module P = Wo_prog.Program
-module En = Wo_prog.Enumerate
+module En = Wo_oracle.Enum_ref
 module O = Wo_prog.Outcome
 module N = Wo_prog.Names
 
@@ -103,9 +103,6 @@ let test_outcomes_with_stats_truncates () =
 
 (* --- partial-order reduction --------------------------------------------- *)
 
-let outcome_sets_equal a b =
-  List.length a = List.length b && List.for_all2 (fun x y -> O.equal x y) a b
-
 let test_por_matches_naive_on_litmus () =
   List.iter
     (fun (t : Wo_litmus.Litmus.t) ->
@@ -114,7 +111,7 @@ let test_por_matches_naive_on_litmus () =
       check
         (Printf.sprintf "POR outcomes equal naive on %s" t.Wo_litmus.Litmus.name)
         true
-        (outcome_sets_equal naive por))
+        (En.outcome_sets_equal naive por))
     [
       Wo_litmus.Litmus.figure1;
       Wo_litmus.Litmus.message_passing;
@@ -137,7 +134,7 @@ let test_por_prunes_states () =
   in
   let naive_outs, naive = En.outcomes_with_stats ~strategy:En.Naive p in
   let por_outs, por = En.outcomes_with_stats ~strategy:En.Por p in
-  check "same outcome set" true (outcome_sets_equal naive_outs por_outs);
+  check "same outcome set" true (En.outcome_sets_equal naive_outs por_outs);
   check "POR visits fewer states" true (por.En.states * 5 <= naive.En.states);
   check "POR enumerates fewer executions" true
     (por.En.executions < naive.En.executions)
@@ -154,7 +151,7 @@ let prop_por_outcomes_equal_naive =
       let program =
         Wo_synth.Synth.racy ~seed:pseed ~procs ~ops_per_proc ~locs:2 ()
       in
-      outcome_sets_equal
+      En.outcome_sets_equal
         (En.outcomes ~strategy:En.Naive program)
         (En.outcomes ~strategy:En.Por program))
 

@@ -13,7 +13,7 @@ let test_drf0_flags_verified_by_enumeration () =
   List.iter
     (fun (t : L.t) ->
       if not t.L.loops then
-        let verdict = Wo_prog.Enumerate.check_drf0 t.L.program = Ok () in
+        let verdict = Wo_oracle.Enum_ref.check_drf0 t.L.program = Ok () in
         check (t.L.name ^ " drf0 flag") t.L.drf0 verdict)
     L.all
 
@@ -53,7 +53,7 @@ let test_interesting_predicates_match_sc_expectations () =
   List.iter
     (fun (t : L.t) ->
       if (not t.L.loops) && not t.L.drf0 then
-        let sc = Wo_prog.Enumerate.outcomes t.L.program in
+        let sc = Wo_oracle.Enum_ref.outcomes t.L.program in
         List.iter
           (fun (name, pred) ->
             (* coherence's lost-own-write is SC-impossible too, like the
@@ -99,13 +99,13 @@ let test_figure3_parameters () =
 let test_sync_chain_scenario_delay () =
   let t = L.sync_chain_scenario ~observer_delay:10 () in
   check "still loop-free" false t.L.loops;
-  check "still DRF0" true (Wo_prog.Enumerate.check_drf0 t.L.program = Ok ())
+  check "still DRF0" true (Wo_oracle.Enum_ref.check_drf0 t.L.program = Ok ())
 
 let test_random_racy_enumerable () =
   for seed = 1 to 10 do
     let p = Wo_synth.Synth.racy ~seed () in
     check "loop free" false (Wo_prog.Program.has_loops p);
-    check "has outcomes" true (Wo_prog.Enumerate.outcomes p <> [])
+    check "has outcomes" true (Wo_oracle.Enum_ref.outcomes p <> [])
   done
 
 let test_random_lock_disciplined_structure () =

@@ -58,7 +58,7 @@ let loop_free_tests =
 let test_sc_machines_stay_in_sc_set () =
   List.iter
     (fun (t : L.t) ->
-      let sc = Wo_prog.Enumerate.outcomes t.L.program in
+      let sc = Wo_oracle.Enum_ref.outcomes t.L.program in
       List.iter
         (fun (m : M.t) ->
           List.iter
@@ -107,7 +107,7 @@ let drf0_loop_free = [ L.dekker_sync; L.atomicity; L.sync_chain ]
 let test_weakly_ordered_machines_appear_sc_on_drf0 () =
   List.iter
     (fun (t : L.t) ->
-      let sc = Wo_prog.Enumerate.outcomes t.L.program in
+      let sc = Wo_oracle.Enum_ref.outcomes t.L.program in
       List.iter
         (fun (m : M.t) ->
           List.iter
@@ -476,7 +476,7 @@ let test_capacity_constrained_caches () =
 
 let test_ideal_machine () =
   let r = M.run P.ideal ~seed:2 L.figure1.L.program in
-  let sc = Wo_prog.Enumerate.outcomes L.figure1.L.program in
+  let sc = Wo_oracle.Enum_ref.outcomes L.figure1.L.program in
   check "ideal outcome in SC set" true
     (List.exists (fun o -> O.compare o r.M.outcome = 0) sc);
   check_int "trace covers all ops" 4 (Wo_sim.Trace.size r.M.trace)

@@ -17,7 +17,7 @@ module SM = Wo_core.Sync_model
 module L = Wo_litmus.Litmus
 module R = Wo_litmus.Runner
 module D = Wo_campaign.Difftest
-module E = Wo_prog.Enumerate
+module E = Wo_oracle.Enum_ref
 module Rx = Wo_prog.Relaxed
 module O = Wo_prog.Outcome
 
@@ -85,10 +85,6 @@ let test_models_appear_sc_on_drf0 () =
 
 let loop_free = List.filter (fun (t : L.t) -> not t.L.loops) L.all
 
-let same_set a b =
-  List.length a = List.length b
-  && List.for_all2 (fun x y -> O.compare x y = 0) a b
-
 let test_relaxed_sc_matches_enumerate () =
   List.iter
     (fun (t : L.t) ->
@@ -96,7 +92,7 @@ let test_relaxed_sc_matches_enumerate () =
       let rx = Rx.outcomes SM.sc_hw t.L.program in
       check
         (Printf.sprintf "Relaxed(sc_hw) = Enumerate on %s" t.L.name)
-        true (same_set sc rx))
+        true (E.outcome_sets_equal sc rx))
     loop_free
 
 let subset a b =
@@ -138,7 +134,7 @@ let all_models =
   ]
 
 let identical hw program =
-  same_set (Relaxed_ref.outcomes hw program) (Rx.outcomes hw program)
+  E.outcome_sets_equal (Relaxed_ref.outcomes hw program) (Rx.outcomes hw program)
 
 let check_identical ?(models = all_models) name program =
   List.iter
@@ -237,18 +233,19 @@ let test_relaxed_bounds () =
   check "max_states bounds the buffered search" true
     (raises (fun () ->
          Rx.outcomes ~max_states:3 SM.pso_hw L.figure1.L.program));
-  (* past the compiler's 2,048 ops per thread *)
-  let long =
+  (* past the compiler's 16-bit location index *)
+  let wide =
     let module I = Wo_prog.Instr in
     Wo_prog.Program.make
-      [ List.init 2049 (fun _ -> I.Nop) @ [ I.Write (0, I.Const 1) ] ]
+      ~initial:(List.init 0x10000 (fun l -> (l, 0)))
+      [ [ I.Write (0, I.Const 1) ] ]
   in
   List.iter
     (fun hw ->
       check
         (Printf.sprintf "uncompilable program under %s" hw.SM.hname)
         true
-        (raises (fun () -> Rx.outcomes hw long)))
+        (raises (fun () -> Rx.outcomes hw wide)))
     [ SM.sc_hw; SM.tso_hw ]
 
 (* Random loop-free programs over every instruction kind: reads, writes,

@@ -18,11 +18,11 @@ let test_parse_store_buffering () =
   check "loop-free" false t.L.loops;
   (* equivalent to the built-in figure1 test: same SC outcome count *)
   check_int "three SC outcomes" 3
-    (List.length (Wo_prog.Enumerate.outcomes t.L.program));
+    (List.length (Wo_oracle.Enum_ref.outcomes t.L.program));
   (* the forbidden clause matches the impossible outcome *)
   let pred = List.assoc "forbidden" t.L.interesting in
   check "forbidden outcome not in SC set" false
-    (List.exists pred (Wo_prog.Enumerate.outcomes t.L.program))
+    (List.exists pred (Wo_oracle.Enum_ref.outcomes t.L.program))
 
 let test_parse_statements () =
   let t =
@@ -133,6 +133,38 @@ let test_processor_limit () =
       (contains message (string_of_int Wo_prog.Program.max_procs))
   | _ -> Alcotest.fail "expected a parse error for 64 processors"
 
+let test_thread_length_limit () =
+  (* Checked before a repetition allocates its ops, so a hundred billion
+     nops fail on their line instead of exhausting memory. *)
+  let rejected text =
+    match Pa.of_string text with
+    | exception Pa.Parse_error { line; message } ->
+      line = 2 && contains message "65535"
+    | _ -> false
+  in
+  check "huge repetition rejected on its line" true
+    (rejected "name: huge\nP0: x := 1 ; nop*100000000000\n");
+  check "one op past the limit rejected" true
+    (rejected "name: over\nP0: nop*65535 ; x := 1\n");
+  let t = Pa.of_string "name: at-limit\nP0: nop*65534 ; x := 1\n" in
+  check_int "a thread at the limit parses" 65535
+    (List.length t.L.program.Wo_prog.Program.threads.(0))
+
+let test_long_racy_file () =
+  (* The DRF0 search stops at the first race, so a racy file parses even
+     when its executions are too long to enumerate: the SC search then
+     raises, which [wo litmus-file] reports as an error. *)
+  let writes = String.concat " ; " (List.init 40 (fun _ -> "x := 1")) in
+  let t =
+    Pa.of_string
+      (Printf.sprintf "P0: %s ; r0 := y\nP1: %s ; r0 := x\n" writes writes)
+  in
+  check "racy" false t.L.drf0;
+  check "SC outcomes beyond the search bound" true
+    (match Wo_prog.Enumerate.outcomes_stateful ~domains:1 t.L.program with
+    | _ -> false
+    | exception Wo_prog.Enumerate.Limit_exceeded -> true)
+
 let test_parsed_test_runs_on_machines () =
   let t = Pa.of_string sb_text in
   let report = Wo_litmus.Runner.run ~runs:30 Wo_machines.Presets.sc_dir t in
@@ -163,6 +195,8 @@ let tests =
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "sync ring is DRF0" `Quick test_sync_ring_is_drf0;
     Alcotest.test_case "processor limit" `Quick test_processor_limit;
+    Alcotest.test_case "thread length limit" `Quick test_thread_length_limit;
+    Alcotest.test_case "long racy file" `Quick test_long_racy_file;
     Alcotest.test_case "parsed tests run" `Quick
       test_parsed_test_runs_on_machines;
     Alcotest.test_case "fenced litmus file" `Quick test_fenced_file_is_sc;

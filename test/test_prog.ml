@@ -40,8 +40,7 @@ let nested_block =
 
 let test_static_analysis () =
   Alcotest.(check (list int)) "locs" [ 3; 4; 5; 6 ] (I.memory_locs nested_block);
-  Alcotest.(check (list int)) "regs" [ 0; 1; 2 ] (I.regs nested_block);
-  check_int "op count counts nested nodes" 6 (I.static_op_count nested_block)
+  Alcotest.(check (list int)) "regs" [ 0; 1; 2 ] (I.regs nested_block)
 
 let test_program_basics () =
   let p = P.make ~name:"t" ~initial:[ (9, 42) ] [ nested_block; [] ] in

@@ -1,37 +1,18 @@
 (* Tests for the stateful (DAG) enumerator: canonical state hashing,
    symmetry reduction and the work-stealing scheduler.  The contract under
    test is identity — outcome sets and DRF0 verdicts (including the
-   reported first race) must match the tree-search oracles for every
-   strategy, symmetry setting and domain count — plus the non-triviality
-   of the optimization: convergent and mirrored programs must actually
-   dedup. *)
+   reported first race) must match the tree-search oracles of
+   [Wo_oracle.Enum_ref] for every symmetry setting and domain count —
+   plus the non-triviality of the optimization: convergent and mirrored
+   programs must actually dedup. *)
 
 module I = Wo_prog.Instr
 module P = Wo_prog.Program
 module En = Wo_prog.Enumerate
-module O = Wo_prog.Outcome
+module Ref = Wo_oracle.Enum_ref
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let outcome_sets_equal a b =
-  List.length a = List.length b && List.for_all2 O.equal a b
-
-(* Race lists and execution events are pure data (ints and variants), so
-   structural equality compares reports; the model component may hold
-   closures, so it is deliberately left out. *)
-let reports_agree (a : (unit, Wo_core.Drf0.report) result)
-    (b : (unit, Wo_core.Drf0.report) result) =
-  match (a, b) with
-  | Ok (), Ok () -> true
-  | Error ra, Error rb ->
-    ra.Wo_core.Drf0.races = rb.Wo_core.Drf0.races
-    && Wo_core.Execution.events ra.Wo_core.Drf0.execution
-       = Wo_core.Execution.events rb.Wo_core.Drf0.execution
-  | _ -> false
-
-let verdicts_agree a b =
-  match (a, b) with Ok (), Ok () -> true | Error _, Error _ -> true | _ -> false
 
 (* A state-convergent, processor-symmetric family: every thread writes the
    same value sequence to the same location, so all interleavings of equal
@@ -61,18 +42,24 @@ let litmus_programs =
 let test_outcomes_stateful_matches_litmus () =
   List.iter
     (fun program ->
-      let reference = En.outcomes program in
+      let reference = Ref.outcomes program in
       List.iter
         (fun domains ->
-          List.iter
-            (fun strategy ->
-              let got, _ = En.outcomes_stateful ~strategy ~domains program in
-              check
-                (Printf.sprintf "stateful outcomes match (domains=%d)" domains)
-                true
-                (outcome_sets_equal reference got))
-            [ En.Naive; En.Por ])
-        [ 1; 3 ])
+          let got, _ = En.outcomes_stateful ~domains program in
+          check
+            (Printf.sprintf "stateful outcomes match (domains=%d)" domains)
+            true
+            (Ref.outcome_sets_equal reference got))
+        [ 1; 3 ];
+      (* The E19 trace's [outcomes_with_stats] is the one-domain search. *)
+      let outs, st = En.outcomes_with_stats program in
+      let _, sf = En.outcomes_stateful ~domains:1 program in
+      check "outcomes_with_stats outcomes" true
+        (Ref.outcome_sets_equal reference outs);
+      check "outcomes_with_stats counts" true
+        (st.En.states = sf.En.sf_states
+        && st.En.executions = sf.En.sf_executions
+        && not st.En.truncated))
     litmus_programs
 
 let prop_outcomes_stateful_equals_tree =
@@ -83,21 +70,24 @@ let prop_outcomes_stateful_equals_tree =
         Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
-      let reference = En.outcomes ~strategy:En.Naive program in
+      let reference = Ref.outcomes ~strategy:Ref.Naive program in
       List.for_all
-        (fun (strategy, domains) ->
-          outcome_sets_equal reference
-            (fst (En.outcomes_stateful ~strategy ~domains program)))
-        [ (En.Naive, 1); (En.Por, 1); (En.Por, 3) ])
+        (fun domains ->
+          Ref.outcome_sets_equal reference
+            (fst (En.outcomes_stateful ~domains program)))
+        [ 1; 3 ])
 
 let test_outcomes_stateful_dedups () =
-  (* C(8,4) = 70 tree leaves collapse onto a 5x5 grid of distinct states. *)
+  (* C(8,4) = 70 tree leaves collapse onto a 5x5 grid of distinct states.
+     The writes all conflict, so sleep sets prune nothing: the reduction
+     is the visited table's. *)
   let p = mirrored_writes ~procs:2 ~len:4 in
-  let tree_outs, tree = En.outcomes_with_stats ~strategy:En.Naive p in
-  let dag_outs, dag = En.outcomes_stateful ~strategy:En.Naive ~domains:1 p in
-  check "same outcomes" true (outcome_sets_equal tree_outs dag_outs);
+  let tree_outs, tree = Ref.outcomes_with_stats ~strategy:Ref.Naive p in
+  let dag_outs, dag = En.outcomes_stateful ~domains:1 p in
+  check "same outcomes" true (Ref.outcome_sets_equal tree_outs dag_outs);
   check "dedup hits observed" true (dag.En.sf_hits > 0);
-  check "at least 2x fewer states" true (2 * dag.En.sf_states <= tree.En.states);
+  check "at least 2x fewer states" true
+    (2 * dag.En.sf_states <= tree.Ref.states);
   check_int "one execution survives per leaf-equivalent state" 1
     dag.En.sf_executions
 
@@ -106,7 +96,7 @@ let test_outcomes_stateful_dedups () =
 let test_check_stateful_litmus () =
   List.iter
     (fun program ->
-      let reference = En.check_drf0_closure program in
+      let reference = Ref.check_drf0_closure program in
       List.iter
         (fun domains ->
           List.iter
@@ -120,7 +110,7 @@ let test_check_stateful_litmus () =
                     symmetry=%b)"
                    domains symmetry)
                 true
-                (verdicts_agree reference got))
+                (Result.is_ok reference = Result.is_ok got))
             [ true; false ])
         [ 1; 3 ])
     litmus_programs
@@ -129,18 +119,18 @@ let prop_check_stateful_equals_closure =
   QCheck.Test.make
     ~name:
       "stateful DRF0 verdict equals the closure oracle on random programs \
-       (both strategies, 1 and N domains)"
+       (1 and N domains)"
     ~count:30 QCheck.small_int (fun pseed ->
       let program =
         Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
-      let reference = En.check_drf0_closure program in
+      let reference = Ref.check_drf0_closure program in
       List.for_all
-        (fun (strategy, domains) ->
-          verdicts_agree reference
-            (fst (En.check_drf0_stateful ~strategy ~domains program)))
-        [ (En.Naive, 1); (En.Por, 1); (En.Por, 3) ])
+        (fun domains ->
+          Result.is_ok reference
+          = Result.is_ok (fst (En.check_drf0_stateful ~domains program)))
+        [ 1; 3 ])
 
 let prop_check_stateful_report_deterministic =
   (* Not just the verdict: the reported racy execution and race pair must
@@ -153,10 +143,10 @@ let prop_check_stateful_report_deterministic =
         Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
-      let reference = En.check_drf0 program in
+      let reference = Ref.check_drf0 program in
       List.for_all
         (fun domains ->
-          reports_agree reference
+          Ref.reports_agree reference
             (fst (En.check_drf0_stateful ~domains program)))
         [ 1; 3 ])
 
@@ -209,23 +199,9 @@ let test_six_cycle_counts_pinned () =
           check
             (Printf.sprintf "%s report with %d domains" what domains)
             true
-            (reports_agree r1 (fst (En.check_drf0_stateful ~domains p))))
+            (Ref.reports_agree r1 (fst (En.check_drf0_stateful ~domains p))))
         [ 2; 4 ])
     [ (false, (2701, 2701, 5406)); (true, (15, 15, 0)) ]
-
-let test_check_stateful_custom_model_falls_back () =
-  (* A custom model (unknown name, so no incremental mode) must take the
-     closure-oracle fallback and still agree with it. *)
-  let model =
-    {
-      Wo_core.Sync_model.drf0 with
-      Wo_core.Sync_model.name = "custom-semantics";
-    }
-  in
-  let program = Wo_litmus.Litmus.dekker_sync.Wo_litmus.Litmus.program in
-  let reference = En.check_drf0_closure ~model program in
-  let got, _ = En.check_drf0_stateful ~model program in
-  check "custom-model fallback agrees" true (verdicts_agree reference got)
 
 let test_stateful_limits_raise () =
   let p = mirrored_writes ~procs:2 ~len:6 in
@@ -236,10 +212,10 @@ let test_stateful_limits_raise () =
      with En.Limit_exceeded -> true);
   (* The bound is on complete executions, so the program must be race-free
      (a race aborts the search long before any leaf). *)
-  check "max_executions raises (naive, bound below leaf count)" true
+  check "max_executions raises (bound below leaf count)" true
     (try
        ignore
-         (En.check_drf0_stateful ~strategy:En.Naive ~max_executions:0
+         (En.check_drf0_stateful ~max_executions:0
             (mirrored_sync ~procs:2 ~len:2));
        false
      with En.Limit_exceeded -> true)
@@ -309,8 +285,6 @@ let tests =
       test_symmetry_reduces_states;
     Alcotest.test_case "six-processor cycle counts pinned" `Quick
       test_six_cycle_counts_pinned;
-    Alcotest.test_case "custom model falls back" `Quick
-      test_check_stateful_custom_model_falls_back;
     Alcotest.test_case "stateful limits raise" `Quick test_stateful_limits_raise;
     Alcotest.test_case "visited claim discipline" `Quick
       test_visited_claim_discipline;

@@ -113,14 +113,13 @@ let test_litmus_campaign_unaffected_by_stateful_memoization () =
   List.iter
     (fun (c : S.litmus_cell) ->
       let direct =
-        Wo_prog.Enumerate.outcomes c.S.test.Wo_litmus.Litmus.program
+        Wo_oracle.Enum_ref.outcomes c.S.test.Wo_litmus.Litmus.program
       in
       let via_campaign = c.S.report.Wo_litmus.Runner.sc_outcomes in
       check
         (c.S.test.Wo_litmus.Litmus.name ^ " SC set matches tree enumeration")
         true
-        (List.length direct = List.length via_campaign
-        && List.for_all2 Wo_prog.Outcome.equal direct via_campaign))
+        (Wo_oracle.Enum_ref.outcome_sets_equal direct via_campaign))
     campaign.S.cells
 
 let test_workload_programs_have_loops () =
