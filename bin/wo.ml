@@ -136,6 +136,8 @@ let machine_fields () =
         [
           ("machine.runs", Wo_obs.Json.Int (M.runs ()));
           ("machine.session_reuse", Wo_obs.Json.Int (M.session_reuses ()));
+          ( "machine.session_replays",
+            Wo_obs.Json.Int (M.session_replays ()) );
           ( "machine.compile_fallbacks",
             Wo_obs.Json.Int (M.compile_fallbacks ()) );
         ] );

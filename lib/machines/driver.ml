@@ -252,6 +252,10 @@ type session_state = {
      program object is free. *)
   mutable sprog : Wo_prog.Program.t;
   mutable sart : Wo_prog.Prog_compile.t option;
+  (* The last run's result, kept only if that run completed untraced
+     without drawing from [senv.rng]: the run never read its seed, so it
+     is the result at every seed while the binding stands. *)
+  mutable skept : Machine.result option;
 }
 
 let new_session ~name ~local_cost ~build (engine : Machine.engine) :
@@ -300,17 +304,12 @@ let new_session ~name ~local_cost ~build (engine : Machine.engine) :
                 ());
         let st =
           { senv = env; sport = port; sfinish = finish; sprog = program;
-            sart = art }
+            sart = art; skept = None }
         in
         state := Some st;
         st
     in
     let env = st.senv in
-    (* Reset unconditionally — also right after build, so the first run
-       goes down the same path, and after a [Machine_error] run, whose
-       debris (parked engine events, partial protocol state) must not
-       leak into the next seed. *)
-    reset env ~seed ~program;
     let same_binding =
       st.sprog == program
       && (match (st.sart, art) with
@@ -318,18 +317,39 @@ let new_session ~name ~local_cost ~build (engine : Machine.engine) :
          | Some a, Some b -> a == b
          | _ -> false)
     in
-    if same_binding then Array.iter Proc_frontend.reset env.frontends
-    else begin
-      Array.iteri
-        (fun p fe ->
-          Proc_frontend.rebind fe ?compiled:art
-            program.Wo_prog.Program.threads.(p))
-        env.frontends;
-      st.sprog <- program;
-      st.sart <- art
-    end;
-    Array.fill st.sfinish 0 (Array.length st.sfinish) (-1);
-    execute env st.sport st.sfinish ~copy_obs:true
+    match st.skept with
+    | Some r
+      when same_binding
+           && not (Wo_obs.Recorder.enabled (Wo_obs.Recorder.active ())) ->
+      Machine.note_session_replay ();
+      r
+    | _ ->
+      (* Cleared before running, so a rebind or a [Machine_error] run
+         leaves nothing to replay. *)
+      st.skept <- None;
+      (* Reset unconditionally — also right after build, so the first
+         run goes down the same path, and after a [Machine_error] run,
+         whose debris (parked engine events, partial protocol state)
+         must not leak into the next seed. *)
+      reset env ~seed ~program;
+      if same_binding then Array.iter Proc_frontend.reset env.frontends
+      else begin
+        Array.iteri
+          (fun p fe ->
+            Proc_frontend.rebind fe ?compiled:art
+              program.Wo_prog.Program.threads.(p))
+          env.frontends;
+        st.sprog <- program;
+        st.sart <- art
+      end;
+      Array.fill st.sfinish 0 (Array.length st.sfinish) (-1);
+      let draws = Wo_sim.Rng.draws env.rng in
+      let r = execute env st.sport st.sfinish ~copy_obs:true in
+      if
+        Wo_sim.Rng.draws env.rng = draws
+        && not (Wo_obs.Recorder.enabled env.obs)
+      then st.skept <- Some r;
+      r
   in
   { Machine.session_machine = name; session_engine = engine; session_run }
 

@@ -116,7 +116,20 @@ val new_session :
     compiled at binding and cached while the same program stays bound),
     falling back to the AST walk when compilation is unavailable.
     Results are deep-copied out of the mutable observability state and
-    are byte-identical to fresh {!run} results. *)
+    are byte-identical to fresh {!run} results.
+
+    {b Replay.}  A run that completes without drawing from [env.rng]
+    (its {!Wo_sim.Rng.draws} count is unchanged by the run) is kept,
+    and later runs return that same physical result instead of
+    simulating, whatever their seed, while the same program object and
+    the same artifact stay bound and the ambient recorder is disabled.
+    This is exact: the seed reaches a run only through [env.rng], so a
+    run that never drew follows the same path at every seed.  Rebinding
+    (another program or artifact), rebuilding for another width, a
+    {!Machine.Machine_error} run or an enabled recorder clears or skips
+    the kept result; runs made under an enabled recorder always
+    simulate (their spans are output) and are never kept.  Replays
+    count in {!Machine.runs} and {!Machine.session_replays}. *)
 
 val make :
   name:string ->

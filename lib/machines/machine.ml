@@ -50,14 +50,17 @@ let run_batch s ?compiled ~seeds program =
 (* Atomics: sweep/campaign workers run machines from several domains. *)
 let runs_count = Atomic.make 0
 let session_reuse_count = Atomic.make 0
+let session_replay_count = Atomic.make 0
 let compile_fallback_count = Atomic.make 0
 
 let note_run () = Atomic.incr runs_count
 let note_session_reuse () = Atomic.incr session_reuse_count
+let note_session_replay () = Atomic.incr session_replay_count
 let note_compile_fallback () = Atomic.incr compile_fallback_count
 
 let runs () = Atomic.get runs_count
 let session_reuses () = Atomic.get session_reuse_count
+let session_replays () = Atomic.get session_replay_count
 let compile_fallbacks () = Atomic.get compile_fallback_count
 
 let emit_counters () =
@@ -69,6 +72,7 @@ let emit_counters () =
     in
     c "machine.runs" (runs ());
     c "machine.session_reuse" (session_reuses ());
+    c "machine.session_replays" (session_replays ());
     c "machine.compile_fallbacks" (compile_fallbacks ())
   end
 

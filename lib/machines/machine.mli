@@ -52,6 +52,9 @@ type session = {
     of seeds (or of programs on the same machine shape) avoids
     per-run construction entirely.  Results are byte-identical
     ([Marshal]-fingerprint-equal) to fresh {!run} results at every seed.
+    A session may return the same physical result for several seeds
+    (a replayed run, see {!Driver.new_session}); results are immutable
+    by contract, so a caller must never mutate one it was handed.
     [compiled] supplies a pre-compiled artifact for the program (e.g. a
     campaign's memoised compilation); without it a [Compiled] session
     compiles on first binding and reuses the artifact while the same
@@ -95,20 +98,25 @@ val run_batch :
 (** {2 Run accounting}
 
     Process-wide counters (atomic — sweep workers run machines on
-    several domains): total machine runs, runs that reused a session's
-    built state, and runs where a [Compiled] engine fell back to the
-    AST walker. *)
+    several domains): total delivered machine results (simulated or
+    replayed), runs that reused a session's built state, session runs
+    answered by replaying a seed-invariant earlier result instead of
+    simulating, and runs where a [Compiled] engine fell back to the AST
+    walker. *)
 
 val note_run : unit -> unit
 val note_session_reuse : unit -> unit
+val note_session_replay : unit -> unit
 val note_compile_fallback : unit -> unit
 val runs : unit -> int
 val session_reuses : unit -> int
+val session_replays : unit -> int
 val compile_fallbacks : unit -> int
 
 val emit_counters : unit -> unit
 (** Emit [machine.runs] / [machine.session_reuse] /
-    [machine.compile_fallbacks] to the active recorder, if enabled. *)
+    [machine.session_replays] / [machine.compile_fallbacks] to the
+    active recorder, if enabled. *)
 
 val make_result :
   outcome:Wo_prog.Outcome.t ->

@@ -346,24 +346,61 @@ let field_float ?default name j =
     | Some f -> Ok f
     | None -> Error (Printf.sprintf "field %S: expected a number" name))
 
+(* The backends schedule every latency, hit time, drain delay and local
+   cost as an engine delay, which must be non-negative.  Capping each
+   at [max_cycles] keeps the clock in range too: the engine's 50M-event
+   budget times 2^32 cycles per event stays below [max_int]. *)
+let max_cycles = 1 lsl 32
+
+(* Memory modules are network nodes, built eagerly one handler each. *)
+let max_modules = 1 lsl 16
+
+let must name what = Error (Printf.sprintf "field %S: must be %s" name what)
+
+let field_cycles ?default name j =
+  let* v = field_int ?default name j in
+  if v >= 0 && v <= max_cycles then Ok v
+  else must name (Printf.sprintf "between 0 and %d cycles" max_cycles)
+
+let field_positive ?default ?(max = max_int) name j =
+  let* v = field_int ?default name j in
+  if v >= 1 && v <= max then Ok v
+  else if max = max_int then must name "positive"
+  else must name (Printf.sprintf "between 1 and %d" max)
+
+(* [base + jitter] is the largest jittered latency; a spike multiplies
+   it by [spike_factor]. *)
+let net_latency j =
+  let* base = field_cycles ~default:4 "base" j in
+  let* jitter = field_cycles ~default:6 "jitter" j in
+  if base + jitter <= max_cycles then Ok (base, jitter)
+  else
+    must "jitter"
+      (Printf.sprintf "at most %d - base (base + jitter is a latency)"
+         max_cycles)
+
 let fabric_of_json j =
   let* kind = field_string "kind" j in
   match kind with
   | "bus" ->
-    let* transfer_cycles = field_int ~default:2 "transfer_cycles" j in
+    let* transfer_cycles = field_cycles ~default:2 "transfer_cycles" j in
     Ok (Memsys.Bus { transfer_cycles })
   | "net" ->
-    let* base = field_int ~default:4 "base" j in
-    let* jitter = field_int ~default:6 "jitter" j in
+    let* base, jitter = net_latency j in
     Ok (Memsys.Net { base; jitter })
   | "net-spiky" ->
-    let* base = field_int ~default:4 "base" j in
-    let* jitter = field_int ~default:6 "jitter" j in
+    let* base, jitter = net_latency j in
     let* spike_probability = field_float "spike_probability" j in
-    let* spike_factor = field_int "spike_factor" j in
+    let* () =
+      if spike_probability >= 0. && spike_probability <= 1. then Ok ()
+      else must "spike_probability" "between 0 and 1"
+    in
+    let* spike_factor =
+      field_positive ~max:(max_cycles / max 1 (base + jitter)) "spike_factor" j
+    in
     Ok (Memsys.Net_spiky { base; jitter; spike_probability; spike_factor })
   | "net-fixed" ->
-    let* latency = field_int "latency" j in
+    let* latency = field_cycles "latency" j in
     Ok (Memsys.Net_fixed { latency })
   | k -> Error (Printf.sprintf "unknown fabric kind %S" k)
 
@@ -372,27 +409,28 @@ let memory_of_json j =
   match kind with
   | "ideal" -> Ok Ideal
   | "uncached" ->
-    let* modules = field_int ~default:1 "modules" j in
+    let* modules = field_positive ~default:1 ~max:max_modules "modules" j in
     let* wait_write_ack = field_bool ~default:false "wait_write_ack" j in
     let* write_buffer =
       match Json.member "write_buffer" j with
       | None | Some Json.Null -> Ok None
       | Some b ->
-        let* depth = field_int "depth" b in
+        let* depth = field_positive "depth" b in
         let* read_bypass = field_bool ~default:true "read_bypass" b in
         let* forwarding = field_bool ~default:true "forwarding" b in
-        let* drain_delay = field_int ~default:6 "drain_delay" b in
+        let* drain_delay = field_cycles ~default:6 "drain_delay" b in
         Ok (Some { Uncached.depth; read_bypass; forwarding; drain_delay })
     in
     Ok (Uncached { write_buffer; wait_write_ack; modules })
   | "cached" ->
-    let* hit_cycles = field_int ~default:1 "hit_cycles" j in
+    let* hit_cycles = field_cycles ~default:1 "hit_cycles" j in
     let* capacity =
       match Json.member "capacity" j with
       | None | Some Json.Null -> Ok None
       | Some v -> (
         match Json.to_int_opt v with
-        | Some c -> Ok (Some c)
+        | Some c when c >= 1 -> Ok (Some c)
+        | Some _ -> must "capacity" "positive (or null for unbounded)"
         | None -> Error "field \"capacity\": expected an integer or null")
     in
     let* coarse_counter = field_bool ~default:false "coarse_counter" j in
@@ -403,16 +441,16 @@ let memory_of_json j =
    them out, as [to_json] always does for non-SC models. *)
 let model_of_json j =
   let parametrized kind j =
-    let* drain_delay = field_int ~default:6 "drain_delay" j in
+    let* drain_delay = field_cycles ~default:6 "drain_delay" j in
     match kind with
     | "tso" ->
-      let* depth = field_int ~default:8 "depth" j in
+      let* depth = field_positive ~default:8 "depth" j in
       Ok (Model_tso { depth; drain_delay })
     | "pso" ->
-      let* depth = field_int ~default:8 "depth" j in
+      let* depth = field_positive ~default:8 "depth" j in
       Ok (Model_pso { depth; drain_delay })
     | "ra" ->
-      let* window = field_int ~default:8 "window" j in
+      let* window = field_positive ~default:8 "window" j in
       Ok (Model_ra { window; drain_delay })
     | k -> Error (Printf.sprintf "unknown ordering model %S" k)
   in
@@ -461,7 +499,7 @@ let of_json j =
     | Some sy -> Ok sy
     | None -> Error (Printf.sprintf "unknown sync policy %S" s)
   in
-  let* local_cost = field_int ~default:1 "local_cost" j in
+  let* local_cost = field_cycles ~default:1 "local_cost" j in
   Ok { name; description; fabric; memory; model; sync; local_cost }
 
 let of_string s =

@@ -1,4 +1,6 @@
-type t = { mutable state : int64 }
+(* [draws] is one cell shared by a generator and everything split from
+   it, so the family's total draw count is a single read. *)
+type t = { mutable state : int64; draws : int ref }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -8,14 +10,17 @@ let mix z =
   Int64.(logxor z (shift_right_logical z 31))
 
 let next t =
+  incr t.draws;
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let make seed = { state = mix (Int64.of_int (seed * 2 + 1)) }
+let make seed = { state = mix (Int64.of_int (seed * 2 + 1)); draws = ref 0 }
 
 let reseed t seed = t.state <- mix (Int64.of_int ((seed * 2) + 1))
 
-let split t = { state = mix (next t) }
+let draws t = !(t.draws)
+
+let split t = { state = mix (next t); draws = t.draws }
 
 let split_into parent child = child.state <- mix (next parent)
 

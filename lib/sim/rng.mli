@@ -15,15 +15,24 @@ val reseed : t -> int -> unit
     create, in place — generators split from [t] afterwards see the same
     streams as if everything had been built fresh from [seed]. *)
 
+val draws : t -> int
+(** The number of values drawn so far from [t]'s family: [t], every
+    generator split from it and, transitively, from those.  The family
+    shares one count, so "nothing drew between two points" is one
+    comparison of two reads, whichever component holds the stream.
+    Every draw counts, {!split} and {!split_into} included; {!reseed}
+    leaves the count alone (it only ever grows). *)
+
 val split : t -> t
 (** A new generator with an independent stream, deterministic in the state
-    of [t] (advances [t]). *)
+    of [t] (advances [t]).  It shares [t]'s {!draws} count. *)
 
 val split_into : t -> t -> unit
 (** [split_into parent child] re-derives [child]'s stream from [parent]
     in place — the same draw as {!split} (advances [parent]), but
     targeting an existing generator whose identity other components
-    already hold. *)
+    already hold.  [child] keeps the {!draws} count it was created with,
+    which is [parent]'s when [child] came from [split parent]. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound] must be positive. *)

@@ -90,6 +90,20 @@ let test_session_reset_no_residue () =
         (first = again && first = fresh_fp machine ~seed:7 t1.L.program))
     [ M.Compiled; M.Ast ]
 
+(* The coarse-counter variant of wo-new, on a chosen fabric. *)
+let coarse_machine fabric =
+  Wo_machines.Coherent.make ~name:"machpath-coarse" ~description:""
+    ~sequentially_consistent:false ~weakly_ordered_drf0:true
+    {
+      P.wo_new_config with
+      Wo_machines.Coherent.fabric;
+      cache =
+        {
+          P.wo_new_config.Wo_machines.Coherent.cache with
+          Wo_cache.Cache_ctrl.coarse_counter = true;
+        };
+    }
+
 (* 4. A [Machine_error] mid-batch must not poison the session: the
    watchdog abandons a run with parked closures and half-filled state,
    and the start-of-run reset has to clear all of it.  The deadlocking
@@ -101,18 +115,7 @@ let test_session_survives_machine_error () =
       ~sections_per_proc:4 ~locks:3 ~shared_locs:3 ()
   in
   let build () =
-    Wo_machines.Coherent.make ~name:"machpath-coarse" ~description:""
-      ~sequentially_consistent:false ~weakly_ordered_drf0:true
-      {
-        P.wo_new_config with
-        Wo_machines.Coherent.fabric =
-          Wo_machines.Coherent.Net { base = 2; jitter = 20 };
-        cache =
-          {
-            P.wo_new_config.Wo_machines.Coherent.cache with
-            Wo_cache.Cache_ctrl.coarse_counter = true;
-          };
-      }
+    coarse_machine (Wo_machines.Coherent.Net { base = 2; jitter = 20 })
   in
   (* a seed this machine completes on, found against the fresh oracle *)
   let oracle = build () in
@@ -239,6 +242,217 @@ let test_counters () =
   check "runs counted" true (M.runs () >= runs0 + 2);
   check "second run reused the session" true (M.session_reuses () > reuse0)
 
+(* --- replay of seed-invariant runs -------------------------------------------- *)
+
+(* A session run that draws nothing from the machine's RNG is kept and
+   answers later seeds of the same binding.  Every replayed result must
+   still be byte-identical to a fresh simulation at its own seed. *)
+
+module Spec = Wo_machines.Spec
+module Memsys = Wo_machines.Memsys
+
+let grid_fabrics =
+  [
+    Memsys.Bus { transfer_cycles = 2 };
+    Memsys.Net { base = 2; jitter = 6 };
+    Memsys.Net_fixed { latency = 4 };
+  ]
+
+(* The three E19 campaign machines, each on the campaign grid's three
+   fabrics: one cached, one uncached and one ordering backend. *)
+let replay_specs =
+  List.concat_map
+    (fun name -> Spec.grid ~fabrics:grid_fabrics (Option.get (P.spec_of name)))
+    [ "wo-new"; "tso-wb"; "bus-nocache-wb" ]
+
+let replay_machines = List.map (fun s -> (s, Spec.build s)) replay_specs
+
+let seeds n = List.init n (fun i -> i + 1)
+
+(* A run's observable result, or the fact that it raised. *)
+let attempt f =
+  match f () with
+  | r -> Some (fingerprint r)
+  | exception M.Machine_error _ -> None
+
+(* A session batch over seeds 1..n against the fresh oracle at each. *)
+let batch_matches_fresh machine n program =
+  let session = M.new_session machine M.Compiled in
+  List.for_all
+    (fun seed ->
+      attempt (fun () -> M.session_run session ~seed program)
+      = attempt (fun () -> M.run machine ~seed program))
+    (seeds n)
+
+let synth_families =
+  List.filter (fun f -> f <> "mutate") Wo_synth.Synth.families
+
+let prop_replay_lockstep =
+  QCheck.Test.make ~name:"session batches with replay = fresh runs per seed"
+    ~count:6 QCheck.small_int (fun seed ->
+      let programs =
+        List.map
+          (fun family ->
+            match Wo_synth.Synth.generate ~family ~seed () with
+            | Ok c -> c.Wo_synth.Synth.program
+            | Error e -> QCheck.Test.fail_reportf "%s: %s" family e)
+          synth_families
+      in
+      List.for_all
+        (fun (_, machine) ->
+          List.for_all (batch_matches_fresh machine 4) programs)
+        replay_machines)
+
+(* How many replays a thunk caused. *)
+let replays_during f =
+  let r0 = M.session_replays () in
+  f ();
+  M.session_replays () - r0
+
+let batch_replays machine ~n program =
+  let session = M.new_session machine M.Compiled in
+  replays_during (fun () -> ignore (M.run_batch session ~seeds:(seeds n) program))
+
+let test_replay_counter () =
+  let n = 5 and program = L.dekker_sync.L.program in
+  List.iter
+    (fun ((spec : Spec.t), machine) ->
+      let want =
+        match spec.Spec.fabric with
+        | Memsys.Net _ -> 0
+        | _ -> n - 1
+      in
+      check_int
+        (Printf.sprintf "%s replays" spec.Spec.name)
+        want
+        (batch_replays machine ~n program))
+    replay_machines;
+  (* A jitter-free network draws nothing either: replay follows the
+     draws, not the fabric's name. *)
+  List.iter
+    (fun name ->
+      let spec =
+        List.hd
+          (Spec.grid
+             ~fabrics:[ Memsys.Net { base = 2; jitter = 0 } ]
+             (Option.get (P.spec_of name)))
+      in
+      let machine = Spec.build spec in
+      check_int (spec.Spec.name ^ " replays") (n - 1)
+        (batch_replays machine ~n program);
+      check (spec.Spec.name ^ " replays = fresh") true
+        (batch_matches_fresh machine n program))
+    [ "wo-new"; "tso-wb"; "bus-nocache-wb" ];
+  (* the CLI's metrics document carries the counter *)
+  let session = M.new_session P.bus_nocache_wb M.Compiled in
+  let rec_ = Wo_obs.Recorder.create () in
+  ignore (M.run_batch session ~seeds:(seeds n) program);
+  Wo_obs.Recorder.with_sink rec_ M.emit_counters;
+  check "machine.session_replays emitted with its value" true
+    (List.exists
+       (function
+         | Wo_obs.Recorder.Counter { name = "machine.session_replays"; value; _ }
+           ->
+           value = M.session_replays ()
+         | _ -> false)
+       (Wo_obs.Recorder.events rec_))
+
+(* Each of these must simulate although the machine draws nothing, and
+   still agree with the fresh oracle. *)
+let test_replay_guards () =
+  let machine = P.bus_nocache_wb and t = L.dekker_sync in
+  let fresh seed program = fresh_fp machine ~seed program in
+  (* a structurally equal but physically new program *)
+  let session = M.new_session machine M.Compiled in
+  let copy =
+    let p = t.L.program in
+    { p with Wo_prog.Program.threads = Array.copy p.Wo_prog.Program.threads }
+  in
+  check "copy is structurally equal" true (copy = t.L.program);
+  let got = ref [] in
+  check_int "a new program object simulates" 0
+    (replays_during (fun () ->
+         got :=
+           [
+             fingerprint (M.session_run session ~seed:1 t.L.program);
+             fingerprint (M.session_run session ~seed:2 copy);
+           ]));
+  check "new program object = fresh" true
+    (!got = [ fresh 1 t.L.program; fresh 2 copy ]);
+  (* a different compiled artifact for the same program *)
+  let compile () = Option.get (Wo_prog.Prog_compile.compile t.L.program) in
+  let session = M.new_session machine M.Compiled in
+  check_int "a new artifact simulates" 0
+    (replays_during (fun () ->
+         got :=
+           [
+             fingerprint
+               (M.session_run session ~seed:1 ~compiled:(compile ()) t.L.program);
+             fingerprint
+               (M.session_run session ~seed:2 ~compiled:(compile ()) t.L.program);
+           ]));
+  check "new artifact = fresh" true
+    (!got = [ fresh 1 t.L.program; fresh 2 t.L.program ]);
+  (* an enabled recorder: every run simulates and records its spans,
+     even with an untraced result kept from before *)
+  let spans_of f =
+    let r = Wo_obs.Recorder.create () in
+    Wo_obs.Recorder.with_sink r f;
+    Wo_obs.Recorder.length r
+  in
+  let one = spans_of (fun () -> ignore (M.run machine ~seed:1 t.L.program)) in
+  check "a run records spans" true (one > 0);
+  let n = 4 in
+  let session = M.new_session machine M.Compiled in
+  ignore (M.session_run session ~seed:1 t.L.program);
+  let traced = ref 0 in
+  check_int "a traced batch simulates" 0
+    (replays_during (fun () ->
+         traced :=
+           spans_of (fun () ->
+               ignore (M.run_batch session ~seeds:(seeds n) t.L.program))));
+  check_int "a traced batch records every run's spans" (n * one) !traced;
+  (* untraced again: the traced runs were not kept *)
+  check_int "first untraced run after tracing simulates" 0
+    (replays_during (fun () -> ignore (M.session_run session ~seed:1 t.L.program)));
+  check_int "then replays" 1
+    (replays_during (fun () -> ignore (M.session_run session ~seed:2 t.L.program)))
+
+(* A run that raises [Machine_error] is never kept, and a kept result
+   never answers for another binding.  Test 4's coarse-counter machine
+   deadlocks at every seed on a 6-cycle bus (it draws nothing, so every
+   seed is the same execution).  After a completing run is kept, each
+   deadlocking seed must simulate and raise, as the fresh oracle does,
+   and the session must then run the completing program
+   byte-identically again. *)
+let test_replay_after_machine_error () =
+  let machine = coarse_machine (Wo_machines.Coherent.Bus { transfer_cycles = 6 }) in
+  (* same width, so the session keeps its built state throughout *)
+  let program seed =
+    Wo_synth.Synth.lock_disciplined ~seed ~procs:3 ~sections_per_proc:4
+      ~locks:3 ~shared_locs:3 ()
+  in
+  let deadlocking = program 21 and completing = program 4 in
+  let session = M.new_session machine M.Compiled in
+  ignore (M.session_run session ~seed:1 completing);
+  check_int "error runs are not replayed" 0
+    (replays_during (fun () ->
+         List.iter
+           (fun seed ->
+             check
+               (Printf.sprintf "seed %d deadlocks" seed)
+               true
+               (attempt (fun () -> M.session_run session ~seed deadlocking)
+               = None
+               && attempt (fun () -> M.run machine ~seed deadlocking) = None))
+           (seeds 3)));
+  check "post-error batch = fresh" true
+    (List.for_all
+       (fun seed ->
+         attempt (fun () -> M.session_run session ~seed completing)
+         = attempt (fun () -> M.run machine ~seed completing))
+       (seeds 3))
+
 let tests =
   [
     Alcotest.test_case "compiled sessions = fresh AST (all tests x presets)"
@@ -256,4 +470,11 @@ let tests =
       `Quick test_campaign_engine_identity;
     Alcotest.test_case "machine counters account runs and reuse" `Quick
       test_counters;
+    QCheck_alcotest.to_alcotest prop_replay_lockstep;
+    Alcotest.test_case "replay counter follows RNG draws" `Quick
+      test_replay_counter;
+    Alcotest.test_case "rebinding and tracing force simulation" `Quick
+      test_replay_guards;
+    Alcotest.test_case "Machine_error runs are never replayed" `Quick
+      test_replay_after_machine_error;
   ]

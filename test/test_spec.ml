@@ -346,6 +346,59 @@ let test_json_rejects_bad_spec () =
       | Ok _ -> Alcotest.failf "accepted bad spec: %s" text)
     bad
 
+(* Knobs the backends cannot run with are rejected by the decoder with
+   a typed field error, never left for a backend to raise on. *)
+let test_json_rejects_out_of_range () =
+  let bad =
+    [
+      ("transfer_cycles", {|"fabric": { "kind": "bus", "transfer_cycles": -3 }|});
+      ("jitter", {|"fabric": { "kind": "net", "jitter": 4611686018427387903 }|});
+      ("jitter", {|"fabric": { "kind": "net", "base": 1, "jitter": 4294967296 }|});
+      ("base", {|"fabric": { "kind": "net", "base": -5 }|});
+      ("latency", {|"fabric": { "kind": "net-fixed", "latency": -1 }|});
+      ( "spike_factor",
+        {|"fabric": { "kind": "net-spiky", "spike_probability": 0.5, "spike_factor": -3 }|}
+      );
+      ( "spike_probability",
+        {|"fabric": { "kind": "net-spiky", "spike_probability": 1.5, "spike_factor": 3 }|}
+      );
+      ("hit_cycles", {|"memory": { "kind": "cached", "hit_cycles": -1 }|});
+      ("capacity", {|"memory": { "kind": "cached", "capacity": 0 }|});
+      ("capacity", {|"memory": { "kind": "cached", "capacity": -1 }|});
+      ("modules", {|"memory": { "kind": "uncached", "modules": 0 }|});
+      ("modules", {|"memory": { "kind": "uncached", "modules": -2 }|});
+      ("depth", {|"memory": { "kind": "uncached", "write_buffer": { "depth": 0 } }|});
+      ("depth", {|"model": { "kind": "tso", "depth": 0 }|});
+      ("window", {|"model": { "kind": "ra", "window": 0 }|});
+      ("drain_delay", {|"model": { "kind": "pso", "drain_delay": -5 }|});
+      ("local_cost", {|"local_cost": -4|});
+    ]
+  in
+  List.iter
+    (fun (field, body) ->
+      let text = Printf.sprintf {|{ "name": "x", %s }|} body in
+      let want = Printf.sprintf "field %S: must be" field in
+      match S.of_string text with
+      | Ok _ -> Alcotest.failf "accepted out-of-range spec: %s" text
+      | Error e ->
+        check
+          (Printf.sprintf "%s: %S names the field" text e)
+          true
+          (String.length e >= String.length want
+          && String.sub e 0 (String.length want) = want))
+    bad;
+  (* the smallest legal values still decode and run *)
+  match
+    S.of_string
+      {|{ "name": "x", "fabric": { "kind": "bus", "transfer_cycles": 0 },
+          "memory": { "kind": "cached", "hit_cycles": 0, "capacity": 1 },
+          "local_cost": 0 }|}
+  with
+  | Error e -> Alcotest.failf "boundary spec rejected: %s" e
+  | Ok spec ->
+    let t = List.find (fun (t : L.t) -> t.L.name = "message-passing-sync") L.all in
+    ignore (M.run (S.build spec) ~seed:1 t.L.program)
+
 (* --- a JSON-defined machine, end to end -------------------------------------- *)
 
 (* The cached fence machine: a design point no preset occupies
@@ -435,6 +488,8 @@ let tests =
     Alcotest.test_case "JSON model field" `Quick test_json_model_field;
     Alcotest.test_case "bad JSON specs are rejected" `Quick
       test_json_rejects_bad_spec;
+    Alcotest.test_case "out-of-range JSON knobs are rejected" `Quick
+      test_json_rejects_out_of_range;
     Alcotest.test_case "JSON-defined machine runs end to end" `Quick
       test_json_machine_end_to_end;
     Alcotest.test_case "spec grids" `Quick test_grid_names;
