@@ -9,7 +9,7 @@
      vs. check_drf0_closure (O(n^3) Warshall closure per complete
      execution).  Verdicts must be identical; the Figure-1/Dekker
      family wall-time speedup is the acceptance metric.
-   - Simulation engine: the binary-heap Engine vs. Engine.Reference
+   - Simulation engine: the binary-heap Engine vs. Wo_oracle.Engine_ref
      (Map-of-lists) on a synthetic self-rescheduling event storm;
      execution order must be identical.  Plus per-seed trace
      determinism on a real machine (the heap must not perturb any
@@ -173,7 +173,7 @@ module Storm (E : Wo_sim.Engine.S) = struct
 end
 
 module Storm_heap = Storm (Wo_sim.Engine)
-module Storm_ref = Storm (Wo_sim.Engine.Reference)
+module Storm_ref = Storm (Wo_oracle.Engine_ref)
 
 type engine_row = {
   spread : int;  (** delay range: distinct pending times per tick window *)

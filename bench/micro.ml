@@ -56,7 +56,9 @@ let test_lemma1 =
        drf_result)
 
 let ideal_exec =
-  Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed:5 drf_program)
+  Wo_prog.Cinterp.execution
+    (Wo_prog.Cinterp.run_random ~seed:5
+       (Option.get (Wo_prog.Prog_compile.compile drf_program)))
 
 let test_detector =
   Test.make ~name:"e6.vector-clock-detector"

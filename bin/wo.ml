@@ -126,11 +126,14 @@ let metrics_arg =
 
 (* Metrics-envelope fields every machine-running command records: the
    engine and the process-wide machine counters (also emitted to the
-   active recorder, for trace consumers). *)
+   active recorder, for trace consumers).  The compiled path is the only
+   one and nothing falls back from it; the ["engine"] and
+   ["machine.compile_fallbacks"] literals keep the documents' bytes
+   unchanged for their readers. *)
 let machine_fields () =
   M.emit_counters ();
   [
-    ("engine", Wo_obs.Json.String (M.engine_name M.Compiled));
+    ("engine", Wo_obs.Json.String "compiled");
     ( "machine_counters",
       Wo_obs.Json.Obj
         [
@@ -138,8 +141,7 @@ let machine_fields () =
           ("machine.session_reuse", Wo_obs.Json.Int (M.session_reuses ()));
           ( "machine.session_replays",
             Wo_obs.Json.Int (M.session_replays ()) );
-          ( "machine.compile_fallbacks",
-            Wo_obs.Json.Int (M.compile_fallbacks ()) );
+          ("machine.compile_fallbacks", Wo_obs.Json.Int 0);
         ] );
   ]
 
@@ -388,11 +390,11 @@ let races_cmd =
       Printf.printf
         "(program has spin loops; sampling 30 schedules with the dynamic \
          detector)\n";
+      let art = Option.get (Wo_prog.Prog_compile.compile test.L.program) in
       let races =
         Wo_race.Detector.sample_program ~schedules:30
           ~run:(fun ~seed ->
-            Wo_prog.Interp.execution
-              (Wo_prog.Interp.run_random ~seed test.L.program))
+            Wo_prog.Cinterp.execution (Wo_prog.Cinterp.run_random ~seed art))
           ()
       in
       if races = [] then print_endline "no races found: consistent with DRF0"

@@ -123,10 +123,11 @@ let () =
   print_endline "--- the DRF0 version ---\n";
   show_program drf0;
   (* verify race-freedom dynamically (the spin precludes enumeration) *)
+  let drf0_art = Option.get (Wo_prog.Prog_compile.compile drf0) in
   let races =
     Wo_race.Detector.sample_program ~schedules:20
       ~run:(fun ~seed ->
-        Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed drf0))
+        Wo_prog.Cinterp.execution (Wo_prog.Cinterp.run_random ~seed drf0_art))
       ()
   in
   Printf.printf "dynamic race detection over 20 schedules: %d races\n\n"

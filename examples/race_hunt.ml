@@ -48,13 +48,12 @@ let hunt name program =
   Wo_report.Table.subheading name;
   print_newline ();
   Format.printf "%a@.@." Wo_prog.Program.pp program;
-  (* 1. dynamic detection over sampled schedules *)
-  let races =
-    Wo_race.Detector.sample_program ~schedules:25
-      ~run:(fun ~seed ->
-        Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed program))
-      ()
+  let art = Option.get (Wo_prog.Prog_compile.compile program) in
+  let idealized ~seed =
+    Wo_prog.Cinterp.execution (Wo_prog.Cinterp.run_random ~seed art)
   in
+  (* 1. dynamic detection over sampled schedules *)
+  let races = Wo_race.Detector.sample_program ~schedules:25 ~run:idealized () in
   Printf.printf "1. vector-clock detector, 25 schedules: %d race report(s)\n"
     (List.length races);
   (match races with
@@ -62,10 +61,7 @@ let hunt name program =
   | [] -> ());
   (* 2. exhaustive checking of one execution (the spin precludes full
      enumeration; check the race on a representative execution) *)
-  let exn =
-    Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed:3 program)
-  in
-  let report = Wo_core.Drf0.check exn in
+  let report = Wo_core.Drf0.check (idealized ~seed:3) in
   Printf.printf "2. exhaustive checker on one idealized execution: %d race(s)\n"
     (List.length report.Wo_core.Drf0.races);
   (* 3. empirical: run on weakly ordered hardware with a heavy-tailed

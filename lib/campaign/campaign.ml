@@ -161,18 +161,17 @@ let witness_of machine (test : L.t) ~runs ~base_seed ~sc_outcomes =
   in
   go base_seed
 
-let evaluate ?(engine = M.Compiled) ?compiled ~runs ~base_seed ~sc_outcomes
-    machine (test : L.t) =
+let evaluate ?engine:(_ = M.Compiled) ?compiled ~runs ~base_seed
+    ~sc_outcomes machine (test : L.t) =
   try
     (* The seed batch runs through the calling domain's reusable session
        (fabric and memory system built once per machine per domain, reset
-       between seeds) — the verdict bytes are independent of both the
-       session reuse and the engine, which is what lets the store replay
-       them forever. *)
-    let session = Sweep.domain_session ~engine machine in
+       between seeds) — the verdict bytes are independent of the session
+       reuse, which is what lets the store replay them forever. *)
+    let session = Sweep.domain_session machine in
     let report =
-      Wo_litmus.Runner.run ~runs ~base_seed ?sc_outcomes ~engine ~session
-        ?compiled machine test
+      Wo_litmus.Runner.run ~runs ~base_seed ?sc_outcomes ~session ?compiled
+        machine test
     in
     let expected_sc =
       machine.M.sequentially_consistent
@@ -338,7 +337,7 @@ let ensure_sc_sets memo ~domains cells =
    order.  Verdicts are deterministic in the cell alone, so any process
    settling the same cell writes the same bytes — what makes both the
    resume contract and the multi-worker merge byte-stable. *)
-let settle ?(engine = M.Compiled) memo ~domains config p indices =
+let settle memo ~domains config p indices =
   let fresh = List.map (fun idx -> p.p_cells.(idx)) indices in
   ensure_sc_sets memo ~domains fresh;
   (* Cells are laid out case-major, so consecutive indices alternate
@@ -363,7 +362,7 @@ let settle ?(engine = M.Compiled) memo ~domains config p indices =
         in
         ( idx,
           verdict_to_string
-            (evaluate ~engine ?compiled:cell.c_art ~runs:config.runs
+            (evaluate ?compiled:cell.c_art ~runs:config.runs
                ~base_seed:config.base_seed ~sc_outcomes cell.c_machine
                cell.c_test) ))
       grouped
@@ -424,7 +423,7 @@ let findings_of p settled =
       | c -> c)
     !findings
 
-let run ?engine ?on_shard config ~specs ~cases =
+let run ?on_shard config ~specs ~cases =
   let domains = config_domains config in
   let p = plan config ~specs ~cases in
   let total = plan_cells p in
@@ -456,7 +455,7 @@ let run ?engine ?on_shard config ~specs ~cases =
                | None -> true)
              (shard_indices p i)
          in
-         let verdicts = settle ?engine memo ~domains config p fresh in
+         let verdicts = settle memo ~domains config p fresh in
          List.iter
            (fun (idx, s) ->
              Store.add store ~key:(cell_store_key p idx) ~value:s;

@@ -83,10 +83,10 @@ val evaluate :
     tests, witness trace captured iff the promise broke.  Machine errors
     become failing verdicts, not exceptions.  The seed batch runs
     through the calling domain's reusable machine session
-    ({!Wo_workload.Sweep.domain_session}) under [engine] (default
-    [Compiled]); [compiled] passes the program's pre-compiled artifact.
-    Deterministic in the cell arguments and independent of [engine] —
-    the store replays these forever. *)
+    ({!Wo_workload.Sweep.domain_session}); [compiled] passes the
+    program's pre-compiled artifact.  [engine] selects nothing (see
+    {!Wo_machines.Machine.engine}).  Deterministic in the cell
+    arguments — the store replays these forever. *)
 
 type finding = {
   f_case : string;
@@ -155,7 +155,6 @@ val config_domains : config -> int
 (** The effective domain count ([domains], or the recommended count). *)
 
 val settle :
-  ?engine:Wo_machines.Machine.engine ->
   memo -> domains:int -> config -> plan -> int list -> (int * string) list
 (** Settle the given (fresh) cell indices: enumerate any missing SC
     sets, evaluate in parallel, return [(index, verdict string)] pairs
@@ -163,12 +162,11 @@ val settle :
     domain's reusable machine session stays on one machine across
     consecutive cells, and each case's compiled artifact (built once by
     {!plan} for the store key) is shared across every spec and seed.
-    Deterministic in the cells alone — [engine] (default [Compiled])
-    and the grouping are pure performance knobs; any process settling
-    the same cell produces the same bytes. *)
+    Deterministic in the cells alone — the grouping is a pure
+    performance knob; any process settling the same cell produces the
+    same bytes. *)
 
 val run :
-  ?engine:Wo_machines.Machine.engine ->
   ?on_shard:(shard:int -> settled:int -> executed:int -> total:int -> unit) ->
   config ->
   specs:Wo_machines.Spec.t list ->

@@ -82,11 +82,12 @@ val run :
 (** The harness.  [specs] defaults to {!Wo_machines.Presets.model_specs}
     (the relaxed zoo); [runs] (default 40) seeds per (case, machine);
     [witnesses] (default true) re-runs to attach a witness to each
-    violating pair.  Reports are grouped machine by machine, in
-    [specs] order, but the work runs case by case: a case's reference
-    sets (its SC set and one axiomatic set per model) are computed once,
-    shared by its machines, and dropped before the next case, so memory
-    does not grow with the corpus. *)
+    violating pair; [engine] selects nothing (see
+    {!Wo_machines.Machine.engine}).  Reports are grouped machine by
+    machine, in [specs] order, but the work runs case by case: a case's
+    reference sets (its SC set and one axiomatic set per model) are
+    computed once, shared by its machines, and dropped before the next
+    case, so memory does not grow with the corpus. *)
 
 val matrix : summary -> (string * (string * int) list) list
 (** Per racy loop-free case: how many of each machine's runs fell

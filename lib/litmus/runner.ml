@@ -26,9 +26,8 @@ let histogram_of outcomes =
      the sort is stable), so the histogram is fully deterministic. *)
   Outcome_map.bindings counts |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let run ?(runs = 100) ?(base_seed = 1) ?check_lemma1 ?sc_outcomes
-    ?(engine = Wo_machines.Machine.Compiled) ?session ?compiled machine
-    (test : Litmus.t) =
+let run ?(runs = 100) ?(base_seed = 1) ?check_lemma1 ?sc_outcomes ?session
+    ?compiled machine (test : Litmus.t) =
   let check_lemma1 =
     match check_lemma1 with Some b -> b | None -> test.Litmus.drf0
   in
@@ -41,12 +40,12 @@ let run ?(runs = 100) ?(base_seed = 1) ?check_lemma1 ?sc_outcomes
         fst (Wo_prog.Enumerate.outcomes_stateful ~domains:1 test.Litmus.program)
   in
   (* One session for the whole seed batch: the machine is built once and
-     reset between seeds, and the program is compiled once (under the
-     compiled engine) instead of re-walked per run. *)
+     reset between seeds, and the program is compiled once. *)
   let session =
     match session with
     | Some s -> s
-    | None -> Wo_machines.Machine.new_session machine engine
+    | None ->
+      Wo_machines.Machine.new_session machine Wo_machines.Machine.Compiled
   in
   let observed = ref [] in
   let lemma1_failures = ref 0 in

@@ -32,7 +32,6 @@ type report = {
 val run :
   ?runs:int -> ?base_seed:int -> ?check_lemma1:bool ->
   ?sc_outcomes:Wo_prog.Outcome.t list ->
-  ?engine:Wo_machines.Machine.engine ->
   ?session:Wo_machines.Machine.session ->
   ?compiled:Wo_prog.Prog_compile.t ->
   Wo_machines.Machine.t -> Litmus.t -> report
@@ -45,9 +44,8 @@ val run :
     per distinct program and shares it across every machine/seed
     combination.  All seeds run
     through one machine session — [session] to share across calls
-    (it must belong to this machine), [engine] (default [Compiled])
-    selects the execution mode when the harness creates one, and
-    [compiled] passes the test program's pre-compiled artifact. *)
+    (it must belong to this machine) — and [compiled] passes the test
+    program's pre-compiled artifact. *)
 
 val appears_sc : report -> bool
 (** No violations and no Lemma-1 failures. *)

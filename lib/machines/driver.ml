@@ -144,11 +144,9 @@ let reset env ~seed ~(program : Wo_prog.Program.t) =
   env.ops_rev <- [];
   List.iter (fun f -> f ()) (List.rev env.reset_hooks)
 
-(* The run loop and result assembly, shared by the fresh path and
-   sessions.  [copy_obs] deep-copies the mutable observability state
-   into the result so a later in-place reset cannot disturb it; the
-   copies Marshal identically to the originals. *)
-let execute env (port : Memsys.port) finish_times ~copy_obs =
+(* The run loop and result assembly.  The result deep-copies the mutable
+   observability state so a later in-place reset cannot disturb it. *)
+let execute env (port : Memsys.port) finish_times =
   Array.iter Proc_frontend.start env.frontends;
   (match Wo_sim.Engine.run env.engine with
   | `Idle -> ()
@@ -216,31 +214,15 @@ let execute env (port : Memsys.port) finish_times ~copy_obs =
   Machine.make_result
     ~outcome:(Wo_prog.Outcome.make ~registers ~memory)
     ~trace ~cycles:(now env)
-    ~proc_finish:(if copy_obs then Array.copy finish_times else finish_times)
+    ~proc_finish:(Array.copy finish_times)
     ~stats:(Wo_sim.Stats.to_list env.stats)
-    ~stalls:(if copy_obs then Wo_obs.Stall.copy env.stalls else env.stalls)
-    ~taps:(if copy_obs then Wo_obs.Tap.copy env.taps else env.taps)
+    ~stalls:(Wo_obs.Stall.copy env.stalls)
+    ~taps:(Wo_obs.Tap.copy env.taps)
     ()
 
 let frontend_perform (port : Memsys.port) p = function
   | Proc_frontend.Access op -> port.Memsys.perform p op
   | Proc_frontend.Fence -> port.Memsys.fence p
-
-let run ~name ~local_cost ~build ~seed (program : Wo_prog.Program.t) :
-    Machine.result =
-  Machine.note_run ();
-  let env = build_env ~name ~seed program in
-  let port = build env in
-  let finish_times = Array.make env.num_procs (-1) in
-  env.frontends <-
-    Array.init env.num_procs (fun p ->
-        Proc_frontend.create ~engine:env.engine ~proc:p
-          ~code:program.Wo_prog.Program.threads.(p)
-          ~local_cost
-          ~perform:(frontend_perform port p)
-          ~on_finish:(fun () -> finish_times.(p) <- now env)
-          ());
-  execute env port finish_times ~copy_obs:false
 
 (* --- sessions --------------------------------------------------------------- *)
 
@@ -251,37 +233,26 @@ type session_state = {
   (* Current frontend binding; compared physically so rebinding the same
      program object is free. *)
   mutable sprog : Wo_prog.Program.t;
-  mutable sart : Wo_prog.Prog_compile.t option;
+  mutable sart : Wo_prog.Prog_compile.t;
   (* The last run's result, kept only if that run completed untraced
      without drawing from [senv.rng]: the run never read its seed, so it
      is the result at every seed while the binding stands. *)
   mutable skept : Machine.result option;
 }
 
-let new_session ~name ~local_cost ~build (engine : Machine.engine) :
-    Machine.session =
+let new_session ~name ~local_cost ~build () : Machine.session =
   let state : session_state option ref = ref None in
   let session_run ~seed ?compiled program =
     Machine.note_run ();
     let num_procs = Wo_prog.Program.num_procs program in
-    (* Resolve the artifact for this run under the requested engine,
-       reusing the previous compilation while the same program object
-       stays bound. *)
+    (* Resolve the artifact for this run, reusing the previous
+       compilation while the same program object stays bound. *)
     let art =
-      match engine with
-      | Machine.Ast -> None
-      | Machine.Compiled -> (
-        match compiled with
-        | Some _ -> compiled
-        | None -> (
-          match !state with
-          | Some st when st.sprog == program && st.senv.num_procs = num_procs
-            ->
-            st.sart
-          | _ -> Wo_prog.Prog_compile.compile program))
+      match (compiled, !state) with
+      | Some art, _ -> art
+      | None, Some st when st.sprog == program -> st.sart
+      | None, _ -> Machine.compile ~name program
     in
-    if engine = Machine.Compiled && art = None then
-      Machine.note_compile_fallback ();
     let st =
       match !state with
       | Some st when st.senv.num_procs = num_procs ->
@@ -296,9 +267,8 @@ let new_session ~name ~local_cost ~build (engine : Machine.engine) :
         let finish = Array.make num_procs (-1) in
         env.frontends <-
           Array.init num_procs (fun p ->
-              Proc_frontend.create ~engine:env.engine ~proc:p
-                ~code:program.Wo_prog.Program.threads.(p)
-                ~local_cost ?compiled:art
+              Proc_frontend.create ~engine:env.engine ~proc:p ~compiled:art
+                ~local_cost
                 ~perform:(frontend_perform port p)
                 ~on_finish:(fun () -> finish.(p) <- now env)
                 ());
@@ -310,13 +280,7 @@ let new_session ~name ~local_cost ~build (engine : Machine.engine) :
         st
     in
     let env = st.senv in
-    let same_binding =
-      st.sprog == program
-      && (match (st.sart, art) with
-         | None, None -> true
-         | Some a, Some b -> a == b
-         | _ -> false)
-    in
+    let same_binding = st.sprog == program && st.sart == art in
     match st.skept with
     | Some r
       when same_binding
@@ -334,24 +298,20 @@ let new_session ~name ~local_cost ~build (engine : Machine.engine) :
       reset env ~seed ~program;
       if same_binding then Array.iter Proc_frontend.reset env.frontends
       else begin
-        Array.iteri
-          (fun p fe ->
-            Proc_frontend.rebind fe ?compiled:art
-              program.Wo_prog.Program.threads.(p))
-          env.frontends;
+        Array.iter (fun fe -> Proc_frontend.rebind fe art) env.frontends;
         st.sprog <- program;
         st.sart <- art
       end;
       Array.fill st.sfinish 0 (Array.length st.sfinish) (-1);
       let draws = Wo_sim.Rng.draws env.rng in
-      let r = execute env st.sport st.sfinish ~copy_obs:true in
+      let r = execute env st.sport st.sfinish in
       if
         Wo_sim.Rng.draws env.rng = draws
         && not (Wo_obs.Recorder.enabled env.obs)
       then st.skept <- Some r;
       r
   in
-  { Machine.session_machine = name; session_engine = engine; session_run }
+  { Machine.session_machine = name; session_run }
 
 let make ~name ~description ~sequentially_consistent ~weakly_ordered_drf0
     ~local_cost ~build : Machine.t =
@@ -360,6 +320,5 @@ let make ~name ~description ~sequentially_consistent ~weakly_ordered_drf0
     description;
     sequentially_consistent;
     weakly_ordered_drf0;
-    run = (fun ~seed program -> run ~name ~local_cost ~build ~seed program);
-    new_session = (fun engine -> new_session ~name ~local_cost ~build engine);
+    new_session = new_session ~name ~local_cost ~build;
   }

@@ -9,13 +9,13 @@
     {!Memsys.port}; see {!Uncached} and {!Coherent} for the two shipped
     protocols.
 
-    Two execution paths share the run loop: {!run} builds everything
-    fresh (the oracle), and {!new_session} builds once per machine
-    shape, then resets the environment in place between runs.  A port
-    builder that keeps mutable state must register an {!on_reset} hook
-    restoring it to its just-built state; the driver replays hooks in
-    registration order after reseeding [env.rng], so RNG splits recorded
-    in hooks restore component streams exactly. *)
+    There is one execution path: {!new_session} builds once per machine
+    shape, then resets the environment in place before every run, the
+    first included ({!Machine.run} is a fresh session's first run).  A
+    [build] function whose components keep mutable state must register
+    an {!on_reset} hook restoring them to their just-built state; hooks
+    replay in registration order after [env.rng] is reseeded, so RNG
+    splits recorded in hooks restore component streams exactly. *)
 
 type env = {
   name : string;
@@ -85,38 +85,28 @@ val fabric :
     in [env.taps] under [tag msg].  Registers its own {!on_reset} hook
     (state drop + stream re-split), so builders need not. *)
 
-val run :
-  name:string ->
-  local_cost:int ->
-  build:(env -> Memsys.port) ->
-  seed:int ->
-  Wo_prog.Program.t ->
-  Machine.result
-(** One simulation: build the environment, let [build] assemble the
-    memory system, wire and start one frontend per thread, run the
-    engine to quiescence, then check drains and assemble the result.
-    Raises {!Machine.Machine_error} with the unified rich diagnostics —
-    per-processor frontend positions plus the port's protocol detail —
-    on livelock (event limit), deadlock (unfinished frontend), leftover
-    protocol state or an operation that never completed. *)
-
 val new_session :
   name:string ->
   local_cost:int ->
   build:(env -> Memsys.port) ->
-  Machine.engine ->
+  unit ->
   Machine.session
 (** A reusable context over the same [build].  The memory system, port
     and frontends are constructed on the first run (and again only if a
     program with a different processor count arrives); every run starts
     by resetting the environment in place — including the first, and
     including after a {!Machine.Machine_error} run, whose debris must
-    not leak into the next seed.  Under [Compiled] the frontends step
-    the program's {!Wo_prog.Prog_compile} artifact (supplied per run or
-    compiled at binding and cached while the same program stays bound),
-    falling back to the AST walk when compilation is unavailable.
-    Results are deep-copied out of the mutable observability state and
-    are byte-identical to fresh {!run} results.
+    not leak into the next seed.  The frontends step the program's
+    {!Wo_prog.Prog_compile} artifact, supplied per run or compiled at
+    binding and cached while the same program stays bound; a program
+    that does not compile raises {!Machine.Machine_error} naming the
+    bound ({!Machine.compile}).  Then the engine runs to quiescence, and
+    drains are checked.  Raises {!Machine.Machine_error} with the
+    unified rich diagnostics — per-processor frontend positions plus
+    the port's protocol detail — on livelock (event limit), deadlock
+    (unfinished frontend), leftover protocol state or an operation that
+    never completed.  Results are deep-copied out of the mutable
+    observability state, so a later reset cannot disturb them.
 
     {b Replay.}  A run that completes without drawing from [env.rng]
     (its {!Wo_sim.Rng.draws} count is unchanged by the run) is kept,
@@ -139,4 +129,4 @@ val make :
   local_cost:int ->
   build:(env -> Memsys.port) ->
   Machine.t
-(** Package {!run} and {!new_session} as a {!Machine.t}. *)
+(** Package {!new_session} as a {!Machine.t}. *)

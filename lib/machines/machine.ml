@@ -10,18 +10,10 @@ type result = {
   taps : Wo_obs.Tap.t;
 }
 
-type engine = Compiled | Ast
-
-let engine_name = function Compiled -> "compiled" | Ast -> "ast"
-
-let engine_of_string = function
-  | "compiled" -> Some Compiled
-  | "ast" -> Some Ast
-  | _ -> None
+type engine = Compiled
 
 type session = {
   session_machine : string;
-  session_engine : engine;
   session_run :
     seed:int -> ?compiled:Wo_prog.Prog_compile.t -> Wo_prog.Program.t -> result;
 }
@@ -31,13 +23,12 @@ type t = {
   description : string;
   sequentially_consistent : bool;
   weakly_ordered_drf0 : bool;
-  run : seed:int -> Wo_prog.Program.t -> result;
-  new_session : engine -> session;
+  new_session : unit -> session;
 }
 
-let run t ?(seed = 0) program = t.run ~seed program
+let run t ?(seed = 0) program = (t.new_session ()).session_run ~seed program
 
-let new_session t engine = t.new_session engine
+let new_session t Compiled = t.new_session ()
 
 let session_run s ?(seed = 0) ?compiled program =
   s.session_run ~seed ?compiled program
@@ -51,17 +42,14 @@ let run_batch s ?compiled ~seeds program =
 let runs_count = Atomic.make 0
 let session_reuse_count = Atomic.make 0
 let session_replay_count = Atomic.make 0
-let compile_fallback_count = Atomic.make 0
 
 let note_run () = Atomic.incr runs_count
 let note_session_reuse () = Atomic.incr session_reuse_count
 let note_session_replay () = Atomic.incr session_replay_count
-let note_compile_fallback () = Atomic.incr compile_fallback_count
 
 let runs () = Atomic.get runs_count
 let session_reuses () = Atomic.get session_reuse_count
 let session_replays () = Atomic.get session_replay_count
-let compile_fallbacks () = Atomic.get compile_fallback_count
 
 let emit_counters () =
   let r = Wo_obs.Recorder.active () in
@@ -72,9 +60,18 @@ let emit_counters () =
     in
     c "machine.runs" (runs ());
     c "machine.session_reuse" (session_reuses ());
-    c "machine.session_replays" (session_replays ());
-    c "machine.compile_fallbacks" (compile_fallbacks ())
+    c "machine.session_replays" (session_replays ())
   end
+
+let compile ~name program =
+  match Wo_prog.Prog_compile.compile program with
+  | Some art -> art
+  | None ->
+    raise
+      (Machine_error
+         (Printf.sprintf "%s: cannot compile %S: %s" name
+            program.Wo_prog.Program.name
+            (Option.get (Wo_prog.Prog_compile.exceeded_bound program))))
 
 (* The one place the legacy [P<i>.stall.<reason>] stats view is derived
    from the typed accounts; machines pass only their own counters. *)

@@ -30,35 +30,33 @@ type result = {
           histograms *)
 }
 
-type engine = Compiled | Ast
-(** How a session executes thread code: [Compiled] steps the int-coded
-    {!Wo_prog.Prog_compile} artifact (falling back to the AST per
-    program when compilation is unavailable); [Ast] always walks the
-    instruction tree.  Both produce byte-identical results. *)
-
-val engine_name : engine -> string
-(** ["compiled"] / ["ast"]. *)
-
-val engine_of_string : string -> engine option
+type engine = Compiled
+(** The one way a session executes thread code: stepping the int-coded
+    {!Wo_prog.Prog_compile} artifact.  The constructor selects nothing;
+    it stays only because the frozen E19 benchmark ([bench/e2e/]) still
+    passes it to {!new_session}, [Campaign.evaluate] and [Difftest.run].
+    ROADMAP item 1's benchmark PR deletes it. *)
 
 type session = {
   session_machine : string;  (** owning machine's name *)
-  session_engine : engine;
   session_run :
     seed:int -> ?compiled:Wo_prog.Prog_compile.t -> Wo_prog.Program.t -> result;
 }
 (** A reusable execution context: the memory system, interconnect and
     frontends are built once and reset in place between runs, so a batch
     of seeds (or of programs on the same machine shape) avoids
-    per-run construction entirely.  Results are byte-identical
-    ([Marshal]-fingerprint-equal) to fresh {!run} results at every seed.
+    per-run construction entirely.  Every run — the first included —
+    starts from the same in-place reset, so a reused session's results
+    are byte-identical ([Marshal]-fingerprint-equal) to a fresh
+    session's ({!run}) at every seed.
     A session may return the same physical result for several seeds
     (a replayed run, see {!Driver.new_session}); results are immutable
     by contract, so a caller must never mutate one it was handed.
     [compiled] supplies a pre-compiled artifact for the program (e.g. a
-    campaign's memoised compilation); without it a [Compiled] session
-    compiles on first binding and reuses the artifact while the same
-    program stays bound. *)
+    campaign's memoised compilation); without it the session compiles
+    on first binding and reuses the artifact while the same program
+    stays bound.  A program beyond {!Wo_prog.Prog_compile.compilable}
+    raises {!Machine_error} naming the bound it exceeds. *)
 
 type t = {
   name : string;
@@ -69,13 +67,12 @@ type t = {
           machines themselves) *)
   weakly_ordered_drf0 : bool;
       (** whether this machine is expected to appear SC to DRF0 programs *)
-  run : seed:int -> Wo_prog.Program.t -> result;
-  new_session : engine -> session;
+  new_session : unit -> session;  (** build a fresh session *)
 }
 
 val run : t -> ?seed:int -> Wo_prog.Program.t -> result
-(** One fresh-construction AST run ([seed] defaults to 0) — the oracle
-    the compiled/session paths are checked against. *)
+(** One run ([seed] defaults to 0): the first run of a freshly built
+    session. *)
 
 val new_session : t -> engine -> session
 
@@ -99,24 +96,25 @@ val run_batch :
 
     Process-wide counters (atomic — sweep workers run machines on
     several domains): total delivered machine results (simulated or
-    replayed), runs that reused a session's built state, session runs
-    answered by replaying a seed-invariant earlier result instead of
-    simulating, and runs where a [Compiled] engine fell back to the AST
-    walker. *)
+    replayed), runs that reused a session's built state, and session
+    runs answered by replaying a seed-invariant earlier result instead
+    of simulating. *)
 
 val note_run : unit -> unit
 val note_session_reuse : unit -> unit
 val note_session_replay : unit -> unit
-val note_compile_fallback : unit -> unit
 val runs : unit -> int
 val session_reuses : unit -> int
 val session_replays : unit -> int
-val compile_fallbacks : unit -> int
 
 val emit_counters : unit -> unit
 (** Emit [machine.runs] / [machine.session_reuse] /
-    [machine.session_replays] / [machine.compile_fallbacks] to the
-    active recorder, if enabled. *)
+    [machine.session_replays] to the active recorder, if enabled. *)
+
+val compile : name:string -> Wo_prog.Program.t -> Wo_prog.Prog_compile.t
+(** {!Wo_prog.Prog_compile.compile}, for machine [name].
+    @raise Machine_error naming the packing bound an uncompilable
+    program exceeds. *)
 
 val make_result :
   outcome:Wo_prog.Outcome.t ->

@@ -499,7 +499,7 @@ let of_json j =
     | Some sy -> Ok sy
     | None -> Error (Printf.sprintf "unknown sync policy %S" s)
   in
-  let* local_cost = field_cycles ~default:1 "local_cost" j in
+  let* local_cost = field_positive ~default:1 ~max:max_cycles "local_cost" j in
   Ok { name; description; fabric; memory; model; sync; local_cost }
 
 let of_string s =

@@ -125,7 +125,8 @@ val of_json : Wo_obs.Json.t -> (t, string) result
 (** Missing fields default: [description] to [""], [fabric] to
     {!Coherent.default_net}, [model] to [Model_sc], [memory] to
     {!default_cached} (one-module uncached when a relaxed model is
-    given), [sync] to [Sync_none], [local_cost] to [1].  The [model]
+    given), [sync] to [Sync_none], [local_cost] to [1] (at least 1:
+    every local instruction takes a cycle).  The [model]
     field accepts a bare name (["tso"], with default knobs) or an object
     ([{"kind":"ra","window":8,"drain_delay":6}]); a relaxed model with
     explicit cached or ideal memory is rejected. *)

@@ -1,17 +1,21 @@
-(* Compiled interpreter — Interp's semantics over flat int arrays.
+(* Compiled interpreter — the idealized architecture over flat int arrays.
 
    A state is (pcs, regs, mem, seqs) plus the event log; step/peek
-   mirror Interp.step/peek exactly (same events, same runnable
-   discipline, same local-step folding).  Persistence is by
-   copy-on-write: [advance] copies the register file only if a local op
-   writes, memory is copied only by memory-writing steps, so branching
-   costs a handful of small int-array copies. *)
+   mirror the test-only AST interpreter's step/peek exactly (same
+   events, same runnable discipline, same local-step folding).
+   Persistence is by copy-on-write: [advance] copies the register file
+   only if a local op writes, memory is copied only by memory-writing
+   steps, so branching costs a handful of small int-array copies. *)
 
 module P = Prog_compile
 
 let stride = P.op_stride
 
 let max_local_steps = 100_000
+
+exception Local_divergence of Wo_core.Event.proc
+
+type access = { loc : Wo_core.Event.loc; writes : bool; sync : bool }
 
 type state = {
   prog : P.t;
@@ -81,9 +85,9 @@ let eval t regs e =
 (* --- local control flow ----------------------------------------------------- *)
 
 (* Unfold local ops from the processor's pc until a memory op or the end
-   of the code, mirroring Interp.advance.  The returned register file is
-   the input one if no local op wrote (physically — callers test with
-   [==] before mutating further). *)
+   of the code, mirroring the AST oracle's advance.  The returned
+   register file is the input one if no local op wrote (physically —
+   callers test with [==] before mutating further). *)
 let advance st proc =
   let t = st.prog in
   let code = t.P.code.(proc) in
@@ -98,7 +102,7 @@ let advance st proc =
     !regs.(r) <- v
   in
   let rec go pc budget =
-    if budget = 0 then raise (Interp.Local_divergence proc);
+    if budget = 0 then raise (Local_divergence proc);
     if pc >= len then `Finished !regs
     else begin
       let o = code.(pc) in
@@ -143,7 +147,7 @@ let peek st proc =
     let li = if o = P.o_write || o = P.o_sync_write then code.(pc + 1) else code.(pc + 2) in
     Some
       {
-        Interp.loc = t.P.locs.(li);
+        loc = t.P.locs.(li);
         writes = o <> P.o_read && o <> P.o_sync_read;
         sync = o >= P.o_sync_read;
       }
@@ -255,6 +259,19 @@ let outcome st =
   Outcome.make ~registers ~memory:(memory st)
 
 let execution st = Wo_core.Execution.of_ordered_events (List.rev st.events_rev)
+
+(* One [Random.State.int] draw over the runnable list per step, exactly
+   as the AST oracle's [run_random] schedules. *)
+let run_random ~seed prog =
+  let rng = Random.State.make [| seed |] in
+  let rec go st =
+    match runnable st with
+    | [] -> st
+    | rs ->
+      let p = List.nth rs (Random.State.int rng (List.length rs)) in
+      go (fst (step st p))
+  in
+  go (init prog)
 
 (* --- packed exact keys ------------------------------------------------------ *)
 

@@ -28,9 +28,9 @@ let rec drain_silent state =
    same location with a write component, or either is a synchronization
    operation (synchronization order is observable through happens-before,
    so sync steps are conservatively dependent on everything). *)
-let dependent (a : Interp.access) (b : Interp.access) =
-  a.Interp.sync || b.Interp.sync
-  || (a.Interp.loc = b.Interp.loc && (a.Interp.writes || b.Interp.writes))
+let dependent (a : Cinterp.access) (b : Cinterp.access) =
+  a.Cinterp.sync || b.Cinterp.sync
+  || (a.Cinterp.loc = b.Cinterp.loc && (a.Cinterp.writes || b.Cinterp.writes))
 
 (* Children of a drained, non-final node, with the event taken on the edge
    (consumed by the incremental DRF0 checker) and the sleep set each child

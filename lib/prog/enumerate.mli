@@ -28,8 +28,8 @@
 
     The oracles these searches are tested against — the naive and POR
     tree enumerators, the closure and tree-incremental DRF0 checkers, and
-    a twin of each stateful walk over the AST interpreter {!Interp} with
-    its own state keys — live in the test-only [wo_oracle] library
+    a twin of each stateful walk over the AST interpreter
+    ([Wo_oracle.Interp]) with its own state keys — live in the test-only [wo_oracle] library
     ([test/oracle/]); no production code links it.
 
     Programs with loops can have unboundedly many executions — bound them

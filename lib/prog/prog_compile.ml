@@ -441,13 +441,33 @@ let compile_exn (p : Program.t) =
   in
   { t with classes }
 
-let compilable (p : Program.t) =
+let exceeded_bound (p : Program.t) =
   let nprocs = Program.num_procs p in
-  nprocs <= Program.max_procs
-  && List.length (Program.locs p) <= max_index
-  && Array.for_all
-       (fun code -> List.length (Instr.regs code) <= max_index)
-       p.Program.threads
+  if nprocs > Program.max_procs then
+    Some
+      (Printf.sprintf
+         "%d processors exceed the compile bound of %d (Program.max_procs)"
+         nprocs Program.max_procs)
+  else
+    let nlocs = List.length (Program.locs p) in
+    if nlocs > max_index then
+      Some
+        (Printf.sprintf "%d locations exceed the compile bound of %d" nlocs
+           max_index)
+    else
+      let nregs =
+        Array.fold_left
+          (fun m code -> max m (List.length (Instr.regs code)))
+          0 p.Program.threads
+      in
+      if nregs > max_index then
+        Some
+          (Printf.sprintf
+             "%d registers in one thread exceed the compile bound of %d" nregs
+             max_index)
+      else None
+
+let compilable p = exceeded_bound p = None
 
 let compile p = if compilable p then Some (compile_exn p) else None
 

@@ -1,8 +1,8 @@
 (** One-shot compilation of programs to flat, int-coded form.
 
-    {!Interp} walks AST instruction lists with assoc-list register
-    environments — fine for a few thousand states, fatal for a few
-    billion.  This module compiles a {!Program.t} {e once} into flat
+    An AST walk over instruction lists with boxed register environments
+    is fine for a few thousand states, fatal for a few billion.  This
+    module compiles a {!Program.t} {e once} into flat
     arrays of int-coded ops with every register, location and processor
     name preresolved to a dense index, so the compiled interpreter
     ({!Cinterp}) runs over plain [int array]s: no boxed environments, no
@@ -12,8 +12,8 @@
     any code length.  The [option] covers the one packing limit: more
     locations or flat registers than a 16-bit index, or more processors
     than the sleep-set bitset.  There is no AST fallback — {!Enumerate}
-    raises [Limit_exceeded] and {!Relaxed} [Too_many_states] on such
-    programs.
+    raises [Limit_exceeded], {!Relaxed} [Too_many_states] and the
+    simulated machines [Machine_error] on such programs.
 
     The compiled form also provides {!encoding}: a canonical, versioned
     byte string of the whole program (code, index tables, initial
@@ -93,7 +93,7 @@ type t = private {
   max_stack : int;  (** deepest postfix evaluation stack, >= 1 *)
   obs_regs : (int * int * int) array;
       (** (processor, source register id, flat register index) for every
-          observable register, in {!Interp.outcome}'s order *)
+          observable register, in {!Cinterp.outcome}'s order *)
   classes : int array;
       (** per processor: symmetry class — equal iff the threads' compiled
           code is identical up to a private location renaming (and uses
@@ -117,12 +117,17 @@ val compile : Program.t -> t option
 (** Compile, or [None] when the program exceeds a packing bound
     ({!compilable} explains which).  Compilation never changes
     semantics: {!Cinterp} on the result is step-for-step equivalent to
-    {!Interp} on the source. *)
+    the AST interpreter on the source (the test-only
+    [Wo_oracle.Interp]). *)
 
 val compilable : Program.t -> bool
 (** Would {!compile} succeed?  False when the program has more than
     [0xffff] locations or flat registers, or more processors than
     sleep-set bitset bits ({!Program.max_procs}). *)
+
+val exceeded_bound : Program.t -> string option
+(** The packing bound an uncompilable program exceeds, as a message
+    naming the bound and the program's count; [None] iff {!compilable}. *)
 
 val encoding : t -> string
 (** Canonical byte encoding of the compiled program: index tables, code

@@ -34,13 +34,14 @@ end
     map-of-lists implementation paid O(log n) in balanced-tree rebuilds
     plus a list allocation per event and a [List.rev] per tick.
 
-    Event order is identical to {!Reference}: the sequence number rises
-    monotonically, so same-tick events run FIFO, and an event scheduled
-    for the current tick from inside a handler runs after every event of
-    the tick's current batch — exactly the batch semantics of the map
-    implementation.  The only divergence is when [max_events] fires: the
-    heap stops exactly at the limit, while {!Reference} finishes the
-    current tick's batch first. *)
+    Event order is identical to the map-of-lists engine it replaced
+    (kept as the test-only oracle [Wo_oracle.Engine_ref]): the sequence
+    number rises monotonically, so same-tick events run FIFO, and an
+    event scheduled for the current tick from inside a handler runs after
+    every event of the tick's current batch — exactly the batch semantics
+    of the map implementation.  The only divergence is when [max_events]
+    fires: the heap stops exactly at the limit, while the map engine
+    finishes the current tick's batch first. *)
 include S
 
 val clear : t -> unit
@@ -68,8 +69,3 @@ val try_step_inline : t -> delay:int -> bool
     around [run] — externally scheduled events may not be queued yet) and
     should bound consecutive inline steps so [run]'s [max_events]
     livelock backstop still observes runaway handlers. *)
-
-module Reference : S
-(** The original [Map.Make(Int)]-of-lists engine, kept as the oracle the
-    heap is property-tested against (same schedule sequence, same
-    execution order) and as the baseline for the E11 hot-path bench. *)

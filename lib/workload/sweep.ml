@@ -126,28 +126,26 @@ let key_tests tests =
 
 (* --- per-domain machine sessions ------------------------------------------- *)
 
-(* One reusable session per (machine, engine) per domain, so a sweep
-   builds each machine's fabric/memory system once per worker instead of
-   once per cell×seed.  Keyed by machine name with a physical-identity
+(* One reusable session per machine per domain, so a sweep builds each
+   machine's fabric/memory system once per worker instead of once per
+   cell×seed.  Keyed by machine name with a physical-identity
    check: a later campaign that rebuilds a machine under the same name
    gets a fresh session, never one aliasing the dead machine's state. *)
 let session_dls :
-    (string, Wo_machines.Machine.t * Wo_machines.Machine.engine * Wo_machines.Machine.session)
-    Hashtbl.t
+    (string, Wo_machines.Machine.t * Wo_machines.Machine.session) Hashtbl.t
     Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let domain_session ~engine (m : Wo_machines.Machine.t) =
+let domain_session (m : Wo_machines.Machine.t) =
   let tbl = Domain.DLS.get session_dls in
   match Hashtbl.find_opt tbl m.Wo_machines.Machine.name with
-  | Some (m', engine', s) when m' == m && engine' = engine -> s
+  | Some (m', s) when m' == m -> s
   | _ ->
-    let s = Wo_machines.Machine.new_session m engine in
-    Hashtbl.replace tbl m.Wo_machines.Machine.name (m, engine, s);
+    let s = Wo_machines.Machine.new_session m Wo_machines.Machine.Compiled in
+    Hashtbl.replace tbl m.Wo_machines.Machine.name (m, s);
     s
 
-let litmus_campaign_keyed ?runs ?base_seed ?domains
-    ?(engine = Wo_machines.Machine.Compiled) ~machines keyed =
+let litmus_campaign_keyed ?runs ?base_seed ?domains ~machines keyed =
   let d = match domains with Some d -> max 1 d | None -> default_domains () in
   (* Phase 1: one SC enumeration per distinct loop-free program, fanned
      out, then frozen into a digest-indexed table every cell reads.  The
@@ -188,13 +186,7 @@ let litmus_campaign_keyed ?runs ?base_seed ?domains
     Array.of_list
       (List.map
          (fun ((t : Wo_litmus.Litmus.t), key) ->
-           let art =
-             match engine with
-             | Wo_machines.Machine.Compiled ->
-               Wo_prog.Prog_compile.compile t.Wo_litmus.Litmus.program
-             | Wo_machines.Machine.Ast -> None
-           in
-           (t, key, art))
+           (t, key, Wo_prog.Prog_compile.compile t.Wo_litmus.Litmus.program))
          keyed)
   in
   let mach = Array.of_list machines in
@@ -212,9 +204,9 @@ let litmus_campaign_keyed ?runs ?base_seed ?domains
       (fun (pos, (t : Wo_litmus.Litmus.t), key, art, (m : Wo_machines.Machine.t))
       ->
         let sc_outcomes = Key_tbl.find sc_table key in
-        let session = domain_session ~engine m in
+        let session = domain_session m in
         let report =
-          Wo_litmus.Runner.run ?runs ?base_seed ?sc_outcomes ~engine ~session
+          Wo_litmus.Runner.run ?runs ?base_seed ?sc_outcomes ~session
             ?compiled:art m t
         in
         let expected_sc =
@@ -248,13 +240,12 @@ let litmus_campaign_keyed ?runs ?base_seed ?domains
     sc_reused = (loop_free * List.length machines) - List.length distinct;
   }
 
-let litmus_campaign ?runs ?base_seed ?domains ?engine ~machines tests =
-  litmus_campaign_keyed ?runs ?base_seed ?domains ?engine ~machines
-    (key_tests tests)
+let litmus_campaign ?runs ?base_seed ?domains ~machines tests =
+  litmus_campaign_keyed ?runs ?base_seed ?domains ~machines (key_tests tests)
 
-let spec_campaign ?runs ?base_seed ?domains ?engine ?keyed ~specs tests =
+let spec_campaign ?runs ?base_seed ?domains ?keyed ~specs tests =
   let keyed = match keyed with Some k -> k | None -> key_tests tests in
-  litmus_campaign_keyed ?runs ?base_seed ?domains ?engine
+  litmus_campaign_keyed ?runs ?base_seed ?domains
     ~machines:(List.map Wo_machines.Spec.build specs)
     keyed
 
@@ -269,21 +260,16 @@ type workload_cell = {
   invariant_failures : int;
 }
 
-let workload_campaign ?(runs = 20) ?(base_seed = 1) ?domains
-    ?(engine = Wo_machines.Machine.Compiled) ~machines workloads =
+let workload_campaign ?(runs = 20) ?(base_seed = 1) ?domains ~machines
+    workloads =
   let d = match domains with Some d -> max 1 d | None -> default_domains () in
   let jobs =
     List.concat_map (fun w -> List.map (fun m -> (w, m)) machines) workloads
   in
   parallel_map ~domains:d
     (fun ((w : Workload.t), (m : Wo_machines.Machine.t)) ->
-      let session = domain_session ~engine m in
-      let compiled =
-        match engine with
-        | Wo_machines.Machine.Compiled ->
-          Wo_prog.Prog_compile.compile w.Workload.program
-        | Wo_machines.Machine.Ast -> None
-      in
+      let session = domain_session m in
+      let compiled = Wo_prog.Prog_compile.compile w.Workload.program in
       let total = ref 0 in
       let bad = ref 0 in
       for seed = base_seed to base_seed + runs - 1 do

@@ -2,10 +2,10 @@
 
     The quantitative experiments run cartesian products — litmus tests ×
     machines × seeds, workloads × machines × seeds — where every cell is
-    an independent deterministic simulation (each [Machine.run] builds
-    its own engine and RNG from the seed).  This driver fans the cells
-    out across OCaml 5 [Domain]s and memoizes the expensive shared
-    prefix: the SC outcome set of a litmus program, which is identical
+    an independent deterministic simulation (every run resets its
+    machine session's engine and reseeds its RNG from the seed).  This
+    module fans the cells out across OCaml 5 [Domain]s and memoizes the
+    expensive shared prefix: the SC outcome set of a litmus program, which is identical
     for every machine and seed and dominates the cost of small sweeps.
 
     Results are independent of the domain count: cells are pure
@@ -39,10 +39,9 @@ val program_key_art :
     program get the single compilation the key already paid for. *)
 
 val domain_session :
-  engine:Wo_machines.Machine.engine ->
   Wo_machines.Machine.t ->
   Wo_machines.Machine.session
-(** The calling domain's reusable session for this machine (and engine),
+(** The calling domain's reusable session for this machine,
     created on first use and cached in domain-local storage — never
     shared across domains, so each worker drives its own machine state.
     Cached by machine name with a physical-identity check: a different
@@ -83,7 +82,6 @@ val litmus_campaign :
   ?runs:int ->
   ?base_seed:int ->
   ?domains:int ->
-  ?engine:Wo_machines.Machine.engine ->
   machines:Wo_machines.Machine.t list ->
   Wo_litmus.Litmus.t list ->
   litmus_campaign
@@ -92,15 +90,13 @@ val litmus_campaign :
     per distinct program — in parallel — then shared read-only by all
     cells through a digest-indexed table (payload-confirmed, so a
     digest collision cannot alias two programs).  Cells run through
-    per-domain machine sessions under [engine] (default [Compiled];
-    results are byte-identical either way), with each test compiled
-    once and the artifact shared across machines and seeds. *)
+    per-domain machine sessions, with each test compiled once and the
+    artifact shared across machines and seeds. *)
 
 val litmus_campaign_keyed :
   ?runs:int ->
   ?base_seed:int ->
   ?domains:int ->
-  ?engine:Wo_machines.Machine.engine ->
   machines:Wo_machines.Machine.t list ->
   (Wo_litmus.Litmus.t * program_key) list ->
   litmus_campaign
@@ -114,7 +110,6 @@ val spec_campaign :
   ?runs:int ->
   ?base_seed:int ->
   ?domains:int ->
-  ?engine:Wo_machines.Machine.engine ->
   ?keyed:(Wo_litmus.Litmus.t * program_key) list ->
   specs:Wo_machines.Spec.t list ->
   Wo_litmus.Litmus.t list ->
@@ -142,12 +137,10 @@ val workload_campaign :
   ?runs:int ->
   ?base_seed:int ->
   ?domains:int ->
-  ?engine:Wo_machines.Machine.engine ->
   machines:Wo_machines.Machine.t list ->
   Workload.t list ->
   workload_cell list
 (** Run every workload on every machine ([runs] defaults to 20),
     averaging cycle counts over seeds; in [workloads × machines]
     product order.  Each cell's seed loop runs through a per-domain
-    machine session with the workload compiled once ([engine] as in
-    {!litmus_campaign}). *)
+    machine session with the workload compiled once. *)

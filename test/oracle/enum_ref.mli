@@ -7,7 +7,7 @@
       Mazurkiewicz trace.
     - DRF0 checkers over those trees: path-incremental ({!check_drf0})
       and closure-per-leaf ({!check_drf0_closure}).
-    - One-domain stateful walks over {!Wo_prog.Interp} keyed on
+    - One-domain stateful walks over {!Interp} keyed on
       {!State_key}: the twins of the compiled walks. *)
 
 open Wo_prog

@@ -24,12 +24,12 @@
       Sound {e only} for isomorphism-invariant questions such as "is
       some completion of this state racy". *)
 
-val exact : Wo_prog.Interp.view -> string
+val exact : Interp.view -> string
 (** Injective structural snapshot of the view. *)
 
 val canonical :
   ?symmetry:bool ->
-  Wo_prog.Interp.view ->
+  Interp.view ->
   Wo_core.Drf0_inc.summary ->
   string * int array
 (** [(key, order)]: the canonical key, and the processor arrangement it

@@ -11,7 +11,7 @@ module I = Wo_prog.Instr
 module P = Wo_prog.Program
 module PC = Wo_prog.Prog_compile
 module C = Wo_prog.Cinterp
-module In = Wo_prog.Interp
+module In = Wo_oracle.Interp
 module En = Wo_prog.Enumerate
 module Ref = Wo_oracle.Enum_ref
 module V = Wo_prog.Visited
@@ -104,6 +104,30 @@ let test_lockstep_litmus () =
           check "lockstep equal on litmus" true (lockstep_equal seed program))
         [ 0; 1; 2; 3; 4 ])
     litmus_programs
+
+(* [Cinterp.run_random] makes the AST interpreter's scheduler draws: the
+   same execution (every event) and the same outcome at every seed — what
+   the ideal machine and [wo races]' sampler rely on. *)
+let prop_run_random_matches_ast =
+  QCheck.Test.make
+    ~name:"Cinterp.run_random = Interp.run_random on random programs"
+    ~count:40 QCheck.small_int (fun pseed ->
+      List.for_all
+        (fun program ->
+          let cp = Option.get (PC.compile program) in
+          List.for_all
+            (fun seed ->
+              let a = In.run_random ~seed program
+              and c = C.run_random ~seed cp in
+              Wo_core.Execution.events (In.execution a)
+              = Wo_core.Execution.events (C.execution c)
+              && O.equal (In.outcome a) (C.outcome c))
+            [ pseed; pseed + 1; 7 * pseed ])
+        [
+          Wo_synth.Synth.racy ~seed:pseed ~procs:3 ~ops_per_proc:4 ~locs:2 ();
+          Wo_synth.Synth.lock_disciplined ~seed:pseed ~procs:3
+            ~sections_per_proc:2 ~ops_per_section:2 ~shared_locs:2 ~locks:2 ();
+        ])
 
 (* --- packed keys ------------------------------------------------------------ *)
 
@@ -446,6 +470,7 @@ let tests =
       test_hash64_deterministic_and_spread;
     QCheck_alcotest.to_alcotest prop_lockstep_racy;
     QCheck_alcotest.to_alcotest prop_lockstep_lock_disciplined;
+    QCheck_alcotest.to_alcotest prop_run_random_matches_ast;
     QCheck_alcotest.to_alcotest prop_exact_key_separates;
     QCheck_alcotest.to_alcotest prop_engines_agree_on_outcomes;
     QCheck_alcotest.to_alcotest prop_engines_agree_on_drf0;

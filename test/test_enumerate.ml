@@ -187,7 +187,7 @@ let prop_random_run_in_enumerated_set =
           ~locs:2 ()
       in
       let observed =
-        Wo_prog.Interp.outcome (Wo_prog.Interp.run_random ~seed:sseed program)
+        Wo_oracle.Interp.outcome (Wo_oracle.Interp.run_random ~seed:sseed program)
       in
       List.exists
         (fun o -> O.compare o observed = 0)
@@ -200,7 +200,7 @@ let prop_round_robin_in_enumerated_set =
         Wo_synth.Synth.racy ~seed:pseed ~procs:3 ~ops_per_proc:2
           ~locs:2 ()
       in
-      let observed = Wo_prog.Interp.outcome (Wo_prog.Interp.run_round_robin program) in
+      let observed = Wo_oracle.Interp.outcome (Wo_oracle.Interp.run_round_robin program) in
       List.exists (fun o -> O.compare o observed = 0) (En.outcomes program))
 
 let prop_all_executions_are_sc =

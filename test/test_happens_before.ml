@@ -126,7 +126,7 @@ let arbitrary_execution =
     map
       (fun seed ->
         let program = Wo_synth.Synth.racy ~seed ~procs:3 ~ops_per_proc:4 () in
-        Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed program))
+        Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed program))
       small_int)
 
 let prop_hb_partial_order =

@@ -90,7 +90,7 @@ let test_check_execution_idealized () =
   let program = Wo_litmus.Litmus.dekker_sync.Wo_litmus.Litmus.program in
   for seed = 1 to 10 do
     let exn =
-      Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed program)
+      Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed program)
     in
     match L.check_execution exn with
     | Ok () -> ()
@@ -121,7 +121,7 @@ let prop_ideal_drf0_traces_pass =
           ~sections_per_proc:2 ()
       in
       let exn =
-        Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed program)
+        Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed program)
       in
       L.check_execution exn = Ok ())
 

@@ -26,8 +26,8 @@ let test_drf0_flags_verified_by_sampling () =
         let races =
           D.sample_program ~schedules:15
             ~run:(fun ~seed ->
-              Wo_prog.Interp.execution
-                (Wo_prog.Interp.run_random ~seed t.L.program))
+              Wo_oracle.Interp.execution
+                (Wo_oracle.Interp.run_random ~seed t.L.program))
             ()
         in
         check (t.L.name ^ " sampled race-free") t.L.drf0 (races = [])
@@ -90,7 +90,7 @@ let test_figure3_parameters () =
   check "still DRF0 by sampling" true
     (D.sample_program ~schedules:10
        ~run:(fun ~seed ->
-         Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed t.L.program))
+         Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed t.L.program))
        ()
     = []);
   check "has the stale-x predicate" true

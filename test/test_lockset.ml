@@ -8,7 +8,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let run_ideal program ~seed =
-  Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed program)
+  Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed program)
 
 (* P0 and P1 both: acquire lock 6, touch x, release. *)
 let locked =

@@ -1,16 +1,25 @@
-(* Lockstep tests for the compiled machine path (DESIGN.md: machine
-   engine).  The compiled frontend and the reusable sessions are pure
-   performance mechanisms: every result they produce must be
-   byte-identical — same Marshal fingerprint of the full [Machine.result]
-   — to a fresh-construction AST run, the oracle the rest of the suite
-   already trusts.  Fingerprinting the whole record (outcome, trace,
-   cycles, per-proc finish times, stats, stalls, taps) means a divergence
+(* Tests for the machine path (DESIGN.md: compiled machine path).  There
+   is one execution path: the processor frontend steps the compiled
+   artifact inside a reusable session, and [Machine.run] is a fresh
+   session's first run.  Three things pin it to the AST walk it
+   replaced:
+   - a golden of result fingerprints over every preset x catalogue test
+     x seeds 1-3 ([machine_fingerprints.golden]), recorded from
+     fresh-construction AST runs, which were proven equal to compiled
+     sessions at the time;
+   - a frontend lockstep: the compiled frontend and the AST walker
+     ([Wo_oracle.Ast_frontend]), each on its own engine, driven through
+     a scripted port with the same delays and read values;
+   - reused sessions against fresh ones, at every seed.
+   Fingerprinting the whole [Machine.result] (outcome, trace, cycles,
+   per-proc finish times, stats, stalls, taps) means a divergence
    anywhere in the observable record fails, not just in the outcome. *)
 
 module M = Wo_machines.Machine
 module L = Wo_litmus.Litmus
 module P = Wo_machines.Presets
 module Sweep = Wo_workload.Sweep
+module Port = Wo_oracle.Scripted_port
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -23,72 +32,104 @@ let fingerprint (r : M.result) =
 
 let fresh_fp machine ~seed program = fingerprint (M.run machine ~seed program)
 
-(* 1. Every catalogued litmus test, on every preset, at several seeds:
-   a compiled session's results are fingerprint-identical to fresh AST
-   runs.  This is the complete product, not a sample — it is what lets
-   the litmus harness default to compiled sessions. *)
+(* [haystack] contains [needle]. *)
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
+(* 1. Every catalogued litmus test, on every preset, at seeds 1-3: a
+   reused session and a fresh one both reproduce the golden
+   fingerprints of the fresh AST runs.  The complete product, not a
+   sample — the [ideal] rows cover Cinterp's random scheduler. *)
+let golden =
+  lazy
+    (let ic = open_in "machine_fingerprints.golden" in
+     let tbl = Hashtbl.create 1024 in
+     (try
+        while true do
+          Scanf.sscanf (input_line ic) "%s %s %d %s" (fun m t seed fp ->
+              Hashtbl.replace tbl (m, t, seed) fp)
+        done
+      with End_of_file -> close_in ic);
+     tbl)
+
 let test_compiled_session_matches_fresh_ast () =
+  let golden = Lazy.force golden in
+  check_int "golden covers presets x tests x 3 seeds"
+    (List.length P.all * List.length L.all * 3)
+    (Hashtbl.length golden);
   List.iter
     (fun (machine : M.t) ->
       let session = M.new_session machine M.Compiled in
       List.iter
         (fun (t : L.t) ->
           for seed = 1 to 3 do
-            let got =
-              fingerprint (M.session_run session ~seed t.L.program)
-            in
-            let want = fresh_fp machine ~seed t.L.program in
-            if got <> want then
-              Alcotest.failf "%s / %s / seed %d: compiled <> fresh AST"
+            let want = Hashtbl.find golden (machine.M.name, t.L.name, seed) in
+            if fingerprint (M.session_run session ~seed t.L.program) <> want
+            then
+              Alcotest.failf "%s / %s / seed %d: session <> fresh AST golden"
+                machine.M.name t.L.name seed;
+            if fresh_fp machine ~seed t.L.program <> want then
+              Alcotest.failf "%s / %s / seed %d: fresh run <> fresh AST golden"
                 machine.M.name t.L.name seed
           done)
         L.all)
     P.all
 
-(* 2. The same lockstep over random programs — racy (unsynchronized) and
-   lock-disciplined (spin loops, so the compiled jump resolution and the
-   RMW fast path are exercised hard). *)
-let prop_random_programs_lockstep =
-  QCheck.Test.make ~name:"compiled session = fresh AST on random programs"
-    ~count:25 QCheck.small_int (fun seed ->
-      let programs =
+(* 2. The frontend lockstep: the compiled frontend and the AST walker
+   issue the same (time, proc, request) stream and finish with the same
+   registers at the same times, given the same scripted delays (0
+   included) and read values.  Every processor of a program shares one
+   engine, so the compiled walker's inline-step fast path meets the
+   other processors' pending events. *)
+let lockstep ?local_cost ~seed program =
+  let art = Option.get (Wo_prog.Prog_compile.compile program) in
+  Port.run ~seed program (Port.compiled ?local_cost art)
+  = Port.run ~seed program (Port.ast ?local_cost program)
+
+let test_frontend_lockstep_catalogue () =
+  List.iter
+    (fun (t : L.t) ->
+      List.iter
+        (fun local_cost ->
+          for seed = 1 to 4 do
+            if not (lockstep ~local_cost ~seed t.L.program) then
+              Alcotest.failf "%s / local_cost %d / seed %d: compiled <> AST"
+                t.L.name local_cost seed
+          done)
+        [ 1; 3 ])
+    L.all
+
+let prop_frontend_lockstep_random =
+  QCheck.Test.make ~name:"compiled frontend = AST frontend on random programs"
+    ~count:40 QCheck.small_int (fun seed ->
+      List.for_all
+        (fun program ->
+          lockstep ~seed:(seed + 1) program
+          && lockstep ~local_cost:2 ~seed:(seed + 7) program)
         [
           Wo_synth.Synth.racy ~seed ~procs:3 ~ops_per_proc:4 ~locs:3 ();
-          Wo_synth.Synth.lock_disciplined ~seed ~procs:2
+          Wo_synth.Synth.lock_disciplined ~seed ~procs:3
             ~sections_per_proc:2 ~locks:2 ~shared_locs:2 ();
-        ]
-      in
-      List.for_all
-        (fun (machine : M.t) ->
-          let session = M.new_session machine M.Compiled in
-          List.for_all
-            (fun program ->
-              fingerprint (M.session_run session ~seed:(seed + 1) program)
-              = fresh_fp machine ~seed:(seed + 1) program)
-            programs)
-        [ P.wo_new; P.sc_dir ])
+        ])
 
 (* 3. Session reuse across interleaved programs and repeated seeds: the
    in-place reset must leave no residue — rerunning an earlier (program,
    seed) pair through a much-reused session reproduces its bytes. *)
 let test_session_reset_no_residue () =
-  List.iter
-    (fun engine ->
-      let machine = P.wo_new in
-      let session = M.new_session machine engine in
-      let t1 = L.dekker_sync and t2 = L.figure1 in
-      let first = fingerprint (M.session_run session ~seed:7 t1.L.program) in
-      (* churn: different programs (different proc counts force a
-         rebuild), different seeds *)
-      ignore (M.session_run session ~seed:3 t2.L.program);
-      ignore (M.session_run session ~seed:9 t1.L.program);
-      ignore (M.session_run session ~seed:4 t2.L.program);
-      let again = fingerprint (M.session_run session ~seed:7 t1.L.program) in
-      check
-        (Printf.sprintf "reused session reproduces (%s)" (M.engine_name engine))
-        true
-        (first = again && first = fresh_fp machine ~seed:7 t1.L.program))
-    [ M.Compiled; M.Ast ]
+  let machine = P.wo_new in
+  let session = M.new_session machine M.Compiled in
+  let t1 = L.dekker_sync and t2 = L.figure1 in
+  let first = fingerprint (M.session_run session ~seed:7 t1.L.program) in
+  (* churn: different programs (different proc counts force a rebuild),
+     different seeds *)
+  ignore (M.session_run session ~seed:3 t2.L.program);
+  ignore (M.session_run session ~seed:9 t1.L.program);
+  ignore (M.session_run session ~seed:4 t2.L.program);
+  let again = fingerprint (M.session_run session ~seed:7 t1.L.program) in
+  check "reused session reproduces" true
+    (first = again && first = fresh_fp machine ~seed:7 t1.L.program)
 
 (* The coarse-counter variant of wo-new, on a chosen fabric. *)
 let coarse_machine fabric =
@@ -104,21 +145,22 @@ let coarse_machine fabric =
         };
     }
 
+(* The known deadlocking (program, seed) pair from the coarse-counter
+   regression test. *)
+let deadlock_program () =
+  Wo_synth.Synth.lock_disciplined ~seed:4 ~procs:3 ~sections_per_proc:4
+    ~locks:3 ~shared_locs:3 ()
+
+let deadlock_machine () =
+  coarse_machine (Wo_machines.Coherent.Net { base = 2; jitter = 20 })
+
 (* 4. A [Machine_error] mid-batch must not poison the session: the
    watchdog abandons a run with parked closures and half-filled state,
-   and the start-of-run reset has to clear all of it.  The deadlocking
-   (program, seed) pair is the known instance from the coarse-counter
-   regression test. *)
+   and the start-of-run reset has to clear all of it. *)
 let test_session_survives_machine_error () =
-  let program =
-    Wo_synth.Synth.lock_disciplined ~seed:4 ~procs:3
-      ~sections_per_proc:4 ~locks:3 ~shared_locs:3 ()
-  in
-  let build () =
-    coarse_machine (Wo_machines.Coherent.Net { base = 2; jitter = 20 })
-  in
-  (* a seed this machine completes on, found against the fresh oracle *)
-  let oracle = build () in
+  let program = deadlock_program () in
+  (* a seed this machine completes on, found against a fresh session *)
+  let oracle = deadlock_machine () in
   let good_seed =
     let rec find s =
       if s > 50 then Alcotest.fail "no completing seed below 50"
@@ -129,25 +171,58 @@ let test_session_survives_machine_error () =
     in
     find 1
   in
+  let session = M.new_session (deadlock_machine ()) M.Compiled in
+  check "seed 2 deadlocks in a session" true
+    (try
+       ignore (M.session_run session ~seed:2 program);
+       false
+     with M.Machine_error _ -> true);
+  check "post-error run is byte-identical to fresh" true
+    (fingerprint (M.session_run session ~seed:good_seed program)
+    = fresh_fp oracle ~seed:good_seed program)
+
+(* The deadlock diagnostics name the operation each blocked processor
+   waits on, by kind and location as traces print them. *)
+let test_deadlock_names_location () =
+  let program = deadlock_program () in
+  match M.run (deadlock_machine ()) ~seed:2 program with
+  | _ -> Alcotest.fail "seed 2 completed"
+  | exception M.Machine_error msg ->
+    let named =
+      List.exists
+        (fun loc ->
+          List.exists
+            (fun kind ->
+              contains msg
+                (Format.asprintf "blocked on %a %a" Wo_core.Event.pp_kind kind
+                   Wo_core.Event.pp_loc loc))
+            Wo_core.Event.
+              [ Data_read; Data_write; Sync_read; Sync_write; Sync_rmw ])
+        (Wo_prog.Program.locs program)
+    in
+    check (Printf.sprintf "%S names a blocked operation's location" msg) true
+      named
+
+(* A program beyond the compile bounds raises [Machine_error] naming the
+   bound, on a simulated machine and on the ideal one alike. *)
+let test_uncompilable_program_raises () =
+  let n = Wo_prog.Program.max_procs + 1 in
+  let program =
+    Wo_prog.Program.make ~name:"wide"
+      (List.init n (fun p -> [ Wo_prog.Instr.Write (p mod 4, Wo_prog.Instr.Const 1) ]))
+  in
   List.iter
-    (fun engine ->
-      let machine = build () in
-      let session = M.new_session machine engine in
-      check
-        (Printf.sprintf "seed 2 deadlocks in a session (%s)"
-           (M.engine_name engine))
-        true
-        (try
-           ignore (M.session_run session ~seed:2 program);
-           false
-         with M.Machine_error _ -> true);
-      check
-        (Printf.sprintf "post-error run is byte-identical to fresh (%s)"
-           (M.engine_name engine))
-        true
-        (fingerprint (M.session_run session ~seed:good_seed program)
-        = fresh_fp oracle ~seed:good_seed program))
-    [ M.Compiled; M.Ast ]
+    (fun (machine : M.t) ->
+      match M.run machine ~seed:1 program with
+      | _ -> Alcotest.failf "%s ran a %d-processor program" machine.M.name n
+      | exception M.Machine_error msg ->
+        check
+          (Printf.sprintf "%s: %S names the bound" machine.M.name msg)
+          true
+          (contains msg
+             (Printf.sprintf "%d processors exceed the compile bound of %d" n
+                Wo_prog.Program.max_procs)))
+    [ P.wo_new; P.ideal ]
 
 (* 5. [run_batch] is exactly the per-seed session runs. *)
 let test_run_batch_matches_per_seed () =
@@ -162,8 +237,8 @@ let test_run_batch_matches_per_seed () =
         (fingerprint r = fresh_fp P.wo_new ~seed t.L.program))
     seeds batch
 
-(* 6. The sweep front door: an AST campaign and a compiled campaign
-   report the same science — per cell, the full report content. *)
+(* 6. The sweep front door reports the same science at every domain
+   count — per cell, the full report content. *)
 let report_fp (r : Wo_litmus.Runner.report) =
   Marshal.to_string
     ( r.Wo_litmus.Runner.machine,
@@ -177,28 +252,26 @@ let report_fp (r : Wo_litmus.Runner.report) =
       r.Wo_litmus.Runner.sc_coverage )
     []
 
-let test_sweep_engine_identity () =
+let test_sweep_domain_identity () =
   let machines = [ P.sc_dir; P.wo_new ] in
-  let campaign engine =
-    Sweep.litmus_campaign ~runs:8 ~base_seed:1 ~domains:2 ~engine ~machines
-      L.all
+  let campaign domains =
+    Sweep.litmus_campaign ~runs:8 ~base_seed:1 ~domains ~machines L.all
   in
-  let ast = campaign M.Ast and compiled = campaign M.Compiled in
+  let one = campaign 1 and two = campaign 2 in
   List.iter2
     (fun (a : Sweep.litmus_cell) (c : Sweep.litmus_cell) ->
       check
-        (Printf.sprintf "sweep cell %s/%s engine-independent"
+        (Printf.sprintf "sweep cell %s/%s domain-independent"
            a.Sweep.test.L.name a.Sweep.machine.M.name)
         true
         (report_fp a.Sweep.report = report_fp c.Sweep.report
         && a.Sweep.ok = c.Sweep.ok))
-    ast.Sweep.cells compiled.Sweep.cells
+    one.Sweep.cells two.Sweep.cells
 
 (* 7. The campaign front door: same cases, same specs, one store per
-   engine — the stores and the findings reports must be byte-identical
-   (the store key does not mention the engine, so a store written by
-   either can warm-resume the other). *)
-let test_campaign_engine_identity () =
+   domain count — the stores and the findings reports must be
+   byte-identical. *)
+let test_campaign_domain_identity () =
   let module C = Wo_campaign.Campaign in
   let cases =
     match
@@ -213,24 +286,26 @@ let test_campaign_engine_identity () =
       Option.get (P.spec_of "wo-new");
     ]
   in
-  let run engine =
+  let run domains =
     let path = Filename.temp_file "wo-machpath-test" ".store" in
-    let config = { (C.default_config ~store_path:path) with C.runs = 4 } in
-    let r = C.run ~engine config ~specs ~cases in
+    let config =
+      { (C.default_config ~store_path:path) with C.runs = 4; domains = Some domains }
+    in
+    let r = C.run config ~specs ~cases in
     (path, C.findings_report r)
   in
-  let ast_path, ast_report = run M.Ast in
-  let comp_path, comp_report = run M.Compiled in
-  Alcotest.(check string) "findings reports identical" ast_report comp_report;
+  let one_path, one_report = run 1 in
+  let two_path, two_report = run 2 in
+  Alcotest.(check string) "findings reports identical" one_report two_report;
   let bytes path =
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
     s
   in
-  check "stores byte-identical" true (bytes ast_path = bytes comp_path);
-  Sys.remove ast_path;
-  Sys.remove comp_path
+  check "stores byte-identical" true (bytes one_path = bytes two_path);
+  Sys.remove one_path;
+  Sys.remove two_path
 
 (* 8. The run-accounting counters move the right way. *)
 let test_counters () =
@@ -457,17 +532,23 @@ let tests =
   [
     Alcotest.test_case "compiled sessions = fresh AST (all tests x presets)"
       `Quick test_compiled_session_matches_fresh_ast;
-    QCheck_alcotest.to_alcotest prop_random_programs_lockstep;
+    Alcotest.test_case "frontend lockstep on every catalogue test" `Quick
+      test_frontend_lockstep_catalogue;
+    QCheck_alcotest.to_alcotest prop_frontend_lockstep_random;
     Alcotest.test_case "session reset leaves no residue" `Quick
       test_session_reset_no_residue;
     Alcotest.test_case "session survives a Machine_error run" `Quick
       test_session_survives_machine_error;
+    Alcotest.test_case "deadlock diagnostics name the location" `Quick
+      test_deadlock_names_location;
+    Alcotest.test_case "uncompilable programs raise Machine_error" `Quick
+      test_uncompilable_program_raises;
     Alcotest.test_case "run_batch = per-seed session runs" `Quick
       test_run_batch_matches_per_seed;
-    Alcotest.test_case "sweep campaigns engine-independent" `Quick
-      test_sweep_engine_identity;
-    Alcotest.test_case "campaign stores and reports engine-independent"
-      `Quick test_campaign_engine_identity;
+    Alcotest.test_case "sweep campaigns domain-independent" `Quick
+      test_sweep_domain_identity;
+    Alcotest.test_case "campaign stores and reports domain-independent"
+      `Quick test_campaign_domain_identity;
     Alcotest.test_case "machine counters account runs and reuse" `Quick
       test_counters;
     QCheck_alcotest.to_alcotest prop_replay_lockstep;

@@ -2,7 +2,7 @@
 
 module I = Wo_prog.Instr
 module P = Wo_prog.Program
-module In = Wo_prog.Interp
+module In = Wo_oracle.Interp
 module E = Wo_core.Event
 module N = Wo_prog.Names
 

@@ -121,7 +121,7 @@ let test_sample_program () =
   let races =
     D.sample_program ~schedules:10
       ~run:(fun ~seed ->
-        Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed program))
+        Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed program))
       ()
   in
   check "racy program caught by sampling" true (races <> []);
@@ -129,7 +129,7 @@ let test_sample_program () =
   let races =
     D.sample_program ~schedules:10
       ~run:(fun ~seed ->
-        Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed clean))
+        Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed clean))
       ()
   in
   check "clean program has no sampled races" true (races = [])
@@ -146,7 +146,7 @@ let prop_detector_agrees_with_drf0 =
           ~locs:2 ()
       in
       let exn =
-        Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed:sseed program)
+        Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed:sseed program)
       in
       let exhaustive = Wo_core.Drf0.races ~augment:false exn <> [] in
       let streaming = not (D.is_race_free exn) in
@@ -162,8 +162,8 @@ let prop_lock_disciplined_race_free =
       List.for_all
         (fun sseed ->
           D.is_race_free
-            (Wo_prog.Interp.execution
-               (Wo_prog.Interp.run_random ~seed:sseed program)))
+            (Wo_oracle.Interp.execution
+               (Wo_oracle.Interp.run_random ~seed:sseed program)))
         [ 1; 2; 3 ])
 
 let tests =

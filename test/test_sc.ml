@@ -108,7 +108,7 @@ let test_result_of_execution () =
 
 let test_is_sequentially_consistent_on_ideal () =
   let program = Wo_litmus.Litmus.figure1.Wo_litmus.Litmus.program in
-  let exn = Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed:3 program) in
+  let exn = Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed:3 program) in
   check "idealized executions are SC" true (S.is_sequentially_consistent exn)
 
 (* Property: every idealized execution of every random program passes the
@@ -120,7 +120,7 @@ let prop_idealized_is_sc =
       let program =
         Wo_synth.Synth.racy ~seed ~procs:2 ~ops_per_proc:4 ()
       in
-      let exn = Wo_prog.Interp.execution (Wo_prog.Interp.run_random ~seed program) in
+      let exn = Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed program) in
       S.is_sequentially_consistent exn)
 
 let tests =

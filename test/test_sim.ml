@@ -118,7 +118,7 @@ let test_engine_pending () =
   check_int "drained" 0 (Engine.pending e)
 
 (* The heap engine against the retained map-of-lists oracle
-   (Engine.Reference): arbitrary schedule/schedule_at sequences —
+   (Wo_oracle.Engine_ref): arbitrary schedule/schedule_at sequences —
    including same-tick bursts and scheduling from inside handlers — must
    execute in the identical order with identical clock readings. *)
 
@@ -160,7 +160,7 @@ let prop_engine_matches_reference =
     ~name:"heap engine executes random schedules identically to Reference"
     ~count:300 QCheck.small_int (fun seed ->
       run_random_schedule (module Engine) ~seed ~ops:200
-      = run_random_schedule (module Engine.Reference) ~seed ~ops:200)
+      = run_random_schedule (module Wo_oracle.Engine_ref) ~seed ~ops:200)
 
 let test_engine_reference_time_limit () =
   (* max_time stops both engines at the same boundary (max_events is
@@ -177,7 +177,7 @@ let test_engine_reference_time_limit () =
     (List.rev !log, stop, E.now e)
   in
   check "same under max_time" true
-    (run (module Engine) = run (module Engine.Reference))
+    (run (module Engine) = run (module Wo_oracle.Engine_ref))
 
 let test_machine_trace_deterministic () =
   (* Per-seed byte identity of a full machine run on the heap engine:

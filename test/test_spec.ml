@@ -372,6 +372,8 @@ let test_json_rejects_out_of_range () =
       ("window", {|"model": { "kind": "ra", "window": 0 }|});
       ("drain_delay", {|"model": { "kind": "pso", "drain_delay": -5 }|});
       ("local_cost", {|"local_cost": -4|});
+      (* a local instruction takes at least one cycle: 0 is not run as 1 *)
+      ("local_cost", {|"local_cost": 0|});
     ]
   in
   List.iter
@@ -387,12 +389,15 @@ let test_json_rejects_out_of_range () =
           (String.length e >= String.length want
           && String.sub e 0 (String.length want) = want))
     bad;
+  check "local_cost names its range" true
+    (S.of_string {|{ "name": "x", "local_cost": 0 }|}
+    = Error {|field "local_cost": must be between 1 and 4294967296|});
   (* the smallest legal values still decode and run *)
   match
     S.of_string
       {|{ "name": "x", "fabric": { "kind": "bus", "transfer_cycles": 0 },
           "memory": { "kind": "cached", "hit_cycles": 0, "capacity": 1 },
-          "local_cost": 0 }|}
+          "local_cost": 1 }|}
   with
   | Error e -> Alcotest.failf "boundary spec rejected: %s" e
   | Ok spec ->

@@ -2,7 +2,7 @@
    interpreter, race-freedom by sampling, and validator behaviour. *)
 
 module W = Wo_workload.Workload
-module In = Wo_prog.Interp
+module In = Wo_oracle.Interp
 module D = Wo_race.Detector
 
 let check = Alcotest.(check bool)
