@@ -48,8 +48,8 @@ let () =
         for seed = 1 to runs do
           let r = M.run machine ~seed program in
           cycles := !cycles + r.M.cycles;
-          msgs := !msgs + stat r.M.stats "network.messages";
-          misses := !misses + stat r.M.stats "cache.misses"
+          msgs := !msgs + stat (M.stats r) "network.messages";
+          misses := !misses + stat (M.stats r) "cache.misses"
         done;
         [
           machine.M.name;

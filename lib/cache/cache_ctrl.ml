@@ -91,7 +91,11 @@ type t = {
   fabric : Msg.t Wo_interconnect.Fabric.t;
   node : int;
   dir_node : int;
-  stats : Wo_sim.Stats.t option;
+  stats : Wo_sim.Stats.t;
+  s_reserves : Wo_sim.Stats.slot;
+  s_hits : Wo_sim.Stats.slot;
+  s_misses : Wo_sim.Stats.slot;
+  s_evictions : Wo_sim.Stats.slot;
   stalls : Wo_obs.Stall.t option;
       (* reserve-bit waits are attributed here, to the REQUESTING
          processor, by the cache that holds the reserve (5.3) *)
@@ -107,7 +111,7 @@ type t = {
   mutable use_clock : int;
 }
 
-let stat t name = match t.stats with Some s -> Wo_sim.Stats.incr s name | None -> ()
+let stat t slot = Wo_sim.Stats.incr_at t.stats slot
 
 let protocol_error fmt = Format.kasprintf (fun s -> raise (Protocol_error s)) fmt
 
@@ -267,7 +271,7 @@ let apply_op t (l : line) (op : op) ~(gp_immediate : bool) =
     (if Wo_obs.Recorder.enabled t.obs && not (reserved l) then
        l.reserve_set_at <- now);
     l.reserve_watermark <- Some (op.serial + 1);
-    stat t "cache.reserves"
+    stat t t.s_reserves
   end;
   t.pending <- t.pending - 1;
   op.completion.on_commit ~at:commit_at read_value;
@@ -296,13 +300,13 @@ and attempt t (l : line) =
   | Some op ->
     if l.miss_outstanding <> `No then ()
     else if state_sufficient t op.kind l.state then begin
-      stat t "cache.hits";
+      stat t t.s_hits;
       apply_op t l op ~gp_immediate:true;
       ignore (Queue.pop l.ops);
       schedule_next t l
     end
     else begin
-      stat t "cache.misses";
+      stat t t.s_misses;
       if Wo_obs.Recorder.enabled t.obs then
         l.miss_started <- Wo_sim.Engine.now t.engine;
       let sync = kind_is_sync op.kind in
@@ -366,7 +370,7 @@ and allocate_line t loc =
       match find_victim t with
       | None -> None (* every line is pinned (e.g. reserved); caller waits *)
       | Some victim -> (
-        stat t "cache.evictions";
+        stat t t.s_evictions;
         match victim.state with
         | Shared_l ->
           (* Silent drop: the directory may still list us as a sharer; a
@@ -582,8 +586,9 @@ let dispatch t msg =
     | Msg.GetS _ | Msg.GetX _ | Msg.InvAck _ | Msg.RecallAck _ | Msg.PutX _ ->
       protocol_error "P%d: cache cannot handle %a" t.node Msg.pp msg)
 
-let create ~engine ~fabric ~node ~dir_node ?stats ?stalls
-    ?(obs = Wo_obs.Recorder.disabled) config =
+let create ~engine ~fabric ~node ~dir_node ?(stats = Wo_sim.Stats.create ())
+    ?stalls ?(obs = Wo_obs.Recorder.disabled) config =
+  let slot = Wo_sim.Stats.slot stats in
   let t =
     {
       engine;
@@ -591,6 +596,10 @@ let create ~engine ~fabric ~node ~dir_node ?stats ?stalls
       node;
       dir_node;
       stats;
+      s_reserves = slot "cache.reserves";
+      s_hits = slot "cache.hits";
+      s_misses = slot "cache.misses";
+      s_evictions = slot "cache.evictions";
       stalls;
       obs;
       config;

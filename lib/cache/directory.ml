@@ -26,14 +26,16 @@ type t = {
   engine : Wo_sim.Engine.t;
   fabric : Msg.t Wo_interconnect.Fabric.t;
   node : int;
-  stats : Wo_sim.Stats.t option;
+  stats : Wo_sim.Stats.t;
+  s_recalls : Wo_sim.Stats.slot;
+  s_invalidations : Wo_sim.Stats.slot;
   obs : Wo_obs.Recorder.t;
   process_cycles : int;
   initial : Wo_core.Event.loc -> Wo_core.Event.value;
   lines : (Wo_core.Event.loc, line) Hashtbl.t;
 }
 
-let stat t name = match t.stats with Some s -> Wo_sim.Stats.incr s name | None -> ()
+let stat t slot = Wo_sim.Stats.incr_at t.stats slot
 
 let line t loc =
   match Hashtbl.find_opt t.lines loc with
@@ -93,7 +95,7 @@ let rec serve t (l : line) msg =
         (Msg.DataS { loc; value = l.value; bound_at = Wo_sim.Engine.now t.engine })
     | D_exclusive owner ->
       open_trans t l (Wait_recall { kind = `S; requester; owner });
-      stat t "dir.recalls";
+      stat t t.s_recalls;
       send t ~dst:owner (Msg.Recall { loc; mode = Msg.For_share; sync; requester }))
   | Msg.GetX { loc; requester; sync } -> (
     match l.dstate with
@@ -106,7 +108,7 @@ let rec serve t (l : line) msg =
          write-back reached us; the recall is answered from the evicting
          copy. *)
       open_trans t l (Wait_recall { kind = `X; requester; owner });
-      stat t "dir.recalls";
+      stat t t.s_recalls;
       send t ~dst:owner (Msg.Recall { loc; mode = Msg.For_own; sync; requester })
     | D_shared sharers ->
       let others = Int_set.remove requester sharers in
@@ -119,7 +121,7 @@ let rec serve t (l : line) msg =
           (Msg.DataX { loc; value = l.value; acks_pending = Int_set.cardinal others });
         Int_set.iter
           (fun sharer ->
-            stat t "dir.invalidations";
+            stat t t.s_invalidations;
             send t ~dst:sharer (Msg.Inv { loc }))
           others;
         open_trans t l
@@ -210,14 +212,16 @@ let handle t msg =
   Wo_sim.Engine.schedule t.engine ~delay:t.process_cycles (fun () ->
       dispatch t (line t (Msg.loc msg)) msg)
 
-let create ~engine ~fabric ~node ?stats ?(obs = Wo_obs.Recorder.disabled)
-    ?(process_cycles = 1) ~initial () =
+let create ~engine ~fabric ~node ?(stats = Wo_sim.Stats.create ())
+    ?(obs = Wo_obs.Recorder.disabled) ?(process_cycles = 1) ~initial () =
   let t =
     {
       engine;
       fabric;
       node;
       stats;
+      s_recalls = Wo_sim.Stats.slot stats "dir.recalls";
+      s_invalidations = Wo_sim.Stats.slot stats "dir.invalidations";
       obs;
       process_cycles = max 1 process_cycles;
       initial;

@@ -43,18 +43,24 @@ let loc = function
   | PutAck { loc } ->
     loc
 
-let tag = function
-  | GetS _ -> "GetS"
-  | GetX _ -> "GetX"
-  | DataS _ -> "DataS"
-  | DataX _ -> "DataX"
-  | Inv _ -> "Inv"
-  | InvAck _ -> "InvAck"
-  | Recall _ -> "Recall"
-  | RecallAck _ -> "RecallAck"
-  | WriteDone _ -> "WriteDone"
-  | PutX _ -> "PutX"
-  | PutAck _ -> "PutAck"
+let tags =
+  [|
+    "GetS"; "GetX"; "DataS"; "DataX"; "Inv"; "InvAck"; "Recall"; "RecallAck";
+    "WriteDone"; "PutX"; "PutAck";
+  |]
+
+let tag_index = function
+  | GetS _ -> 0
+  | GetX _ -> 1
+  | DataS _ -> 2
+  | DataX _ -> 3
+  | Inv _ -> 4
+  | InvAck _ -> 5
+  | Recall _ -> 6
+  | RecallAck _ -> 7
+  | WriteDone _ -> 8
+  | PutX _ -> 9
+  | PutAck _ -> 10
 
 let pp ppf m =
   let l = Wo_core.Event.pp_loc in

@@ -59,8 +59,11 @@ type t =
 
 val loc : t -> Wo_core.Event.loc
 
-val tag : t -> string
-(** The constructor name, e.g. ["GetS"] — the key message taps count
+val tags : string array
+(** The constructor names, e.g. ["GetS"] — the keys message taps count
     under. *)
+
+val tag_index : t -> int
+(** The position of a message's constructor name in {!tags}. *)
 
 val pp : Format.formatter -> t -> unit

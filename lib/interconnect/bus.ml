@@ -2,7 +2,8 @@ type 'msg pending = { src : int; dst : int; enqueued : int; msg : 'msg }
 
 type 'msg t = {
   engine : Wo_sim.Engine.t;
-  stats : Wo_sim.Stats.t option;
+  stats : Wo_sim.Stats.t;
+  messages : Wo_sim.Stats.slot;
   tap : ('msg -> src:int -> dst:int -> latency:int -> unit) option;
   transfer_cycles : int;
   handlers : (int, 'msg -> unit) Hashtbl.t;
@@ -11,10 +12,12 @@ type 'msg t = {
   mutable sent : int;
 }
 
-let create ~engine ?stats ?tap ?(transfer_cycles = 2) () =
+let create ~engine ?(stats = Wo_sim.Stats.create ()) ?tap
+    ?(transfer_cycles = 2) () =
   {
     engine;
     stats;
+    messages = Wo_sim.Stats.slot stats "bus.messages";
     tap;
     transfer_cycles;
     handlers = Hashtbl.create 17;
@@ -44,9 +47,7 @@ let rec start_next t =
 
 let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
-  (match t.stats with
-  | Some s -> Wo_sim.Stats.incr s "bus.messages"
-  | None -> ());
+  Wo_sim.Stats.incr_at t.stats t.messages;
   Queue.add { src; dst; enqueued = Wo_sim.Engine.now t.engine; msg } t.queue;
   if not t.busy then start_next t
 

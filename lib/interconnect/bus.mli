@@ -15,7 +15,8 @@ val create :
   ?transfer_cycles:int ->
   unit ->
   'msg t
-(** [transfer_cycles] defaults to 2.  [tap] observes every message at
+(** [transfer_cycles] defaults to 2.  Every send counts under
+    [bus.messages] in [stats].  [tap] observes every message at
     delivery with its total send-to-delivery latency (queueing wait
     included). *)
 

@@ -1,22 +1,29 @@
 type 'msg t = {
   engine : Wo_sim.Engine.t;
-  stats : Wo_sim.Stats.t option;
+  stats : Wo_sim.Stats.t;
+  messages : Wo_sim.Stats.slot;
   tap : ('msg -> src:int -> dst:int -> latency:int -> unit) option;
   latency : Latency.t;
   handlers : (int, 'msg -> unit) Hashtbl.t;
   mutable sent : int;
 }
 
-let create ~engine ?stats ?tap ~latency () =
-  { engine; stats; tap; latency; handlers = Hashtbl.create 17; sent = 0 }
+let create ~engine ?(stats = Wo_sim.Stats.create ()) ?tap ~latency () =
+  {
+    engine;
+    stats;
+    messages = Wo_sim.Stats.slot stats "network.messages";
+    tap;
+    latency;
+    handlers = Hashtbl.create 17;
+    sent = 0;
+  }
 
 let connect t ~node handler = Hashtbl.replace t.handlers node handler
 
 let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
-  (match t.stats with
-  | Some s -> Wo_sim.Stats.incr s "network.messages"
-  | None -> ());
+  Wo_sim.Stats.incr_at t.stats t.messages;
   let delay = max 1 (t.latency ~src ~dst) in
   (match t.tap with
   | Some tap -> tap msg ~src ~dst ~latency:delay

@@ -15,8 +15,9 @@ val create :
   latency:Latency.t ->
   unit ->
   'msg t
-(** [tap] observes every message at send time with the transit latency
-    the network chose for it. *)
+(** Every send counts under [network.messages] in [stats].  [tap]
+    observes every message at send time with the transit latency the
+    network chose for it. *)
 
 val connect : 'msg t -> node:int -> ('msg -> unit) -> unit
 (** Register the handler for messages addressed to [node].  Connecting a

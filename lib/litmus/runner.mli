@@ -37,7 +37,9 @@ val run :
   Wo_machines.Machine.t -> Litmus.t -> report
 (** [runs] defaults to 100, seeds are [base_seed..base_seed+runs-1]
     (default 1).  [check_lemma1] (default: the test's [drf0] flag) applies
-    the Lemma-1 oracle to every trace.  Without [sc_outcomes] a loop-free
+    the Lemma-1 oracle to every trace; a run whose result is physically
+    the previous run's (a session replay) counts that run's verdict
+    again without re-checking.  Without [sc_outcomes] a loop-free
     test's SC set comes from {!Wo_prog.Enumerate.outcomes_stateful} on one
     domain; [sc_outcomes] supplies a precomputed set instead, skipping the
     enumeration — the sweep driver ({!Wo_workload.Sweep}) memoizes one set

@@ -113,9 +113,11 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   in
   let dir_node = num_caches in
   let fabric =
-    Driver.fabric env ~tag:Wo_cache.Msg.tag ~slow_procs:config.slow_procs
-      ~slow_routes:config.slow_routes config.fabric
+    Driver.fabric env ~tags:Wo_cache.Msg.tags ~tag_index:Wo_cache.Msg.tag_index
+      ~slow_procs:config.slow_procs ~slow_routes:config.slow_routes
+      config.fabric
   in
+  let s_migrations = Wo_sim.Stats.slot env.Driver.stats "machine.migrations" in
   let directory =
     Wo_cache.Directory.create ~engine ~fabric ~node:dir_node
       ~stats:env.Driver.stats ~obs:env.Driver.obs
@@ -279,7 +281,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
          previous writes have been globally performed"; footnote 3 also
          stalls the vacated processor until its counter reads zero. *)
       let switch () =
-        Wo_sim.Stats.incr env.Driver.stats "machine.migrations";
+        Wo_sim.Stats.incr_at env.Driver.stats s_migrations;
         ctx.cache_id <- mg.to_cache;
         issue_gated ()
       in

@@ -49,9 +49,10 @@ let new_op env ~proc (op : Proc_frontend.memory_op) : Memsys.op =
   env.ops_rev <- r :: env.ops_rev;
   r
 
-let fabric env ~tag ?(slow_procs = []) ?(slow_routes = []) kind =
+let fabric env ~tags ~tag_index ?(slow_procs = []) ?(slow_routes = []) kind =
+  let slots = Array.map (Wo_obs.Tap.slot env.taps) tags in
   let tap msg ~src:_ ~dst:_ ~latency =
-    Wo_obs.Tap.record env.taps ~name:(tag msg) ~latency
+    Wo_obs.Tap.record_at env.taps slots.(tag_index msg) ~latency
   in
   match kind with
   | Memsys.Bus { transfer_cycles } ->
@@ -145,8 +146,9 @@ let reset env ~seed ~(program : Wo_prog.Program.t) =
   List.iter (fun f -> f ()) (List.rev env.reset_hooks)
 
 (* The run loop and result assembly.  The result deep-copies the mutable
-   observability state so a later in-place reset cannot disturb it. *)
-let execute env (port : Memsys.port) finish_times =
+   observability state so a later in-place reset cannot disturb it.
+   [locs] is the bound program's location list. *)
+let execute env (port : Memsys.port) finish_times ~locs =
   Array.iter Proc_frontend.start env.frontends;
   (match Wo_sim.Engine.run env.engine with
   | `Idle -> ()
@@ -163,11 +165,7 @@ let execute env (port : Memsys.port) finish_times =
     env.frontends;
   port.Memsys.check_drained ();
   let program = env.program in
-  let memory =
-    List.map
-      (fun loc -> (loc, port.Memsys.final_value loc))
-      (Wo_prog.Program.locs program)
-  in
+  let memory = List.map (fun loc -> (loc, port.Memsys.final_value loc)) locs in
   let observable p r =
     match program.Wo_prog.Program.observable with
     | None -> true
@@ -211,14 +209,15 @@ let execute env (port : Memsys.port) finish_times =
           performed = r.performed;
         })
     (List.rev env.ops_rev);
-  Machine.make_result
-    ~outcome:(Wo_prog.Outcome.make ~registers ~memory)
-    ~trace ~cycles:(now env)
-    ~proc_finish:(Array.copy finish_times)
-    ~stats:(Wo_sim.Stats.to_list env.stats)
-    ~stalls:(Wo_obs.Stall.copy env.stalls)
-    ~taps:(Wo_obs.Tap.copy env.taps)
-    ()
+  {
+    Machine.outcome = Wo_prog.Outcome.make ~registers ~memory;
+    trace;
+    cycles = now env;
+    proc_finish = Array.copy finish_times;
+    counters = Wo_sim.Stats.copy env.stats;
+    stalls = Wo_obs.Stall.copy env.stalls;
+    taps = Wo_obs.Tap.copy env.taps;
+  }
 
 let frontend_perform (port : Memsys.port) p = function
   | Proc_frontend.Access op -> port.Memsys.perform p op
@@ -234,6 +233,7 @@ type session_state = {
      program object is free. *)
   mutable sprog : Wo_prog.Program.t;
   mutable sart : Wo_prog.Prog_compile.t;
+  mutable slocs : Wo_core.Event.loc list;  (* [Program.locs sprog] *)
   (* The last run's result, kept only if that run completed untraced
      without drawing from [senv.rng]: the run never read its seed, so it
      is the result at every seed while the binding stands. *)
@@ -274,7 +274,7 @@ let new_session ~name ~local_cost ~build () : Machine.session =
                 ());
         let st =
           { senv = env; sport = port; sfinish = finish; sprog = program;
-            sart = art; skept = None }
+            sart = art; slocs = Wo_prog.Program.locs program; skept = None }
         in
         state := Some st;
         st
@@ -299,12 +299,13 @@ let new_session ~name ~local_cost ~build () : Machine.session =
       if same_binding then Array.iter Proc_frontend.reset env.frontends
       else begin
         Array.iter (fun fe -> Proc_frontend.rebind fe art) env.frontends;
+        if st.sprog != program then st.slocs <- Wo_prog.Program.locs program;
         st.sprog <- program;
         st.sart <- art
       end;
       Array.fill st.sfinish 0 (Array.length st.sfinish) (-1);
       let draws = Wo_sim.Rng.draws env.rng in
-      let r = execute env st.sport st.sfinish in
+      let r = execute env st.sport st.sfinish ~locs:st.slocs in
       if
         Wo_sim.Rng.draws env.rng = draws
         && not (Wo_obs.Recorder.enabled env.obs)

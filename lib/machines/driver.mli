@@ -70,7 +70,8 @@ val new_op : env -> proc:int -> Proc_frontend.memory_op -> Memsys.op
 
 val fabric :
   env ->
-  tag:('msg -> string) ->
+  tags:string array ->
+  tag_index:('msg -> int) ->
   ?slow_procs:(int * int) list ->
   ?slow_routes:((int * int) * int) list ->
   Memsys.fabric_kind ->
@@ -82,7 +83,9 @@ val fabric :
     [slow_routes] wrap the model with node / route multipliers
     ({!Wo_interconnect.Latency.scale_nodes} / [scale_routes]); they are
     ignored by the bus, as before.  Every delivered message is recorded
-    in [env.taps] under [tag msg].  Registers its own {!on_reset} hook
+    in [env.taps] under [tags.(tag_index msg)]; the names resolve to tap
+    slots once, here, and the stats counters of the bus or network to
+    stats slots.  Registers its own {!on_reset} hook
     (state drop + stream re-split), so builders need not. *)
 
 val new_session :

@@ -9,13 +9,15 @@ let run ~seed art =
         { Wo_sim.Trace.event = ev; issued = i; committed = i; performed = i })
     (Wo_core.Execution.events exn);
   let steps = Wo_sim.Trace.size trace in
-  Machine.make_result
-    ~outcome:(Wo_prog.Cinterp.outcome state)
-    ~trace ~cycles:steps
-    ~proc_finish:(Array.make art.Wo_prog.Prog_compile.nprocs steps)
-    ~stalls:(Wo_obs.Stall.create ())
-    ~taps:(Wo_obs.Tap.create ())
-    ()
+  {
+    Machine.outcome = Wo_prog.Cinterp.outcome state;
+    trace;
+    cycles = steps;
+    proc_finish = Array.make art.Wo_prog.Prog_compile.nprocs steps;
+    counters = Wo_sim.Stats.create ();
+    stalls = Wo_obs.Stall.create ();
+    taps = Wo_obs.Tap.create ();
+  }
 
 (* The interpreter holds no reusable machinery; a session only memoises
    the bound program's compiled artifact, and still answers the session

@@ -5,7 +5,7 @@ type result = {
   trace : Wo_sim.Trace.t;
   cycles : int;
   proc_finish : int array;
-  stats : (string * int) list;
+  counters : Wo_sim.Stats.t;
   stalls : Wo_obs.Stall.t;
   taps : Wo_obs.Tap.t;
 }
@@ -73,19 +73,10 @@ let compile ~name program =
             program.Wo_prog.Program.name
             (Option.get (Wo_prog.Prog_compile.exceeded_bound program))))
 
-(* The one place the legacy [P<i>.stall.<reason>] stats view is derived
-   from the typed accounts; machines pass only their own counters. *)
-let make_result ~outcome ~trace ~cycles ~proc_finish ?(stats = []) ~stalls
-    ~taps () =
-  {
-    outcome;
-    trace;
-    cycles;
-    proc_finish;
-    stats = stats @ Wo_obs.Stall.to_stats stalls @ Wo_obs.Tap.to_stats taps;
-    stalls;
-    taps;
-  }
+let stats r =
+  Wo_sim.Stats.to_list r.counters
+  @ Wo_obs.Stall.to_stats r.stalls
+  @ Wo_obs.Tap.to_stats r.taps
 
 let check_lemma1 ?init r =
   Wo_core.Lemma1.check ?init

@@ -18,9 +18,9 @@ type result = {
           acknowledgements) drained *)
   proc_finish : int array;
       (** per-processor time of executing its last instruction *)
-  stats : (string * int) list;
-      (** counters, including the legacy [P<i>.stall.<reason>] view
-          derived from [stalls] *)
+  counters : Wo_sim.Stats.t;
+      (** the machine's own counters (messages, cache hits, model
+          buffer events, ...), a snapshot *)
   stalls : Wo_obs.Stall.t;
       (** typed per-processor per-reason stall-cycle attribution; the
           source of truth {!stall}, {!total_stalls} and {!proc_stalls}
@@ -116,21 +116,13 @@ val compile : name:string -> Wo_prog.Program.t -> Wo_prog.Prog_compile.t
     @raise Machine_error naming the packing bound an uncompilable
     program exceeds. *)
 
-val make_result :
-  outcome:Wo_prog.Outcome.t ->
-  trace:Wo_sim.Trace.t ->
-  cycles:int ->
-  proc_finish:int array ->
-  ?stats:(string * int) list ->
-  stalls:Wo_obs.Stall.t ->
-  taps:Wo_obs.Tap.t ->
-  unit ->
-  result
-(** The single place {!result.stats} is assembled: [stats] (a machine's
-    own counters, default empty) followed by the legacy
-    [P<i>.stall.<reason>] view derived from [stalls] and the [msg.*]
-    counters derived from [taps].  Every machine builds its result here
-    so the derivation is not duplicated per driver. *)
+val stats : result -> (string * int) list
+(** The legacy flat statistics view, derived on demand: the machine's
+    own [counters] ({!Wo_sim.Stats.to_list}), then the
+    [P<i>.stall.<reason>] / [stall.total] entries of [stalls]
+    ({!Wo_obs.Stall.to_stats}), then the [msg.<type>] counts of [taps]
+    ({!Wo_obs.Tap.to_stats}).  A run pays for none of it unless a
+    caller asks. *)
 
 val check_lemma1 :
   ?init:(Wo_core.Event.loc -> Wo_core.Event.value) ->

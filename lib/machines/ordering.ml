@@ -71,13 +71,15 @@ type amsg =
   | M_write_ack of { tag : int; applied_at : int }
   | M_rmw_reply of { tag : int; old : Wo_core.Event.value; applied_at : int }
 
-let amsg_tag = function
-  | M_read _ -> "Read"
-  | M_write _ -> "Write"
-  | M_rmw _ -> "Rmw"
-  | M_read_reply _ -> "ReadReply"
-  | M_write_ack _ -> "WriteAck"
-  | M_rmw_reply _ -> "RmwReply"
+let amsg_tags = [| "Read"; "Write"; "Rmw"; "ReadReply"; "WriteAck"; "RmwReply" |]
+
+let amsg_tag_index = function
+  | M_read _ -> 0
+  | M_write _ -> 1
+  | M_rmw _ -> 2
+  | M_read_reply _ -> 3
+  | M_write_ack _ -> 4
+  | M_rmw_reply _ -> 5
 
 type entry = { eloc : Wo_core.Event.loc; evalue : Wo_core.Event.value; etag : int }
 
@@ -102,7 +104,9 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   let engine = env.Driver.engine in
   let num_procs = env.Driver.num_procs in
   let module_node loc = num_procs + (loc mod config.modules) in
-  let fabric = Driver.fabric env ~tag:amsg_tag config.fabric in
+  let fabric =
+    Driver.fabric env ~tags:amsg_tags ~tag_index:amsg_tag_index config.fabric
+  in
   let per_loc_channels =
     match config.kind with Tso _ -> false | Pso _ | Ra _ -> true
   in
@@ -170,9 +174,15 @@ let build (config : config) (env : Driver.env) : Memsys.port =
           ctx.loc_waiters <- [])
         ctxs);
   let stall p reason cycles = Driver.stall env ~proc:p reason cycles in
-  let stat name = Wo_sim.Stats.incr env.Driver.stats name in
+  let stats = env.Driver.stats in
+  let s_drains = Wo_sim.Stats.slot stats "model.drains"
+  and s_deposits = Wo_sim.Stats.slot stats "model.deposits"
+  and s_forwards = Wo_sim.Stats.slot stats "model.forwards"
+  and s_barrier_drains = Wo_sim.Stats.slot stats "model.barrier_drains"
+  and s_occupancy = Wo_sim.Stats.slot stats "model.occupancy.max" in
+  let stat = Wo_sim.Stats.incr_at stats in
   let note_occupancy p ctx =
-    Wo_sim.Stats.max_to env.Driver.stats "model.occupancy.max" ctx.total_pending;
+    Wo_sim.Stats.max_at stats s_occupancy ctx.total_pending;
     if Wo_obs.Recorder.enabled env.Driver.obs then
       Wo_obs.Recorder.counter env.Driver.obs ~cat:Wo_obs.Recorder.Proc ~track:p
         ~name:"model.buffer" ~ts:(Wo_sim.Engine.now engine)
@@ -251,7 +261,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     chan.inflight <- false;
     Hashtbl.replace ctx.pending_at loc (pending ctx loc - 1);
     ctx.total_pending <- ctx.total_pending - 1;
-    stat "model.drains";
+    stat s_drains;
     note_occupancy p ctx;
     fire_loc_waiters ctx loc;
     drain p chan;
@@ -265,7 +275,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     Hashtbl.replace ctx.last_value r.Memsys.oloc v;
     Hashtbl.replace ctx.pending_at r.Memsys.oloc (pending ctx r.Memsys.oloc + 1);
     ctx.total_pending <- ctx.total_pending + 1;
-    stat "model.deposits";
+    stat s_deposits;
     note_occupancy p ctx;
     let chan = chan_of ctx r.Memsys.oloc in
     Queue.add { eloc = r.Memsys.oloc; evalue = v; etag = tag } chan.cq;
@@ -335,7 +345,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
           Driver.resume env p ~store:None ~delay:1)
     in
     let forward_read (r : Memsys.op) v =
-      stat "model.forwards";
+      stat s_forwards;
       r.Memsys.rv <- Some v;
       r.Memsys.committed <- now ();
       r.Memsys.performed <- now ();
@@ -389,7 +399,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     if barrier && not acquire then begin
       (* Release barrier: every pending write of this processor performs
          before the synchronization is issued. *)
-      if not (quiet ctx) then stat "model.barrier_drains";
+      if not (quiet ctx) then stat s_barrier_drains;
       let t0 = Wo_sim.Engine.now engine in
       on_quiet ctx (fun () ->
           stall p Wo_obs.Stall.Release_gate (Wo_sim.Engine.now engine - t0);

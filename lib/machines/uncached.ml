@@ -30,13 +30,15 @@ type amsg =
   | M_write_ack of { tag : int; applied_at : int }
   | M_rmw_reply of { tag : int; old : Wo_core.Event.value; applied_at : int }
 
-let amsg_tag = function
-  | M_read _ -> "Read"
-  | M_write _ -> "Write"
-  | M_rmw _ -> "Rmw"
-  | M_read_reply _ -> "ReadReply"
-  | M_write_ack _ -> "WriteAck"
-  | M_rmw_reply _ -> "RmwReply"
+let amsg_tags = [| "Read"; "Write"; "Rmw"; "ReadReply"; "WriteAck"; "RmwReply" |]
+
+let amsg_tag_index = function
+  | M_read _ -> 0
+  | M_write _ -> 1
+  | M_rmw _ -> 2
+  | M_read_reply _ -> 3
+  | M_write_ack _ -> 4
+  | M_rmw_reply _ -> 5
 
 (* Per-location write sequencing: preserves intra-processor same-location
    ordering (condition 1 of 5.1) even with fire-and-forget writes -- at most
@@ -65,7 +67,9 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   let engine = env.Driver.engine in
   let num_procs = env.Driver.num_procs in
   let module_node loc = num_procs + (loc mod config.modules) in
-  let fabric = Driver.fabric env ~tag:amsg_tag config.fabric in
+  let fabric =
+    Driver.fabric env ~tags:amsg_tags ~tag_index:amsg_tag_index config.fabric
+  in
   (* Memory modules: apply operations in arrival order, atomically. *)
   let memory : (Wo_core.Event.loc, Wo_core.Event.value) Hashtbl.t =
     Hashtbl.create 64

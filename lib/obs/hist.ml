@@ -12,6 +12,12 @@ let create () = { counts = Array.make nbuckets 0; n = 0; total = 0; max_v = 0 }
 let copy t =
   { counts = Array.copy t.counts; n = t.n; total = t.total; max_v = t.max_v }
 
+let clear t =
+  Array.fill t.counts 0 nbuckets 0;
+  t.n <- 0;
+  t.total <- 0;
+  t.max_v <- 0
+
 (* bucket 0: value 0; bucket i>0: values in [2^(i-1), 2^i). *)
 let bucket_of v =
   let v = max 0 v in

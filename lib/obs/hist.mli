@@ -12,6 +12,9 @@ val create : unit -> t
 val copy : t -> t
 (** Deep copy — the snapshot no longer aliases the live histogram. *)
 
+val clear : t -> unit
+(** Empty the histogram in place. *)
+
 val add : t -> int -> unit
 (** Negative values clamp to zero. *)
 

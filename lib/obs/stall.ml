@@ -44,12 +44,19 @@ let reason_of_name s =
 
 let nreasons = List.length all_reasons
 
-let reason_index r =
-  let rec go i = function
-    | [] -> assert false
-    | x :: rest -> if x = r then i else go (i + 1) rest
-  in
-  go 0 all_reasons
+(* Position in [all_reasons]. *)
+let reason_index = function
+  | Read_miss -> 0
+  | Rmw_wait -> 1
+  | Rmw_order -> 2
+  | Sync_commit -> 3
+  | Release_gate -> 4
+  | Reserve_wait -> 5
+  | Counter_drain -> 6
+  | Buffer_full -> 7
+  | Buffer_drain -> 8
+  | Write_ack -> 9
+  | Migration -> 10
 
 type t = {
   mutable cells : int array array; (* proc -> per-reason cycles *)
@@ -59,8 +66,9 @@ type t = {
 let create () = { cells = [||]; grand_total = 0 }
 
 (* Back to the freshly-created shape — rows regrow lazily, so a cleared
-   collector evolves exactly like a new one (same array lengths at every
-   point of the next run, hence identical Marshal fingerprints). *)
+   collector evolves exactly like a new one: a session's run and a fresh
+   run hold rows for the same processors, and their results compare
+   equal structurally, not just by content. *)
 let clear t =
   t.cells <- [||];
   t.grand_total <- 0

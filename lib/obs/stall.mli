@@ -5,7 +5,7 @@
     model and the cache controller report waits into one of these typed
     accounts instead of ad-hoc string counters; the legacy
     [P<i>.stall.<reason>] statistics keys are derived views
-    ({!to_stats}), and [Wo_machines.Machine.stall]/[total_stalls] read
+    ({!to_stats}, part of [Wo_machines.Machine.stats]), and [Wo_machines.Machine.stall]/[total_stalls] read
     through the same table.
 
     When a recorder sink is supplied, every attribution also emits a

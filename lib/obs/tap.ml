@@ -1,46 +1,64 @@
-type t = (string, Hist.t) Hashtbl.t
+(* One histogram per slot; [names] is replaced, never written in place,
+   when a type is registered.  A type is listed once it has a message. *)
+type slot = int
 
-let create () : t = Hashtbl.create 16
+type t = { mutable names : string array; mutable hists : Hist.t array }
 
-let clear (t : t) = Hashtbl.reset t
+let create () = { names = [||]; hists = [||] }
 
-let copy (t : t) : t =
-  (* Hashtbl.copy preserves bucket structure, so the copy Marshals
-     identically to the original; rebuilding via add would reverse
-     multi-entry buckets. *)
-  let c = Hashtbl.copy t in
-  Hashtbl.filter_map_inplace (fun _ h -> Some (Hist.copy h)) c;
-  c
-
-let record t ~name ~latency =
-  let h =
-    match Hashtbl.find_opt t name with
-    | Some h -> h
-    | None ->
-      let h = Hist.create () in
-      Hashtbl.add t name h;
-      h
+let slot t name =
+  let rec go i =
+    if i = Array.length t.names then begin
+      t.names <- Array.append t.names [| name |];
+      t.hists <- Array.append t.hists [| Hist.create () |];
+      i
+    end
+    else if String.equal t.names.(i) name then i
+    else go (i + 1)
   in
-  Hist.add h latency
+  go 0
+
+let clear t =
+  Array.iter (fun h -> if Hist.count h > 0 then Hist.clear h) t.hists
+
+(* Only the recorded types, so a snapshot holds no empty histograms. *)
+let copy t =
+  let keep = ref [] in
+  for i = Array.length t.names - 1 downto 0 do
+    if Hist.count t.hists.(i) > 0 then keep := i :: !keep
+  done;
+  let keep = Array.of_list !keep in
+  {
+    names = Array.map (fun i -> t.names.(i)) keep;
+    hists = Array.map (fun i -> Hist.copy t.hists.(i)) keep;
+  }
+
+let record_at t s ~latency = Hist.add t.hists.(s) latency
+
+let record t ~name ~latency = record_at t (slot t name) ~latency
 
 let to_list t =
-  Hashtbl.fold (fun name h acc -> (name, Hist.count h, h) :: acc) t []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  let acc = ref [] in
+  Array.iteri
+    (fun i name ->
+      let h = t.hists.(i) in
+      if Hist.count h > 0 then acc := (name, Hist.count h, h) :: !acc)
+    t.names;
+  List.sort (fun (a, _, _) (b, _, _) -> compare a b) !acc
 
-let total t = Hashtbl.fold (fun _ h acc -> acc + Hist.count h) t 0
+let total t = Array.fold_left (fun acc h -> acc + Hist.count h) 0 t.hists
 
 let to_stats t =
   List.map (fun (name, count, _) -> ("msg." ^ name, count)) (to_list t)
 
 let merge a b =
   let t = create () in
-  let absorb (src : t) =
-    Hashtbl.iter
-      (fun name h ->
-        match Hashtbl.find_opt t name with
-        | Some existing -> Hashtbl.replace t name (Hist.merge existing h)
-        | None -> Hashtbl.add t name (Hist.merge (Hist.create ()) h))
-      src
+  let absorb src =
+    List.iter
+      (fun (name, _, h) ->
+        let s = slot t name in
+        t.hists.(s) <- Hist.merge t.hists.(s) h)
+      (to_list src)
   in
   absorb a;
   absorb b;

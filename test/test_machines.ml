@@ -242,7 +242,7 @@ let test_result_structure () =
   check_int "finish times per proc" 2 (Array.length r.M.proc_finish);
   check "all procs finished" true (Array.for_all (fun t -> t >= 0) r.M.proc_finish);
   check "trace non-empty" true (Wo_sim.Trace.size r.M.trace > 0);
-  check "stats present" true (r.M.stats <> []);
+  check "stats present" true (M.stats r <> []);
   (* every trace entry is fully timestamped and ordered *)
   List.iter
     (fun (e : Wo_sim.Trace.entry) ->
@@ -430,7 +430,7 @@ let test_process_migration () =
     | Ok () -> ()
     | Error _ -> Alcotest.fail "lemma1 after migration");
     check "migration exercised" true
-      (List.assoc_opt "machine.migrations" r.M.stats = Some 1)
+      (List.assoc_opt "machine.migrations" (M.stats r) = Some 1)
   done
 
 let test_capacity_constrained_caches () =

@@ -3,10 +3,10 @@
    artifact inside a reusable session, and [Machine.run] is a fresh
    session's first run.  Three things pin it to the AST walk it
    replaced:
-   - a golden of result fingerprints over every preset x catalogue test
-     x seeds 1-3 ([machine_fingerprints.golden]), recorded from
-     fresh-construction AST runs, which were proven equal to compiled
-     sessions at the time;
+   - a golden of canonical result digests over every preset x catalogue
+     test x seeds 1-3 ([machine_canonical.golden]), recorded from fresh
+     compiled runs, which were proven equal to fresh-construction AST
+     runs before them;
    - a frontend lockstep: the compiled frontend and the AST walker
      ([Wo_oracle.Ast_frontend]), each on its own engine, driven through
      a scripted port with the same delays and read values;
@@ -20,6 +20,7 @@ module L = Wo_litmus.Litmus
 module P = Wo_machines.Presets
 module Sweep = Wo_workload.Sweep
 module Port = Wo_oracle.Scripted_port
+module R = Wo_litmus.Runner
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -32,6 +33,38 @@ let fingerprint (r : M.result) =
 
 let fresh_fp machine ~seed program = fingerprint (M.run machine ~seed program)
 
+(* A digest of a result's logical content, through public accessors
+   only: outcome, trace entries, cycles, finish times, the legacy stats
+   view, and the stall and tap JSON.  Unlike [fingerprint], it does not
+   depend on how the result is represented, so the golden below holds
+   across representation changes. *)
+let canonical (r : M.result) =
+  let b = Buffer.create 1024 in
+  let opt = function None -> "-" | Some v -> string_of_int v in
+  List.iter
+    (fun (p, reg, v) -> Printf.bprintf b "r %d %d %d\n" p reg v)
+    r.M.outcome.Wo_prog.Outcome.registers;
+  List.iter
+    (fun (l, v) -> Printf.bprintf b "m %d %d\n" l v)
+    r.M.outcome.Wo_prog.Outcome.memory;
+  List.iter
+    (fun (e : Wo_sim.Trace.entry) ->
+      let ev = e.Wo_sim.Trace.event in
+      Printf.bprintf b "e %d %d %d %s %d %s %s %d %d %d\n" ev.Wo_core.Event.id
+        ev.proc ev.seq
+        (Format.asprintf "%a" Wo_core.Event.pp_kind ev.kind)
+        ev.loc (opt ev.read_value) (opt ev.written_value) e.issued
+        e.committed e.performed)
+    (Wo_sim.Trace.entries r.M.trace);
+  Printf.bprintf b "c %d\n" r.M.cycles;
+  Array.iter (Printf.bprintf b "f %d\n") r.M.proc_finish;
+  List.iter (fun (k, v) -> Printf.bprintf b "s %s %d\n" k v) (M.stats r);
+  Printf.bprintf b "stalls %s\n"
+    (Wo_obs.Json.to_string (Wo_obs.Stall.to_json r.M.stalls));
+  Printf.bprintf b "taps %s\n"
+    (Wo_obs.Json.to_string (Wo_obs.Tap.to_json r.M.taps));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* [haystack] contains [needle]. *)
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -39,12 +72,13 @@ let contains haystack needle =
   go 0
 
 (* 1. Every catalogued litmus test, on every preset, at seeds 1-3: a
-   reused session and a fresh one both reproduce the golden
-   fingerprints of the fresh AST runs.  The complete product, not a
-   sample — the [ideal] rows cover Cinterp's random scheduler. *)
+   reused session and a fresh one both reproduce the golden canonical
+   digests, and their results are byte-identical to each other.  The
+   complete product, not a sample — the [ideal] rows cover Cinterp's
+   random scheduler. *)
 let golden =
   lazy
-    (let ic = open_in "machine_fingerprints.golden" in
+    (let ic = open_in "machine_canonical.golden" in
      let tbl = Hashtbl.create 1024 in
      (try
         while true do
@@ -66,12 +100,16 @@ let test_compiled_session_matches_fresh_ast () =
         (fun (t : L.t) ->
           for seed = 1 to 3 do
             let want = Hashtbl.find golden (machine.M.name, t.L.name, seed) in
-            if fingerprint (M.session_run session ~seed t.L.program) <> want
-            then
-              Alcotest.failf "%s / %s / seed %d: session <> fresh AST golden"
+            let session_r = M.session_run session ~seed t.L.program in
+            let fresh_r = M.run machine ~seed t.L.program in
+            if canonical session_r <> want then
+              Alcotest.failf "%s / %s / seed %d: session <> golden"
                 machine.M.name t.L.name seed;
-            if fresh_fp machine ~seed t.L.program <> want then
-              Alcotest.failf "%s / %s / seed %d: fresh run <> fresh AST golden"
+            if canonical fresh_r <> want then
+              Alcotest.failf "%s / %s / seed %d: fresh run <> golden"
+                machine.M.name t.L.name seed;
+            if fingerprint session_r <> fingerprint fresh_r then
+              Alcotest.failf "%s / %s / seed %d: session bytes <> fresh bytes"
                 machine.M.name t.L.name seed
           done)
         L.all)
@@ -432,6 +470,58 @@ let test_replay_counter () =
          | _ -> false)
        (Wo_obs.Recorder.events rec_))
 
+(* A replaying session hands [Runner.run] the same physical result for
+   every seed after the first, and the runner counts that result's
+   Lemma-1 verdict again instead of re-checking.  Its report must equal
+   the one over fresh per-seed sessions, which never replay and check
+   every trace.  The write-buffer machine without synchronization
+   support ([+none]) fails Lemma 1 on every seed of [dekker-sync], on a
+   bus and on a fixed-latency network, so reused failing verdicts are
+   counted too; [net-cache] on its jittered network fails it on some
+   seeds only, so a verdict must not outlive its result. *)
+let fresh_per_seed (machine : M.t) =
+  {
+    M.session_machine = machine.M.name;
+    session_run = (fun ~seed ?compiled:_ program -> M.run machine ~seed program);
+  }
+
+let report_view (r : R.report) =
+  ( ( r.R.runs, r.R.sc_outcomes, r.R.histogram, r.R.violations ),
+    ( r.R.lemma1_failures, r.R.interesting_counts, r.R.total_cycles,
+      r.R.sc_coverage ) )
+
+let test_lemma1_reuse () =
+  let cell ?(runs = 6) (machine : M.t) (t : L.t) =
+    let fresh = R.run ~runs ~session:(fresh_per_seed machine) machine t in
+    let replayed = ref None in
+    let replays =
+      replays_during (fun () -> replayed := Some (R.run ~runs machine t))
+    in
+    let replayed = Option.get !replayed in
+    if report_view replayed <> report_view fresh then
+      Alcotest.failf "%s / %s: replaying report <> fresh per-seed report"
+        machine.M.name t.L.name;
+    (replays, replayed.R.lemma1_failures)
+  in
+  List.iter
+    (fun machine -> List.iter (fun t -> ignore (cell machine t)) L.all)
+    (P.all @ P.models);
+  List.iter
+    (fun fabric ->
+      let spec =
+        List.hd
+          (Spec.grid ~fabrics:[ fabric ] ~syncs:[ Spec.Sync_none ]
+             P.bus_nocache_wb_spec)
+      in
+      let replays, failures = cell (Spec.build spec) L.dekker_sync in
+      check_int (spec.Spec.name ^ " replays") 5 replays;
+      check_int (spec.Spec.name ^ " Lemma-1 failures") 6 failures)
+    [ Memsys.Bus { transfer_cycles = 2 }; Memsys.Net_fixed { latency = 4 } ];
+  let replays, failures = cell ~runs:20 P.net_cache_relaxed L.dekker_sync in
+  check_int "net-cache replays" 0 replays;
+  check "net-cache fails Lemma 1 on some seeds only" true
+    (failures > 0 && failures < 20)
+
 (* Each of these must simulate although the machine draws nothing, and
    still agree with the fresh oracle. *)
 let test_replay_guards () =
@@ -558,4 +648,6 @@ let tests =
       test_replay_guards;
     Alcotest.test_case "Machine_error runs are never replayed" `Quick
       test_replay_after_machine_error;
+    Alcotest.test_case "Lemma-1 verdict reuse = fresh per-seed reports" `Quick
+      test_lemma1_reuse;
   ]

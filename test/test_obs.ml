@@ -130,6 +130,29 @@ let test_tap () =
   Wo_obs.Tap.record t2 ~name:"Inv" ~latency:2;
   check_int "merge total" 4 (Wo_obs.Tap.total (Wo_obs.Tap.merge t t2))
 
+let test_tap_semantics () =
+  let names t = List.map (fun (n, c, _) -> (n, c)) (Wo_obs.Tap.to_list t) in
+  let listed = Alcotest.(check (list (pair string int))) in
+  let t = Wo_obs.Tap.create () in
+  listed "fresh taps list nothing" [] (names t);
+  Wo_obs.Tap.record t ~name:"GetS" ~latency:3;
+  listed "only recorded types" [ ("GetS", 1) ] (names t);
+  Wo_obs.Tap.record t ~name:(String.concat "" [ "Get"; "S" ]) ~latency:5;
+  Wo_obs.Tap.record t ~name:"Inv" ~latency:1;
+  listed "equal strings share a type" [ ("GetS", 2); ("Inv", 1) ] (names t);
+  let c = Wo_obs.Tap.copy t in
+  Wo_obs.Tap.clear t;
+  listed "clear then to_list" [] (names t);
+  check_int "cleared total" 0 (Wo_obs.Tap.total t);
+  Wo_obs.Tap.record t ~name:"Inv" ~latency:9;
+  listed "copy unaffected by a later clear and record"
+    [ ("GetS", 2); ("Inv", 1) ]
+    (names c);
+  check "copy keeps its histograms" true
+    (Wo_obs.Json.to_string (Wo_obs.Tap.to_json c)
+    <> Wo_obs.Json.to_string (Wo_obs.Tap.to_json t));
+  listed "recording resumes after clear" [ ("Inv", 1) ] (names t)
+
 (* --- Stall ------------------------------------------------------------------ *)
 
 let test_stall_accounts () =
@@ -154,6 +177,35 @@ let test_stall_reason_names_roundtrip () =
       | None -> Alcotest.fail ("no roundtrip for " ^ Stall.reason_name reason))
     Stall.all_reasons;
   check "unknown name" true (Stall.reason_of_name "gate" = None)
+
+let test_stall_semantics () =
+  let json s = J.to_string (Stall.to_json s) in
+  let s = Stall.create () in
+  Stall.add s ~proc:3 Stall.Write_ack 0;
+  check "zero cycles list nothing" true
+    (Stall.procs s = [] && Stall.to_stats s = []);
+  (* Reason [i] of [all_reasons] gets [i + 1] cycles on P1.  [merge]
+     maps each account back to a reason by its position in
+     [all_reasons], so every reason keeps its own count only if the
+     accounts are laid out in that order. *)
+  List.iteri (fun i r -> Stall.add s ~proc:1 r (i + 1)) Stall.all_reasons;
+  let merged = Stall.merge s (Stall.create ()) in
+  List.iteri
+    (fun i r ->
+      check_int (Stall.reason_name r) (i + 1) (Stall.get merged ~proc:1 r))
+    Stall.all_reasons;
+  check "per_proc follows all_reasons" true
+    (Stall.per_proc merged ~proc:1
+    = List.mapi (fun i r -> (r, i + 1)) Stall.all_reasons);
+  check "merge with empty keeps the json" true (json merged = json s);
+  let c = Stall.copy s in
+  let before = json s in
+  Stall.clear s;
+  check "clear then procs" true (Stall.procs s = []);
+  check "clear then to_stats" true (Stall.to_stats s = []);
+  check_int "cleared total" 0 (Stall.total s);
+  Stall.add s ~proc:0 Stall.Migration 4;
+  check "copy unaffected by a later clear and add" true (json c = before)
 
 (* --- Metrics envelope ------------------------------------------------------- *)
 
@@ -289,9 +341,11 @@ let tests =
     Alcotest.test_case "ambient sink" `Quick test_ambient_sink;
     Alcotest.test_case "histogram" `Quick test_hist;
     Alcotest.test_case "message taps" `Quick test_tap;
+    Alcotest.test_case "tap counter semantics" `Quick test_tap_semantics;
     Alcotest.test_case "stall accounts" `Quick test_stall_accounts;
     Alcotest.test_case "stall reason names" `Quick
       test_stall_reason_names_roundtrip;
+    Alcotest.test_case "stall counter semantics" `Quick test_stall_semantics;
     Alcotest.test_case "metrics envelope" `Quick test_metrics_envelope;
     Alcotest.test_case "perfetto parse-back" `Quick test_perfetto_parse_back;
     Alcotest.test_case "trace determinism" `Quick test_trace_deterministic;

@@ -218,6 +218,38 @@ let test_stats () =
     [ ("a", 2); ("b", 10); ("m", 5) ]
     (Stats.to_list s)
 
+(* Which counters are listed, and when: by-name updates only, so the
+   same checks hold for any slot layout behind the names. *)
+let test_stats_semantics () =
+  let listed = Alcotest.(check (list (pair string int))) in
+  let s = Stats.create () in
+  Stats.incr s "bus.messages";
+  check_int "reading a name lists nothing" 0 (Stats.get s "cache.hits");
+  listed "only touched names" [ ("bus.messages", 1) ] (Stats.to_list s);
+  Stats.max_to s "model.occupancy.max" 0;
+  Stats.max_to s "model.neg" (-3);
+  listed "max_to with n <= 0 lists nothing" [ ("bus.messages", 1) ]
+    (Stats.to_list s);
+  Stats.add s "dir.recalls" 0;
+  listed "add name 0 lists it at 0"
+    [ ("bus.messages", 1); ("dir.recalls", 0) ]
+    (Stats.to_list s);
+  (* A name built at run time reaches the counter its literal names. *)
+  let built = String.concat "." [ "bus"; "messages" ] in
+  Stats.incr s built;
+  Stats.add s (String.sub "xbus.messages" 1 12) 3;
+  check_int "equal strings share a counter" 5 (Stats.get s "bus.messages");
+  check_int "read by an equal string" 5 (Stats.get s built);
+  Stats.max_to s "model.occupancy.max" 4;
+  Stats.max_to s "model.occupancy.max" 2;
+  check_int "max_to keeps the maximum" 4 (Stats.get s "model.occupancy.max");
+  Stats.clear s;
+  listed "clear then to_list" [] (Stats.to_list s);
+  check_int "cleared counter reads 0" 0 (Stats.get s "bus.messages");
+  Stats.incr s "bus.messages";
+  listed "counting resumes after clear" [ ("bus.messages", 1) ]
+    (Stats.to_list s)
+
 (* --- trace ------------------------------------------------------------------ *)
 
 let entry ~id ~proc ~seq ~kind ~loc ~c =
@@ -287,6 +319,7 @@ let tests =
     Alcotest.test_case "machine trace deterministic per seed" `Quick
       test_machine_trace_deterministic;
     Alcotest.test_case "stats" `Quick test_stats;
+    Alcotest.test_case "stats counter semantics" `Quick test_stats_semantics;
     Alcotest.test_case "trace commit order" `Quick test_trace_commit_order;
     Alcotest.test_case "trace issue order" `Quick test_trace_issue_order;
     Alcotest.test_case "trace program order" `Quick test_trace_program_order;

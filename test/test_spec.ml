@@ -29,7 +29,7 @@ let fingerprint (m : M.t) ~seed program =
             Wo_sim.Trace.entries r.M.trace,
             r.M.cycles,
             r.M.proc_finish,
-            List.sort compare r.M.stats,
+            List.sort compare (M.stats r),
             Wo_obs.Stall.to_stats r.M.stalls,
             Wo_obs.Tap.to_stats r.M.taps )
           []))
