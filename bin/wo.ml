@@ -1258,8 +1258,8 @@ let campaign_cmd =
         Printf.printf "  shard %d/%d: %d/%d cells settled by this run\n%!"
           (shard + 1) shards_total executed total
     in
-    let result =
-      Wo_campaign.Campaign.run ~on_shard config ~specs ~cases
+    let result, shared =
+      Wo_campaign.Campaign.run_with_shared ~on_shard config ~specs ~cases
     in
     let wall = Unix.gettimeofday () -. t0 in
     Printf.printf
@@ -1288,7 +1288,7 @@ let campaign_cmd =
       let doc =
         Wo_obs.Metrics.make ~experiment:"campaign"
           (machine_fields ()
-          @ Wo_campaign.Campaign.result_json config result
+          @ Wo_campaign.Campaign.result_json ~shared config result
           @ [ ("wall_s", Wo_obs.Json.Float wall) ])
       in
       Wo_obs.Metrics.write_file ~path doc;

@@ -212,6 +212,7 @@ type cell = {
   c_key : string;  (** store key of the (program, spec, batch) triple *)
   c_spec : Wo_machines.Spec.t;
   c_machine : M.t;
+  c_behaviour : string;  (** [Spec.behaviour_key c_spec] *)
   c_loops : bool;
   c_pkey : Sweep.program_key;
   c_art : Wo_prog.Prog_compile.t option;
@@ -246,7 +247,8 @@ let plan config ~specs ~cases =
       (fun spec ->
         ( spec,
           Wo_machines.Spec.build spec,
-          J.to_string (Wo_machines.Spec.to_json spec) ))
+          J.to_string (Wo_machines.Spec.to_json spec),
+          Wo_machines.Spec.behaviour_key spec ))
       specs
   in
   let cells =
@@ -255,7 +257,7 @@ let plan config ~specs ~cases =
         let test = litmus_of_case c in
         let pkey, art = Sweep.program_key_art c.Wo_synth.Synth.program in
         List.map
-          (fun (spec, machine, spec_json) ->
+          (fun (spec, machine, spec_json, behaviour) ->
             {
               c_case = c;
               c_test = test;
@@ -264,6 +266,7 @@ let plan config ~specs ~cases =
                   ~runs:config.runs ~base_seed:config.base_seed;
               c_spec = spec;
               c_machine = machine;
+              c_behaviour = behaviour;
               c_loops = test.L.loops;
               c_pkey = pkey;
               c_art = art;
@@ -288,14 +291,17 @@ let cell_store_key p idx = p.p_cells.(idx).c_key
 
 (* In-run SC memoization, digest-indexed with payload confirmation —
    enumerated lazily, only for programs some *unsettled* cell needs.
-   One memo outlives many shards (and, in a worker, many claims). *)
+   One memo outlives many shards (and, in a worker, many claims), and
+   counts what [settle] did with them. *)
 type memo = {
   sc_tbl :
     (Digest.t, (Sweep.program_key * Wo_prog.Outcome.t list) list) Hashtbl.t;
   mutable m_sc_sets : int;
+  mutable m_shared : int;
 }
 
-let memo_create () = { sc_tbl = Hashtbl.create 256; m_sc_sets = 0 }
+let memo_create () =
+  { sc_tbl = Hashtbl.create 256; m_sc_sets = 0; m_shared = 0 }
 
 let memo_sc_sets m = m.m_sc_sets
 
@@ -332,48 +338,96 @@ let ensure_sc_sets memo ~domains cells =
       Hashtbl.replace memo.sc_tbl key.Sweep.pk_digest (prev @ [ (key, outs) ]))
     enumerated
 
+(* The elements of [l] whose [key] does not occur earlier in [l]. *)
+let firsts key l =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun x ->
+      let k = key x in
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.add seen k ();
+        true
+      end)
+    l
+
 (* Settle the given (fresh) cells: enumerate any missing SC sets, then
    evaluate in parallel.  Returns [(index, verdict string)] in input
    order.  Verdicts are deterministic in the cell alone, so any process
    settling the same cell writes the same bytes — what makes both the
-   resume contract and the multi-worker merge byte-stable. *)
+   resume contract and the multi-worker merge byte-stable.
+
+   One seed batch runs per behaviour class: cells with the same
+   program payload, the same DRF0 flag and the same
+   [Spec.behaviour_key].  Their machines differ at most in name and
+   description; no run reads the description, and the name reaches
+   only [Machine_error] and watchdog text, so the class's
+   first cell answers for every member — except when its verdict
+   carries such an error, where each member runs its own batch and
+   keeps its own name in the message. *)
 let settle memo ~domains config p indices =
   let fresh = List.map (fun idx -> p.p_cells.(idx)) indices in
   ensure_sc_sets memo ~domains fresh;
+  let class_of idx =
+    let c = p.p_cells.(idx) in
+    (c.c_pkey.Sweep.pk_payload, c.c_test.L.drf0, c.c_behaviour)
+  in
+  let reps = firsts class_of indices in
+  let rep = Hashtbl.create (List.length reps) in
+  List.iter (fun idx -> Hashtbl.replace rep (class_of idx) idx) reps;
   (* Cells are laid out case-major, so consecutive indices alternate
      specs.  Execution is regrouped spec-major: each worker's strided
      walk then stays on one machine for long stretches, so its
      per-domain session rebinds programs (cheap) instead of cycling
      machines.  The verdicts are reassembled into input order — the
      bytes cannot depend on the execution grouping. *)
-  let grouped =
+  let by_idx = Hashtbl.create (List.length indices) in
+  let evaluate_all idxs =
     List.stable_sort
       (fun a b ->
         String.compare p.p_cells.(a).c_machine.M.name
           p.p_cells.(b).c_machine.M.name)
+      idxs
+    |> Sweep.parallel_map ~domains (fun idx ->
+           let cell = p.p_cells.(idx) in
+           let sc_outcomes =
+             if cell.c_loops then None else sc_find memo cell.c_pkey
+           in
+           let v =
+             evaluate ?compiled:cell.c_art ~runs:config.runs
+               ~base_seed:config.base_seed ~sc_outcomes cell.c_machine
+               cell.c_test
+           in
+           (idx, (v.v_error <> None, verdict_to_string v)))
+    |> List.iter (fun (idx, v) -> Hashtbl.replace by_idx idx v)
+  in
+  evaluate_all reps;
+  let class_verdict idx = Hashtbl.find by_idx (Hashtbl.find rep (class_of idx)) in
+  let own =
+    List.filter
+      (fun idx -> (not (Hashtbl.mem by_idx idx)) && fst (class_verdict idx))
       indices
   in
-  let settled =
-    Sweep.parallel_map ~domains
-      (fun idx ->
-        let cell = p.p_cells.(idx) in
-        let sc_outcomes =
-          if cell.c_loops then None else sc_find memo cell.c_pkey
-        in
-        ( idx,
-          verdict_to_string
-            (evaluate ?compiled:cell.c_art ~runs:config.runs
-               ~base_seed:config.base_seed ~sc_outcomes cell.c_machine
-               cell.c_test) ))
-      grouped
-  in
-  let by_idx = Hashtbl.create (List.length settled) in
-  List.iter (fun (idx, v) -> Hashtbl.replace by_idx idx v) settled;
-  List.map (fun idx -> (idx, Hashtbl.find by_idx idx)) indices
+  evaluate_all own;
+  memo.m_shared <-
+    memo.m_shared + List.length indices - List.length reps - List.length own;
+  List.map
+    (fun idx ->
+      match Hashtbl.find_opt by_idx idx with
+      | Some (_, s) -> (idx, s)
+      | None -> (idx, snd (class_verdict idx)))
+    indices
+
+(* The verdicts whose store key has not come up earlier in the list:
+   what a shard appends.  A key repeats when two cases share a program;
+   the store answers with a key's first record, so a repeat would only
+   be superseded. *)
+let first_per_key p verdicts =
+  firsts (fun (idx, _) -> cell_store_key p idx) verdicts
 
 (* --- the sharded campaign -------------------------------------------------- *)
 
-let emit_counters ~executed ~hits ~shards =
+let emit_counters ~executed ~shared ~hits ~shards =
   let r = Wo_obs.Recorder.active () in
   if Wo_obs.Recorder.enabled r then begin
     let c name value =
@@ -381,6 +435,7 @@ let emit_counters ~executed ~hits ~shards =
         ~value
     in
     c "campaign.settled" executed;
+    c "campaign.shared" shared;
     c "campaign.cache_hits" hits;
     c "campaign.shards" shards
   end
@@ -423,7 +478,7 @@ let findings_of p settled =
       | c -> c)
     !findings
 
-let run ?on_shard config ~specs ~cases =
+let run_with_shared ?on_shard config ~specs ~cases =
   let domains = config_domains config in
   let p = plan config ~specs ~cases in
   let total = plan_cells p in
@@ -456,11 +511,10 @@ let run ?on_shard config ~specs ~cases =
              (shard_indices p i)
          in
          let verdicts = settle memo ~domains config p fresh in
+         List.iter (fun (idx, s) -> settled_arr.(idx) <- Some s) verdicts;
          List.iter
-           (fun (idx, s) ->
-             Store.add store ~key:(cell_store_key p idx) ~value:s;
-             settled_arr.(idx) <- Some s)
-           verdicts;
+           (fun (idx, s) -> Store.add store ~key:(cell_store_key p idx) ~value:s)
+           (first_per_key p verdicts);
          Store.sync store;
          executed := !executed + List.length fresh;
          incr shards_run;
@@ -492,21 +546,28 @@ let run ?on_shard config ~specs ~cases =
      one.  ([settled_arr] is [None] only for cells a [max_shards] stop
      left unvisited.) *)
   let findings = findings_of p settled_arr in
-  emit_counters ~executed:!executed ~hits:!hits ~shards:!shards_run;
-  {
-    r_total = total;
-    r_executed = !executed;
-    r_cache_hits = !hits;
-    r_shards = !shards_run;
-    r_stopped_early = !stopped_early;
-    r_sc_sets = memo_sc_sets memo;
-    r_findings = findings;
-    r_store_records =
-      (match compacted with
-      | Some cs -> cs.Store.cs_after_records
-      | None -> count);
-    r_compacted = compacted;
-  }
+  let shared = memo.m_shared in
+  emit_counters ~executed:!executed ~shared ~hits:!hits ~shards:!shards_run;
+  let result =
+    {
+      r_total = total;
+      r_executed = !executed;
+      r_cache_hits = !hits;
+      r_shards = !shards_run;
+      r_stopped_early = !stopped_early;
+      r_sc_sets = memo_sc_sets memo;
+      r_findings = findings;
+      r_store_records =
+        (match compacted with
+        | Some cs -> cs.Store.cs_after_records
+        | None -> count);
+      r_compacted = compacted;
+    }
+  in
+  (result, shared)
+
+let run ?on_shard config ~specs ~cases =
+  fst (run_with_shared ?on_shard config ~specs ~cases)
 
 (* --- reports --------------------------------------------------------------- *)
 
@@ -553,13 +614,19 @@ let findings_report r =
   end;
   Buffer.contents b
 
-let result_json config r =
+let result_json ?shared config r =
+  let shared =
+    match shared with None -> [] | Some n -> [ ("shared", J.Int n) ]
+  in
   [
     ("runs", J.Int config.runs);
     ("seed", J.Int config.base_seed);
     ("shard", J.Int config.shard);
     ("total_cells", J.Int r.r_total);
     ("executed", J.Int r.r_executed);
+  ]
+  @ shared
+  @ [
     ("cache_hits", J.Int r.r_cache_hits);
     ("shards", J.Int r.r_shards);
     ("stopped_early", J.Bool r.r_stopped_early);

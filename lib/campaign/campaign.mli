@@ -23,8 +23,13 @@
     (cases, specs, shard size), and verdicts are deterministic in the
     cell, so any process settling any shard contributes the same bytes.
 
+    Fresh cells share seed batches: cells whose programs agree and
+    whose specs build the same hardware ({!Wo_machines.Spec.behaviour_key})
+    are simulated once (see {!settle}).
+
     Observability ({!Wo_obs} counters, when a recorder is active):
-    [campaign.settled], [campaign.cache_hits], [campaign.shards]. *)
+    [campaign.settled], [campaign.shared], [campaign.cache_hits],
+    [campaign.shards]. *)
 
 type config = {
   runs : int;  (** seeded runs per cell *)
@@ -158,13 +163,33 @@ val settle :
   memo -> domains:int -> config -> plan -> int list -> (int * string) list
 (** Settle the given (fresh) cell indices: enumerate any missing SC
     sets, evaluate in parallel, return [(index, verdict string)] pairs
-    in input order.  Execution is grouped by spec so each worker
-    domain's reusable machine session stays on one machine across
-    consecutive cells, and each case's compiled artifact (built once by
-    {!plan} for the store key) is shared across every spec and seed.
-    Deterministic in the cells alone — the grouping is a pure
-    performance knob; any process settling the same cell produces the
-    same bytes. *)
+    in input order.
+
+    One {!evaluate} runs per {e behaviour class}: the cells with equal
+    program payload, equal DRF0 flag and equal
+    {!Wo_machines.Spec.behaviour_key}.  Its verdict string is every
+    member's, byte for byte what the member's own {!evaluate} would
+    give: the members' machines differ only in name, and a name reaches
+    only [Machine_error] and watchdog text.  So when the class's
+    verdict carries an error ([v_error = Some _]), every other member
+    runs its own batch and keeps its own name in the message.  The
+    memo counts the cells answered from another cell's batch (see
+    {!run_with_shared}).
+
+    Execution is grouped by spec so each worker domain's reusable
+    machine session stays on one machine across consecutive cells, and
+    each case's compiled artifact (built once by {!plan} for the store
+    key) is shared across every spec and seed.  Deterministic in the
+    cells alone — the grouping and the sharing are pure performance
+    knobs; any process settling the same cell produces the same
+    bytes. *)
+
+val first_per_key : plan -> (int * string) list -> (int * string) list
+(** The [(index, verdict)] pairs whose store key does not occur earlier
+    in the list: what a shard appends to its store.  Two cases with the
+    same program share a key; the store answers with a key's first
+    record, so writing a repeat would only leave a superseded
+    duplicate. *)
 
 val run :
   ?on_shard:(shard:int -> settled:int -> executed:int -> total:int -> unit) ->
@@ -179,12 +204,28 @@ val run :
     Machine errors are caught per cell and recorded as failing
     verdicts, not crashes.  After a complete (not [max_shards]-stopped)
     run, the store is compacted if the [auto_compact] dead-record
-    threshold is met. *)
+    threshold is met.  A store key that repeats inside one shard (two
+    cases with the same program) is written once; every cell still
+    reports its own verdict. *)
+
+val run_with_shared :
+  ?on_shard:(shard:int -> settled:int -> executed:int -> total:int -> unit) ->
+  config ->
+  specs:Wo_machines.Spec.t list ->
+  cases:Wo_synth.Synth.case list ->
+  result * int
+(** {!run}, also returning how many of the cells it settled took their
+    verdict from another cell's seed batch (see {!settle}).  The count
+    rides beside {!result} rather than in it, so code that builds a
+    [result] record keeps compiling. *)
 
 val findings_report : result -> string
 (** Deterministic plain-text report (no timestamps, no wall-clock): the
     CI contract is that an interrupted+resumed campaign reproduces the
     uninterrupted report byte for byte. *)
 
-val result_json : config -> result -> (string * Wo_obs.Json.t) list
-(** Metrics payload fields for a [wo-metrics] document. *)
+val result_json :
+  ?shared:int -> config -> result -> (string * Wo_obs.Json.t) list
+(** Metrics payload fields for a [wo-metrics] document; [shared] (the
+    count {!run_with_shared} returns) is emitted as ["shared"] after
+    ["executed"] when given. *)

@@ -276,7 +276,7 @@ let settle_shard t memo ~domains ~snap i =
   List.iter
     (fun (idx, s) ->
       Store.add seg ~key:(Campaign.cell_store_key t.plan idx) ~value:s)
-    verdicts;
+    (Campaign.first_per_key t.plan verdicts);
   Store.sync seg;
   Unix.close
     (Unix.openfile (done_path t.dir i) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644);

@@ -161,21 +161,44 @@ let ordering_config (s : t) : Ordering.config =
     local_cost = s.local_cost;
   }
 
+(* Everything [build] hands a backend apart from the name and the
+   description: the resolved config, or nothing for the ideal machine.
+   [build] and [behaviour_key] both go through it, so a knob a backend
+   starts reading enters the key by itself. *)
+type backend =
+  | B_ideal
+  | B_ordering of Ordering.config
+  | B_uncached of Uncached.config
+  | B_cached of Coherent.config
+
+let backend (s : t) =
+  if s.model <> Model_sc then B_ordering (ordering_config s)
+  else
+    match s.memory with
+    | Ideal -> B_ideal
+    | Uncached _ -> B_uncached (uncached_config s)
+    | Cached _ -> B_cached (cached_config s)
+
 let build (s : t) : Machine.t =
   let sequentially_consistent, weakly_ordered_drf0 = flags s in
-  if s.model <> Model_sc then
-    Ordering.make ~name:s.name ~description:s.description
-      ~sequentially_consistent ~weakly_ordered_drf0 (ordering_config s)
-  else
-  match s.memory with
-  | Ideal ->
+  match backend s with
+  | B_ideal ->
     { Ideal.machine with Machine.name = s.name; description = s.description }
-  | Uncached _ ->
+  | B_ordering c ->
+    Ordering.make ~name:s.name ~description:s.description
+      ~sequentially_consistent ~weakly_ordered_drf0 c
+  | B_uncached c ->
     Uncached.make ~name:s.name ~description:s.description
-      ~sequentially_consistent ~weakly_ordered_drf0 (uncached_config s)
-  | Cached _ ->
+      ~sequentially_consistent ~weakly_ordered_drf0 c
+  | B_cached c ->
     Coherent.make ~name:s.name ~description:s.description
-      ~sequentially_consistent ~weakly_ordered_drf0 (cached_config s)
+      ~sequentially_consistent ~weakly_ordered_drf0 c
+
+(* The configs are plain data (no closures, no mutable state), so their
+   structural encoding is a canonical identity; [No_sharing] keeps it
+   independent of how the values happen to share substructure. *)
+let behaviour_key (s : t) =
+  Marshal.to_string (flags s, backend s) [ Marshal.No_sharing ]
 
 (* --- names ----------------------------------------------------------------- *)
 

@@ -85,6 +85,20 @@ val build : t -> Machine.t
     combinations build byte-identical machines (same results on every
     program and seed). *)
 
+val behaviour_key : t -> string
+(** The identity of the hardware {!build} assembles: a structural
+    encoding of {!flags} and the resolved backend config
+    ({!ordering_config}, {!uncached_config}, {!cached_config}, or a
+    constant for [Ideal]) — everything [build] hands the backend except
+    [name] and [description].  Two specs with equal keys build machines
+    that produce the same results on every program and seed, and differ
+    only where the machine's name is printed: [Machine_error] and
+    watchdog text.  {!Wo_campaign.Campaign.settle} runs one seed batch
+    per (program, key) class on that contract.  Knobs that resolve to
+    the same config share a key: on the uncached and ordering backends
+    every sync policy but {!Sync_none} builds the same machine.
+    @raise Invalid_argument where {!build} would. *)
+
 val uncached_config : t -> Uncached.config
 (** The uncached driver config this spec denotes.
     @raise Invalid_argument if [memory] is not [Uncached]. *)

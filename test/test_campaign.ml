@@ -242,6 +242,25 @@ let specs =
     Option.get (Wo_machines.Presets.spec_of "wo-new");
   ]
 
+(* The CLI's [--grid] over the three E19 campaign machines: the cached,
+   uncached and ordering backends, each on three fabrics under four
+   sync policies. *)
+let grid_specs =
+  List.concat_map
+    (fun name ->
+      Wo_machines.Spec.grid
+        ~fabrics:
+          [
+            Wo_machines.Memsys.Bus { transfer_cycles = 2 };
+            Wo_machines.Memsys.Net { base = 2; jitter = 6 };
+            Wo_machines.Memsys.Net_fixed { latency = 4 };
+          ]
+        ~syncs:
+          Wo_machines.Spec.
+            [ Sync_none; Sync_fence; Sync_reserve_bit; Sync_drf1_two_level ]
+        (Option.get (Wo_machines.Presets.spec_of name)))
+    [ "wo-new"; "bus-nocache-wb"; "tso-wb" ]
+
 let cases () =
   match S.batch ~family:"cycle-mixed" ~base_seed:1 ~count:6 () with
   | Ok cs -> cs
@@ -326,7 +345,7 @@ let test_campaign_counters () =
     Wo_obs.Recorder.with_sink rec_ (fun () ->
         C.run (config path) ~specs ~cases:(cases ()))
   in
-  let find name =
+  let find ?(rec_ = rec_) name =
     List.find_map
       (function
         | Wo_obs.Recorder.Counter
@@ -340,6 +359,138 @@ let test_campaign_counters () =
     (find "campaign.settled" = Some result.C.r_executed);
   check "campaign.cache_hits counter" true
     (find "campaign.cache_hits" = Some result.C.r_cache_hits);
+  (* the shared counter: recorded beside settled, equal to the count
+     [run_with_shared] returns, and nonzero on a cold grid whose
+     uncached specs build the same hardware under three sync policies *)
+  check "campaign.shared counter" true (find "campaign.shared" = Some 0);
+  let grid_rec = Wo_obs.Recorder.create () in
+  let path' = temp_store () in
+  let cold, shared =
+    Wo_obs.Recorder.with_sink grid_rec (fun () ->
+        C.run_with_shared (config path') ~specs:grid_specs ~cases:(cases ()))
+  in
+  check "campaign.shared counter" true
+    (find ~rec_:grid_rec "campaign.shared" = Some shared);
+  check "a cold grid shares batches" true
+    (shared > 0 && shared < cold.C.r_executed);
+  check "shared in the metrics fields" true
+    (List.assoc_opt "shared" (C.result_json ~shared (config path') cold)
+    = Some (Wo_obs.Json.Int shared));
+  let _, warm_shared = C.run_with_shared (config path') ~specs:grid_specs ~cases:(cases ()) in
+  check "a warm run shares nothing" true (warm_shared = 0);
+  Sys.remove path;
+  Sys.remove path'
+
+(* --- campaigns: one seed batch per behaviour class ------------------------------ *)
+
+module Spec = Wo_machines.Spec
+
+(* [haystack] contains [needle]. *)
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
+(* A cold grid campaign over the three E19 machines, with one case
+   repeated under a second name (same program, so the same store key,
+   in the same shard): every cell stores exactly the verdict its own
+   [evaluate] gives, and the repeated key is written once. *)
+let test_campaign_sharing_exact () =
+  let cases =
+    match cases () with
+    | c :: rest -> c :: { c with S.name = c.S.name ^ "-twin" } :: rest
+    | [] -> Alcotest.fail "no cases"
+  in
+  let path = temp_store () in
+  let cfg = { (config path) with C.shard = 2 * List.length grid_specs } in
+  let r, shared = C.run_with_shared cfg ~specs:grid_specs ~cases in
+  check "some cells shared a batch" true (shared > 0);
+  let p = C.plan cfg ~specs:grid_specs ~cases in
+  let machines = List.map Spec.build grid_specs in
+  with_store path (fun s ->
+      check "no superseded records" true (Store.live s = Store.length s);
+      List.iteri
+        (fun ci (case : S.case) ->
+          let test = C.litmus_of_case case in
+          let sc_outcomes =
+            if test.Wo_litmus.Litmus.loops then None
+            else
+              Some
+                (fst
+                   (Wo_prog.Enumerate.outcomes_stateful ~domains:1
+                      case.S.program))
+          in
+          List.iteri
+            (fun si machine ->
+              let idx = (ci * List.length grid_specs) + si in
+              let want =
+                C.verdict_to_string
+                  (C.evaluate ~runs:cfg.C.runs ~base_seed:cfg.C.base_seed
+                     ~sc_outcomes machine test)
+              in
+              if Store.find s ~key:(C.cell_store_key p idx) <> Some want then
+                Alcotest.failf "%s on %s: stored verdict <> its own evaluate"
+                  case.S.name machine.Wo_machines.Machine.name)
+            machines)
+        cases);
+  check "every cell settled" true (r.C.r_executed = r.C.r_total);
+  Sys.remove path
+
+(* Two specs that differ only in name share a behaviour key, but a
+   machine error names the machine: on a cell that deadlocks (the
+   coarse-counter cached machine on a 6-cycle bus, which draws nothing,
+   so every seed deadlocks), each cell runs its own batch and its
+   verdict names its own spec. *)
+let test_campaign_sharing_keeps_error_names () =
+  let coarse =
+    match Spec.default_cached with
+    | Spec.Cached c -> Spec.Cached { c with coarse_counter = true }
+    | m -> m
+  in
+  let base =
+    {
+      (Option.get (Wo_machines.Presets.spec_of "wo-new")) with
+      Spec.fabric = Wo_machines.Memsys.Bus { transfer_cycles = 6 };
+      memory = coarse;
+    }
+  in
+  let a = { base with Spec.name = "coarse-a" }
+  and b = { base with Spec.name = "coarse-b" } in
+  check "name-only difference shares a key" true
+    (Spec.behaviour_key a = Spec.behaviour_key b);
+  let case =
+    {
+      S.name = "lock-disciplined-21";
+      family = "lock-disciplined";
+      seed = 21;
+      program =
+        S.lock_disciplined ~seed:21 ~procs:3 ~sections_per_proc:4 ~locks:3
+          ~shared_locs:3 ();
+      classification = S.Drf0_by_construction;
+      forbidden = None;
+      forbidden_desc = None;
+    }
+  in
+  let path = temp_store () in
+  let cfg = config path in
+  let r, shared = C.run_with_shared cfg ~specs:[ a; b ] ~cases:[ case ] in
+  let p = C.plan cfg ~specs:[ a; b ] ~cases:[ case ] in
+  with_store path (fun s ->
+      List.iteri
+        (fun idx ((spec : Spec.t), (other : Spec.t)) ->
+          match
+            Option.map C.verdict_of_string
+              (Store.find s ~key:(C.cell_store_key p idx))
+          with
+          | Some (Ok { C.v_error = Some e; _ }) ->
+            check (spec.Spec.name ^ " named in its own error") true
+              (contains e (spec.Spec.name ^ ":")
+              && not (contains e other.Spec.name))
+          | _ -> Alcotest.failf "%s: no machine error stored" spec.Spec.name)
+        [ (a, b); (b, a) ]);
+  check "an erroring class shares nothing" true (shared = 0);
+  check "both cells are findings" true
+    (List.map (fun f -> f.C.f_machine) r.C.r_findings = [ "coarse-a"; "coarse-b" ]);
   Sys.remove path
 
 let tests =
@@ -357,6 +508,10 @@ let tests =
       `Quick test_campaign_findings_from_seeded_store;
     Alcotest.test_case "campaign emits observability counters" `Quick
       test_campaign_counters;
+    Alcotest.test_case "shared seed batches = per-cell verdicts" `Quick
+      test_campaign_sharing_exact;
+    Alcotest.test_case "shared seed batches keep each machine's error name"
+      `Quick test_campaign_sharing_keeps_error_names;
     Alcotest.test_case "store: unopenable paths raise Sys_error naming the file"
       `Quick test_store_unopenable;
   ]

@@ -618,6 +618,73 @@ let test_replay_after_machine_error () =
          = attempt (fun () -> M.run machine ~seed completing))
        (seeds 3))
 
+(* Specs with equal [Spec.behaviour_key] build the same hardware: the
+   campaign settles one seed batch per (program, key) class on that
+   promise.  Every preset, on the campaign grid's three fabrics, under
+   all six sync policies and all four ordering models: within each
+   class, every spec has the class representative's flags and its
+   canonical digest on every loop-free catalogue test at seeds 1-3 (a
+   run that raises counts as "raised": the message names the machine). *)
+let test_behaviour_key_sound () =
+  let specs =
+    List.concat_map
+      (fun base ->
+        Spec.grid ~fabrics:grid_fabrics
+          ~syncs:
+            Spec.
+              [
+                Sync_none; Sync_sc; Sync_fence; Sync_def1_stall;
+                Sync_reserve_bit; Sync_drf1_two_level;
+              ]
+          ~models:
+            (List.map
+               (fun m -> Option.get (Spec.model_of_string m))
+               [ "sc"; "tso"; "pso"; "ra" ])
+          base)
+      (P.specs @ P.model_specs)
+  in
+  let tests = List.filter (fun (t : L.t) -> not t.L.loops) L.all in
+  let digests spec =
+    let session = M.new_session (Spec.build spec) M.Compiled in
+    List.concat_map
+      (fun (t : L.t) ->
+        List.map
+          (fun seed ->
+            match M.session_run session ~seed t.L.program with
+            | r -> canonical r
+            | exception M.Machine_error _ -> "raised")
+          (seeds 3))
+      tests
+  in
+  let classes = Hashtbl.create 256 in
+  List.iter
+    (fun spec ->
+      let k = Spec.behaviour_key spec in
+      Hashtbl.replace classes k
+        (spec :: Option.value ~default:[] (Hashtbl.find_opt classes k)))
+    specs;
+  let shared = ref 0 in
+  Hashtbl.iter
+    (fun _ members ->
+      match List.rev members with
+      | [] | [ _ ] -> ()
+      | rep :: rest ->
+        let want = digests rep in
+        List.iter
+          (fun (spec : Spec.t) ->
+            incr shared;
+            if Spec.flags spec <> Spec.flags rep then
+              Alcotest.failf "%s and %s share a key but not their flags"
+                spec.Spec.name rep.Spec.name;
+            if digests spec <> want then
+              Alcotest.failf "%s and %s share a key but not their runs"
+                spec.Spec.name rep.Spec.name)
+          rest)
+    classes;
+  (* the grid's merges are real: the uncached and ordering backends read
+     sync only as [<> Sync_none] *)
+  check "some specs share a key" true (!shared > 0)
+
 let tests =
   [
     Alcotest.test_case "compiled sessions = fresh AST (all tests x presets)"
@@ -650,4 +717,6 @@ let tests =
       test_replay_after_machine_error;
     Alcotest.test_case "Lemma-1 verdict reuse = fresh per-seed reports" `Quick
       test_lemma1_reuse;
+    Alcotest.test_case "equal behaviour keys build the same hardware" `Quick
+      test_behaviour_key_sound;
   ]
