@@ -23,7 +23,6 @@ let experiments =
     ("e13", E13_machines.run);
     ("e14", E14_compiled.run);
     ("e15", E15_campaign.run);
-    ("e16", E16_scaleout.run);
     ("e17", E17_machpath.run);
     ("e18", E18_models.run);
     ("micro", Micro.run);
@@ -32,7 +31,7 @@ let experiments =
 let usage () =
   print_endline
     "usage: main.exe \
-     [e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e11|e12|e13|e14|e15|e16|e17|e18|micro]...";
+     [e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e11|e12|e13|e14|e15|e17|e18|micro]...";
   print_endline "with no arguments, everything runs in order";
   exit 1
 

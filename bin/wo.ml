@@ -911,8 +911,7 @@ let delays_cmd =
 (* --- wo synth / wo campaign ------------------------------------------------- *)
 
 (* The mutation corpus: every loop-free catalogued test (shared with the
-   campaign layer — and with worker processes, which must regenerate the
-   coordinator's exact case list). *)
+   campaign layer, so `wo synth` prints the cases a campaign settles). *)
 let synth_corpus = Wo_campaign.Campaign.catalogue_corpus
 
 let family_doc =
@@ -1054,26 +1053,6 @@ let campaign_cmd =
       & info [ "report" ] ~docv:"FILE"
           ~doc:"Also write the findings report to $(docv).")
   in
-  let workers_arg =
-    Arg.(
-      value & opt non_negative_int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Fork $(docv) local worker processes that claim shards via the \
-             campaign directory ($(b,<store>.campaign/)); $(b,0) runs \
-             single-process.  More workers can join from other hosts with \
-             $(b,--worker) against a shared directory.")
-  in
-  let worker_arg =
-    Arg.(
-      value & flag
-      & info [ "worker" ]
-          ~doc:
-            "Run as a worker process: attach to the existing campaign \
-             directory next to $(b,--store), claim and settle shards until \
-             none are claimable, then exit.  Campaign parameters come from \
-             the coordinator's manifest, not the command line.")
-  in
   let progress_arg =
     Arg.(
       value & flag
@@ -1088,9 +1067,9 @@ let campaign_cmd =
       & info [ "auto-compact" ] ~docv:"FRAC"
           ~doc:
             "Compact the store after a complete run when at least this \
-             fraction of its records are superseded duplicates (e.g. \
-             re-settled shards merged from a killed worker's segment); \
-             negative disables.")
+             fraction of its records are superseded duplicates (a settled \
+             key appended again, as older builds did for a shard's repeated \
+             keys); negative disables.")
   in
   let print_compacted = function
     | None -> ()
@@ -1103,36 +1082,9 @@ let campaign_cmd =
         (float_of_int cs.Wo_campaign.Store.cs_before_bytes
         /. float_of_int (max 1 cs.Wo_campaign.Store.cs_after_bytes))
   in
-  let run_as_worker ~store_path ~jobs ~progress =
-    let co =
-      try Wo_campaign.Coordinator.attach ~store_path
-      with Failure e | Sys_error e ->
-        prerr_endline ("wo campaign --worker: " ^ e);
-        exit 1
-    in
-    let pid = Unix.getpid () in
-    let on_shard =
-      if progress then
-        Some
-          (fun ~shard ~executed ~replayed ->
-            Printf.printf "worker %d: shard %d done (%d settled, %d replayed)\n%!"
-              pid shard executed replayed)
-      else None
-    in
-    let stats =
-      Wo_campaign.Coordinator.run_worker ~domains:(max 1 jobs) ?on_shard co
-    in
-    Printf.printf "worker %d: %d shard(s) claimed, %d cell(s) settled, %d replayed\n"
-      pid stats.Wo_campaign.Coordinator.w_claimed
-      stats.Wo_campaign.Coordinator.w_executed
-      stats.Wo_campaign.Coordinator.w_replayed
-  in
   let run families count seed runs jobs machine_names machine_files model_names
-      grid shard max_shards store_path report metrics workers worker progress
-      auto_compact =
+      grid shard max_shards store_path report metrics progress auto_compact =
     store_errors "wo campaign" @@ fun () ->
-    if worker then run_as_worker ~store_path ~jobs ~progress
-    else begin
     let specs =
       List.map (fun n -> or_die (get_spec n)) machine_names
       @ List.map (fun f -> or_die (load_spec f)) machine_files
@@ -1179,75 +1131,6 @@ let campaign_cmd =
         (Unix.gettimeofday () -. t0) /. float_of_int done_
         *. float_of_int (total - done_)
     in
-    (* Multi-process: publish the manifest, fork the workers (before
-       anything spawns a domain), supervise to completion, merge the
-       segments, then replay the merged store for the report — the
-       byte-identity path shared with single-process runs. *)
-    if workers > 0 then begin
-      (match max_shards with
-      | Some _ ->
-        prerr_endline "wo campaign: --max-shards is ignored with --workers"
-      | None -> ());
-      let config = { config with Wo_campaign.Campaign.max_shards = None } in
-      let co =
-        Wo_campaign.Coordinator.create config ~specs ~families ~count
-      in
-      Printf.printf "  %d shard(s), %d worker process(es), dir %s.campaign\n%!"
-        (Wo_campaign.Coordinator.shards co)
-        workers store_path;
-      let pids =
-        Wo_campaign.Coordinator.spawn_local ~domains:(max 1 jobs) ~workers co
-      in
-      let last = ref (-1) in
-      let on_progress ~done_ ~total =
-        if progress && done_ <> !last then begin
-          last := done_;
-          Printf.printf "  shards %d/%d settled, ETA %.0fs\n%!" done_ total
-            (eta_of ~done_ ~total)
-        end
-      in
-      Wo_campaign.Coordinator.supervise ~on_progress co pids;
-      let segs, appended = Wo_campaign.Coordinator.merge co in
-      Printf.printf "  merged %d segment(s): %d record(s) appended\n%!" segs
-        appended;
-      (* Warm replay over the merged store: executed is 0, and the
-         findings report is byte-identical to a single-process run's. *)
-      let result = Wo_campaign.Campaign.run config ~specs ~cases in
-      Wo_campaign.Coordinator.cleanup co;
-      let wall = Unix.gettimeofday () -. t0 in
-      Printf.printf
-        "settled %d cell(s) across %d worker(s) in %.2fs (%d replayed from \
-         the store)\n"
-        appended workers wall
-        result.Wo_campaign.Campaign.r_cache_hits;
-      print_compacted result.Wo_campaign.Campaign.r_compacted;
-      let report_text = Wo_campaign.Campaign.findings_report result in
-      print_string report_text;
-      (match report with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc report_text;
-        close_out oc;
-        Printf.printf "report: wrote %s\n" path);
-      (match metrics with
-      | None -> ()
-      | Some path ->
-        let doc =
-          Wo_obs.Metrics.make ~experiment:"campaign"
-            (machine_fields ()
-            @ Wo_campaign.Campaign.result_json config result
-            @ [
-                ("wall_s", Wo_obs.Json.Float wall);
-                ("workers", Wo_obs.Json.Int workers);
-                ("merged_records", Wo_obs.Json.Int appended);
-              ])
-        in
-        Wo_obs.Metrics.write_file ~path doc;
-        Printf.printf "metrics: wrote %s\n" path);
-      if result.Wo_campaign.Campaign.r_findings <> [] then exit 2
-    end
-    else begin
     let on_shard ~shard ~settled ~executed ~total =
       if progress then
         Printf.printf
@@ -1294,21 +1177,17 @@ let campaign_cmd =
       Wo_obs.Metrics.write_file ~path doc;
       Printf.printf "metrics: wrote %s\n" path);
     if result.Wo_campaign.Campaign.r_findings <> [] then exit 2
-    end
-    end
   in
   Cmd.v
     (Cmd.info "campaign"
        ~doc:
          "Run a resumable synthesis campaign: generated litmus cases x \
-          machine specs, verdicts persisted in an append-only store; scale \
-          out with --workers (local forks) or --worker (join from any host \
-          sharing the campaign directory)")
+          machine specs, verdicts persisted in an append-only store")
     Term.(
       const run $ families_arg $ count_arg $ seed_arg $ runs_arg $ jobs_arg
       $ machines_arg $ machine_files_arg $ models_arg $ grid_arg $ shard_arg
-      $ max_shards_arg $ store_arg $ report_arg $ metrics_arg $ workers_arg
-      $ worker_arg $ progress_arg $ auto_compact_arg)
+      $ max_shards_arg $ store_arg $ report_arg $ metrics_arg $ progress_arg
+      $ auto_compact_arg)
 
 (* --- wo difftest ----------------------------------------------------------- *)
 

@@ -109,9 +109,8 @@ let cell_key ~program_payload ~spec_json ~runs ~base_seed =
   Buffer.contents b
 
 (* The mutation corpus every campaign shares: each loop-free
-   catalogued test.  Deterministic in the binary, which is what lets a
-   worker process regenerate a coordinator's exact case list from the
-   manifest parameters alone. *)
+   catalogued test.  Deterministic in the binary, so a resumed campaign
+   regenerates the interrupted run's cases from the same command line. *)
 let catalogue_corpus () =
   List.filter_map
     (fun (t : L.t) ->
@@ -238,9 +237,9 @@ type plan = { p_cells : cell array; p_shard : int }
 (* One program key — one compiled canonical encoding — per case, shared
    by the store key and the SC memo table.  Cells are laid out
    case-major (every spec of a case lands in the same shard region), and
-   the shard partition is a pure function of (cases, specs, shard size):
-   every process that builds the same plan agrees on which cells shard
-   [i] holds — the whole multi-process protocol rests on this. *)
+   the shard partition is a pure function of (cases, specs, shard size),
+   so a resumed run walks the interrupted run's shards in the same
+   order. *)
 let plan config ~specs ~cases =
   let built =
     List.map
@@ -291,19 +290,14 @@ let cell_store_key p idx = p.p_cells.(idx).c_key
 
 (* In-run SC memoization, digest-indexed with payload confirmation —
    enumerated lazily, only for programs some *unsettled* cell needs.
-   One memo outlives many shards (and, in a worker, many claims), and
-   counts what [settle] did with them. *)
+   One memo outlives every shard of a run, and counts what [settle] did
+   with them. *)
 type memo = {
   sc_tbl :
     (Digest.t, (Sweep.program_key * Wo_prog.Outcome.t list) list) Hashtbl.t;
   mutable m_sc_sets : int;
   mutable m_shared : int;
 }
-
-let memo_create () =
-  { sc_tbl = Hashtbl.create 256; m_sc_sets = 0; m_shared = 0 }
-
-let memo_sc_sets m = m.m_sc_sets
 
 let sc_find memo key =
   match Hashtbl.find_opt memo.sc_tbl key.Sweep.pk_digest with
@@ -353,9 +347,9 @@ let firsts key l =
 
 (* Settle the given (fresh) cells: enumerate any missing SC sets, then
    evaluate in parallel.  Returns [(index, verdict string)] in input
-   order.  Verdicts are deterministic in the cell alone, so any process
-   settling the same cell writes the same bytes — what makes both the
-   resume contract and the multi-worker merge byte-stable.
+   order.  Verdicts are deterministic in the cell alone, so a resumed
+   run settling a cell writes the bytes an uninterrupted one would —
+   what makes the resume contract byte-stable.
 
    One seed batch runs per behaviour class: cells with the same
    program payload, the same DRF0 flag and the same
@@ -376,7 +370,7 @@ let settle memo ~domains config p indices =
   let rep = Hashtbl.create (List.length reps) in
   List.iter (fun idx -> Hashtbl.replace rep (class_of idx) idx) reps;
   (* Cells are laid out case-major, so consecutive indices alternate
-     specs.  Execution is regrouped spec-major: each worker's strided
+     specs.  Execution is regrouped spec-major: each domain's strided
      walk then stays on one machine for long stretches, so its
      per-domain session rebinds programs (cheap) instead of cycling
      machines.  The verdicts are reassembled into input order — the
@@ -440,11 +434,6 @@ let emit_counters ~executed ~shared ~hits ~shards =
     c "campaign.shards" shards
   end
 
-let config_domains config =
-  match config.domains with
-  | Some d -> max 1 d
-  | None -> Sweep.default_domains ()
-
 let findings_of p settled =
   let findings = ref [] in
   Array.iteri
@@ -479,10 +468,14 @@ let findings_of p settled =
     !findings
 
 let run_with_shared ?on_shard config ~specs ~cases =
-  let domains = config_domains config in
+  let domains =
+    match config.domains with
+    | Some d -> max 1 d
+    | None -> Sweep.default_domains ()
+  in
   let p = plan config ~specs ~cases in
   let total = plan_cells p in
-  let memo = memo_create () in
+  let memo = { sc_tbl = Hashtbl.create 256; m_sc_sets = 0; m_shared = 0 } in
   let executed = ref 0 and hits = ref 0 and shards_run = ref 0 in
   let stopped_early = ref false in
   (* Verdict strings of every cell this run settled or replayed, aligned
@@ -502,10 +495,19 @@ let run_with_shared ?on_shard config ~specs ~cases =
          let fresh =
            List.filter
              (fun idx ->
-               match Store.find store ~key:(cell_store_key p idx) with
+               let key = cell_store_key p idx in
+               match Store.find store ~key with
                | Some s ->
-                 incr hits;
                  settled_arr.(idx) <- Some s;
+                 (* A key this run wrote in an earlier shard (two cases
+                    with one program) was settled by this run: the cell
+                    shares that cell's batch.  A run that has written
+                    nothing (a warm replay) never asks. *)
+                 if !executed > 0 && Store.appended store ~key then begin
+                   incr executed;
+                   memo.m_shared <- memo.m_shared + 1
+                 end
+                 else incr hits;
                  false
                | None -> true)
              (shard_indices p i)
@@ -527,10 +529,10 @@ let run_with_shared ?on_shard config ~specs ~cases =
     (Store.dead_estimate store, Store.length store)
   in
   (* Auto-compaction: a store that accumulated enough superseded
-     duplicates (e.g. re-settled shards merged from a killed worker's
-     segment) is rewritten in place once the run is over and the store
-     is closed.  Lookup results are unchanged — compaction keeps
-     exactly the record every [find] answers with. *)
+     duplicates (a settled key appended again — older builds wrote a
+     shard's repeated keys twice) is rewritten in place once the run is
+     over and the store is closed.  Lookup results are unchanged —
+     compaction keeps exactly the record every [find] answers with. *)
   let compacted =
     match config.auto_compact with
     | Some threshold
@@ -555,7 +557,7 @@ let run_with_shared ?on_shard config ~specs ~cases =
       r_cache_hits = !hits;
       r_shards = !shards_run;
       r_stopped_early = !stopped_early;
-      r_sc_sets = memo_sc_sets memo;
+      r_sc_sets = memo.m_sc_sets;
       r_findings = findings;
       r_store_records =
         (match compacted with

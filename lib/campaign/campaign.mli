@@ -17,15 +17,12 @@
     why a warm resume is orders of magnitude faster than a cold run
     (bench E15).
 
-    The building blocks — {!plan}, {!memo}, {!settle} — are exposed so
-    the multi-process {!Coordinator} can drive the same cells from
-    worker processes: the plan's shard partition is a pure function of
-    (cases, specs, shard size), and verdicts are deterministic in the
-    cell, so any process settling any shard contributes the same bytes.
+    {!run} is the one way a cell is settled; its parallelism is the
+    [domains] of one process.
 
     Fresh cells share seed batches: cells whose programs agree and
     whose specs build the same hardware ({!Wo_machines.Spec.behaviour_key})
-    are simulated once (see {!settle}).
+    are simulated once (see {!run}).
 
     Observability ({!Wo_obs} counters, when a recorder is active):
     [campaign.settled], [campaign.shared], [campaign.cache_hits],
@@ -66,9 +63,9 @@ val verdict_of_string : string -> (verdict, string) result
 
 val catalogue_corpus : unit -> Wo_synth.Synth.corpus_entry list
 (** The mutation corpus shared by every campaign: each loop-free
-    catalogued litmus test.  Deterministic in the binary — a worker
-    process regenerates a coordinator's exact case list from manifest
-    parameters alone. *)
+    catalogued litmus test.  Deterministic in the binary, so a resumed
+    campaign regenerates the interrupted run's exact case list from
+    its command line. *)
 
 val litmus_of_case : Wo_synth.Synth.case -> Wo_litmus.Litmus.t
 (** View a synthesized case as a runnable litmus test ([drf0] iff
@@ -103,8 +100,11 @@ type finding = {
 
 type result = {
   r_total : int;  (** cells in the campaign (cases × specs) *)
-  r_executed : int;  (** cells simulated by this run *)
-  r_cache_hits : int;  (** cells already settled in the store *)
+  r_executed : int;
+      (** cells settled by this run: simulated, or answered by another
+          cell's seed batch in this run *)
+  r_cache_hits : int;
+      (** cells already settled in the store when the run opened it *)
   r_shards : int;  (** shards processed by this run *)
   r_stopped_early : bool;  (** [max_shards] cut the run short *)
   r_sc_sets : int;  (** SC outcome sets enumerated by this run *)
@@ -124,13 +124,10 @@ val cell_key :
     spec's canonical JSON and the run batch — exposed so tests and
     benches key cells compatibly with the store. *)
 
-(** {2 Building blocks (shared with {!Coordinator})} *)
-
 type plan
-(** The campaign's cell array and shard partition: cells laid out
-    case-major, shards as contiguous index ranges.  A pure function of
-    (config, specs, cases) — every process building the same plan
-    agrees on which cells shard [i] holds. *)
+(** The campaign's cell array: cells laid out case-major (every spec of
+    a case next to each other), each keyed for the store.  A pure
+    function of (config, specs, cases). *)
 
 val plan :
   config ->
@@ -141,55 +138,8 @@ val plan :
 val plan_cells : plan -> int
 (** Total cells (cases × specs). *)
 
-val plan_shards : plan -> int
-(** Number of shards (⌈cells / shard size⌉). *)
-
-val shard_indices : plan -> int -> int list
-(** The cell indices of one shard (empty past the end). *)
-
 val cell_store_key : plan -> int -> string
-
-type memo
-(** The in-run SC-outcome memoization table; one memo outlives many
-    shards (and in a worker, many claims). *)
-
-val memo_create : unit -> memo
-val memo_sc_sets : memo -> int
-
-val config_domains : config -> int
-(** The effective domain count ([domains], or the recommended count). *)
-
-val settle :
-  memo -> domains:int -> config -> plan -> int list -> (int * string) list
-(** Settle the given (fresh) cell indices: enumerate any missing SC
-    sets, evaluate in parallel, return [(index, verdict string)] pairs
-    in input order.
-
-    One {!evaluate} runs per {e behaviour class}: the cells with equal
-    program payload, equal DRF0 flag and equal
-    {!Wo_machines.Spec.behaviour_key}.  Its verdict string is every
-    member's, byte for byte what the member's own {!evaluate} would
-    give: the members' machines differ only in name, and a name reaches
-    only [Machine_error] and watchdog text.  So when the class's
-    verdict carries an error ([v_error = Some _]), every other member
-    runs its own batch and keeps its own name in the message.  The
-    memo counts the cells answered from another cell's batch (see
-    {!run_with_shared}).
-
-    Execution is grouped by spec so each worker domain's reusable
-    machine session stays on one machine across consecutive cells, and
-    each case's compiled artifact (built once by {!plan} for the store
-    key) is shared across every spec and seed.  Deterministic in the
-    cells alone — the grouping and the sharing are pure performance
-    knobs; any process settling the same cell produces the same
-    bytes. *)
-
-val first_per_key : plan -> (int * string) list -> (int * string) list
-(** The [(index, verdict)] pairs whose store key does not occur earlier
-    in the list: what a shard appends to its store.  Two cases with the
-    same program share a key; the store answers with a key's first
-    record, so writing a repeat would only leave a superseded
-    duplicate. *)
+(** The store key of the cell at an index of the plan. *)
 
 val run :
   ?on_shard:(shard:int -> settled:int -> executed:int -> total:int -> unit) ->
@@ -198,15 +148,32 @@ val run :
   cases:Wo_synth.Synth.case list ->
   result
 (** Execute the campaign.  Cells are laid out case-major (every spec of
-    a case lands in the same shard region); within a shard, unsettled
-    cells run in parallel ({!Wo_workload.Sweep.parallel_map}) and their
-    verdicts are appended and synced before the next shard starts.
-    Machine errors are caught per cell and recorded as failing
+    a case lands in the same shard region) and partitioned into
+    contiguous shards of [shard] cells; within a shard, unsettled cells
+    run in parallel on [domains] ({!Wo_workload.Sweep.parallel_map})
+    and their verdicts are appended and synced before the next shard
+    starts.  Machine errors are caught per cell and recorded as failing
     verdicts, not crashes.  After a complete (not [max_shards]-stopped)
     run, the store is compacted if the [auto_compact] dead-record
-    threshold is met.  A store key that repeats inside one shard (two
-    cases with the same program) is written once; every cell still
-    reports its own verdict. *)
+    threshold is met.
+
+    One {!evaluate} runs per {e behaviour class}: the fresh cells of a
+    shard with equal program payload, equal DRF0 flag and equal
+    {!Wo_machines.Spec.behaviour_key}.  Its verdict string is every
+    member's, byte for byte what the member's own {!evaluate} would
+    give: the members' machines differ only in name, and a name reaches
+    only [Machine_error] and watchdog text.  So when the class's
+    verdict carries an error ([v_error = Some _]), every other member
+    runs its own batch and keeps its own name in the message.
+    Execution is grouped by spec so each domain's reusable machine
+    session stays on one machine across consecutive cells; the grouping
+    and the sharing are pure performance knobs, and the bytes depend on
+    the cells alone.
+
+    A store key that repeats (two cases with the same program) is
+    written once; every cell still reports its own verdict.  A repeat
+    in a later shard than the one that wrote the key counts as settled
+    by this run ([r_executed]), not as a cache hit. *)
 
 val run_with_shared :
   ?on_shard:(shard:int -> settled:int -> executed:int -> total:int -> unit) ->
@@ -215,7 +182,7 @@ val run_with_shared :
   cases:Wo_synth.Synth.case list ->
   result * int
 (** {!run}, also returning how many of the cells it settled took their
-    verdict from another cell's seed batch (see {!settle}).  The count
+    verdict from another cell's seed batch (see {!run}).  The count
     rides beside {!result} rather than in it, so code that builds a
     [result] record keeps compiling. *)
 

@@ -30,8 +30,8 @@ end)
 
 type t = {
   fd : Unix.file_descr;
-  file : string;
   index : entry list Itbl.t;  (* key hash -> entries, log order *)
+  opened : int;  (* [tail] at open: later records are this handle's *)
   mutable tail : int;  (* append offset = end of last complete record *)
   mutable count : int;
   mutable live : int;  (* records that were first for their key hash *)
@@ -72,9 +72,7 @@ let really_read fd buf off len =
   !got
 
 (* Positioned read of [len] bytes into [buf.[0, len)] through the fd's
-   shared offset — only safe on an fd with a single user (the writer
-   handle, or a load-time scan).  Concurrent readers go through the
-   mmap'ed views below instead. *)
+   shared offset — the store's one handle is its offset's one user. *)
 let pread_into fd buf ~off ~len =
   ignore (Unix.lseek fd off Unix.SEEK_SET);
   really_read fd buf 0 len = len
@@ -101,15 +99,16 @@ let encode_record ~key ~value =
   set_u32 b 8 (fnv32 b rec_header_len (klen + vlen));
   Bytes.unsafe_to_string b
 
-(* Walk the complete records in [start, size), calling [emit] with each
-   record's key hash and entry; returns the offset just past the last
-   complete record — the torn tail, if any, begins there.  The scan is
-   strictly forward, so it streams through one reused buffer sized to
-   the range (capped at 1 MiB) — a large store opens with a handful of
-   big sequential reads, a snapshot refresh of a few records allocates
-   a few records' worth — and checksums each record in place; only the
-   key is copied out, to hash it. *)
-let scan_fd fd ~start ~size ~emit =
+(* Walk the complete records in [header_len, size), calling [emit] with
+   each record's key hash and entry; returns the offset just past the
+   last complete record — the torn tail, if any, begins there.  The scan
+   is strictly forward, so it streams through one reused buffer sized to
+   the log (capped at 1 MiB) — a large store opens with a handful of big
+   sequential reads, a small one allocates a few records' worth — and
+   checksums each record in place; only the key is copied out, to hash
+   it. *)
+let scan_fd fd ~size ~emit =
+  let start = header_len in
   let cap = min (1 lsl 20) (max 0 (size - start)) in
   let buf = Bytes.create cap in
   let tail = ref start in
@@ -204,10 +203,10 @@ let check_magic fd file =
     Unix.close fd;
     fail_file file "not a WOCAMPS1 campaign store"
 
-let make fd file ~records ~tail =
+let make fd ~records ~tail =
   {
-    fd; file; index = Itbl.create (max 16 records); tail; count = 0; live = 0;
-    dropped = 0; unsynced = true; scratch = Bytes.create 4096;
+    fd; index = Itbl.create (max 16 records); opened = tail; tail; count = 0;
+    live = 0; dropped = 0; unsynced = true; scratch = Bytes.create 4096;
   }
 
 let openf file =
@@ -220,7 +219,7 @@ let openf file =
       Unix.close fd;
       fail_file file "short header write"
     end;
-    make fd file ~records:0 ~tail:header_len
+    make fd ~records:0 ~tail:header_len
   end
   else begin
     check_magic fd file;
@@ -231,11 +230,11 @@ let openf file =
        lookup p99 tail (8.3 µs on E15) back towards the p50. *)
     let recs = ref [] and n = ref 0 in
     let tail =
-      scan_fd fd ~start:header_len ~size ~emit:(fun h e ->
+      scan_fd fd ~size ~emit:(fun h e ->
           recs := (h, e) :: !recs;
           incr n)
     in
-    let t = make fd file ~records:!n ~tail in
+    let t = make fd ~records:!n ~tail in
     List.iter (fun (h, e) -> index_add t h e) (List.rev !recs);
     if t.tail < size then begin
       t.dropped <- size - t.tail;
@@ -246,8 +245,6 @@ let openf file =
   end
 
 let close t = Unix.close t.fd
-
-let path t = t.file
 
 let length t = t.count
 
@@ -295,6 +292,9 @@ let find t ~key =
   | Some e -> Some (Bytes.sub_string t.scratch e.e_klen e.e_vlen)
 
 let mem t ~key = find_entry t ~key <> None
+
+let appended t ~key =
+  match find_entry t ~key with Some e -> e.e_off > t.opened | None -> false
 
 let add t ~key ~value =
   let s = encode_record ~key ~value in
@@ -395,125 +395,3 @@ let compact_log file =
 let compact file =
   try compact_log file
   with Unix.Unix_error (e, _, _) -> fail_file file (Unix.error_message e)
-
-(* --- immutable read views ---------------------------------------------------- *)
-
-module Hmap = Map.Make (Int)
-
-type view = {
-  v_data :
-    (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
-      (* the validated prefix [0, v_tail) of the log, mmap'ed *)
-  v_index : entry list Hmap.t;  (* key hash -> entries, log order *)
-  v_tail : int;
-  v_count : int;
-}
-
-let empty_data = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0
-
-let map_prefix fd tail =
-  if tail <= 0 then empty_data
-  else
-    Bigarray.array1_of_genarray
-      (Unix.map_file fd ~pos:0L Bigarray.char Bigarray.c_layout false [| tail |])
-
-let empty_view = { v_data = empty_data; v_index = Hmap.empty; v_tail = header_len; v_count = 0 }
-
-let view_index_add index h entry =
-  let prev = Option.value ~default:[] (Hmap.find_opt h index) in
-  Hmap.add h (prev @ [ entry ]) index
-
-let view_key_matches v e key =
-  e.e_klen = String.length key
-  &&
-  let rec go i =
-    i >= e.e_klen
-    || Bigarray.Array1.unsafe_get v.v_data (e.e_off + i) = String.unsafe_get key i
-       && go (i + 1)
-  in
-  go 0
-
-let view_read v ~off ~len =
-  let b = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get v.v_data (off + i))
-  done;
-  Bytes.unsafe_to_string b
-
-let view_find_entry v ~key =
-  match Hmap.find_opt (key_hash key) v.v_index with
-  | None -> None
-  | Some entries -> List.find_opt (fun e -> view_key_matches v e key) entries
-
-let view_find v ~key =
-  match view_find_entry v ~key with
-  | None -> None
-  | Some e -> Some (view_read v ~off:(e.e_off + e.e_klen) ~len:e.e_vlen)
-
-let view_iter v f =
-  let all = Hmap.fold (fun _ es acc -> es @ acc) v.v_index [] in
-  let sorted = List.sort (fun a b -> compare a.e_off b.e_off) all in
-  List.iter
-    (fun e ->
-      f
-        ~key:(view_read v ~off:e.e_off ~len:e.e_klen)
-        ~value:(view_read v ~off:(e.e_off + e.e_klen) ~len:e.e_vlen))
-    sorted
-
-module Snapshot = struct
-  type s = { sn_fd : Unix.file_descr; sn_file : string; sn_view : view }
-
-  (* Scan [start, size) of [fd] on top of [base]: complete records are
-     indexed, the torn tail (if any) is left alone — a snapshot never
-     writes, so a concurrent appender's in-flight record is simply not
-     visible yet.  The checksum makes a half-written record
-     indistinguishable from a torn tail, so a reader can never see a
-     torn record as data. *)
-  let extend fd base ~size =
-    if size <= base.v_tail then base
-    else begin
-      let index = ref base.v_index and count = ref base.v_count in
-      let tail =
-        scan_fd fd ~start:base.v_tail ~size ~emit:(fun h e ->
-            index := view_index_add !index h e;
-            incr count)
-      in
-      {
-        v_data = map_prefix fd tail;
-        v_index = !index;
-        v_tail = tail;
-        v_count = !count;
-      }
-    end
-
-  let load file =
-    let fd = open_fd file [ Unix.O_RDONLY ] 0 in
-    let st = Unix.fstat fd in
-    let size = st.Unix.st_size in
-    if st.Unix.st_kind <> Unix.S_REG then begin
-      Unix.close fd;
-      fail_file file "not a regular file"
-    end
-    else if size = 0 then { sn_fd = fd; sn_file = file; sn_view = empty_view }
-    else begin
-      check_magic fd file;
-      { sn_fd = fd; sn_file = file; sn_view = extend fd empty_view ~size }
-    end
-
-  let refresh s =
-    let size = (Unix.fstat s.sn_fd).Unix.st_size in
-    if size <= s.sn_view.v_tail then s
-    else { s with sn_view = extend s.sn_fd s.sn_view ~size }
-
-  let close s = Unix.close s.sn_fd
-
-  let path s = s.sn_file
-
-  let length s = s.sn_view.v_count
-
-  let find s ~key = view_find s.sn_view ~key
-
-  let mem s ~key = view_find_entry s.sn_view ~key <> None
-
-  let iter s f = view_iter s.sn_view f
-end

@@ -42,22 +42,21 @@
     full key bytes in that buffer, so a hash collision costs one
     comparison and can never alias two distinct triples.
 
-    {2 Concurrent access}
+    {2 Ownership}
 
-    One process owns a store read-write at a time (the campaign driver,
-    or a coordinator merging worker segments), but any number of
-    processes may read it concurrently: {!Snapshot} opens the log
-    read-only against an immutable view of its complete-record prefix
-    (never truncating).  The record checksum is what makes this sound:
-    a concurrently appended half-record is indistinguishable from a
-    torn tail, so a reader can never observe a torn record as data.
+    A store has one owner: the handle {!openf} returns.  It reads
+    through the same descriptor it appends to, so it is not shared
+    between processes or between domains — a campaign settles cells on
+    many domains but touches its store from the calling one only.
+    {!compact} rewrites the log behind a path and must not run while
+    any handle on that path is open.
 
     {2 Errors}
 
     A path that cannot be opened as a store — missing directory,
     permissions, a directory, a foreign or short header — raises
-    [Sys_error "FILE: reason"] from {!openf}, {!Snapshot.load} and
-    {!compact}; nothing else escapes them for a bad path. *)
+    [Sys_error "FILE: reason"] from {!openf} and {!compact}; nothing
+    else escapes them for a bad path. *)
 
 type t
 
@@ -71,8 +70,6 @@ val openf : string -> t
     foreign or short header *)
 
 val close : t -> unit
-
-val path : t -> string
 
 val length : t -> int
 (** Complete records indexed. *)
@@ -94,6 +91,11 @@ val find : t -> key:string -> string option
     read per candidate entry (one, barring a hash collision). *)
 
 val mem : t -> key:string -> bool
+
+val appended : t -> key:string -> bool
+(** The first record with exactly this key was appended through this
+    handle — it was not in the log {!openf} opened.  One {!find}'s
+    worth of work. *)
 
 val add : t -> key:string -> value:string -> unit
 (** Append a record and index it.  The store is append-only: adding an
@@ -126,44 +128,7 @@ val compact : string -> compact_stats
     checksummed file swapped in with an atomic rename.  Crash-safe: the
     new log is fully written and fsync'ed before the rename, and the
     directory is fsync'ed after, so a crash at any point leaves either
-    the complete old log or the complete new one.  The store must not
-    be open read-write elsewhere.
+    the complete old log or the complete new one.  No handle on the
+    path may be open.
     @raise Sys_error ["FILE: reason"] as {!val:openf}, or when the
     rewrite cannot be written or swapped in *)
-
-(** {2 Read-only snapshots}
-
-    A snapshot reads a log that a writer — in another process, or
-    another domain of this one — keeps appending to.  One handle
-    belongs to one domain: {!Snapshot.refresh} reads through the
-    descriptor's shared file offset, so concurrent readers each
-    {!Snapshot.load} their own. *)
-
-module Snapshot : sig
-  type s
-
-  val load : string -> s
-  (** Open read-only and index the complete-record prefix.  Unlike
-      {!openf} this never truncates: a torn or in-flight tail is simply
-      not visible yet.  Safe against a live writer in another
-      process.
-      @raise Sys_error ["FILE: reason"] on an unopenable path, a
-      non-regular file, or a foreign or short header *)
-
-  val refresh : s -> s
-  (** Extend the snapshot with records appended since it was taken,
-      scanning only the grown range through a buffer sized to it.  The
-      old value stays valid (views are immutable). *)
-
-  val close : s -> unit
-
-  val path : s -> string
-
-  val length : s -> int
-
-  val find : s -> key:string -> string option
-
-  val mem : s -> key:string -> bool
-
-  val iter : s -> (key:string -> value:string -> unit) -> unit
-end

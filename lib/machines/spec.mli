@@ -93,7 +93,7 @@ val behaviour_key : t -> string
     [name] and [description].  Two specs with equal keys build machines
     that produce the same results on every program and seed, and differ
     only where the machine's name is printed: [Machine_error] and
-    watchdog text.  {!Wo_campaign.Campaign.settle} runs one seed batch
+    watchdog text.  {!Wo_campaign.Campaign.run} runs one seed batch
     per (program, key) class on that contract.  Knobs that resolve to
     the same config share a key: on the uncached and ordering backends
     every sync policy but {!Sync_none} builds the same machine.

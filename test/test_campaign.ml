@@ -1,6 +1,7 @@
 (* The campaign engine: store crash-recovery (qcheck over truncation
-   points), verdict round-trips, resume-equals-uninterrupted reports,
-   and the store's one error for a path that is not a store. *)
+   points), compaction byte-identity (qcheck), verdict round-trips,
+   resume-equals-uninterrupted reports, auto-compaction, and the store's
+   one error for a path that is not a store. *)
 
 module C = Wo_campaign.Campaign
 module Store = Wo_campaign.Store
@@ -95,8 +96,7 @@ let prop_truncation_recovery =
 (* Corruption that keeps every length field intact: flip one byte
    inside a mid-log record's key or value.  Only the record checksum can
    notice, so [openf] must recover exactly the records before it and
-   truncate there, and a [Snapshot] of the same bytes must see the same
-   prefix — the truncation property above cannot tell a skipped
+   truncate there — the truncation property above cannot tell a skipped
    checksum from a checked one. *)
 let prop_flipped_byte_recovery =
   QCheck.Test.make
@@ -139,13 +139,6 @@ let prop_flipped_byte_recovery =
                if i < victim then find k = Some v else not (mem k))
              (List.init n (fun i -> i + 1))
       in
-      let snap = Store.Snapshot.load path in
-      let snap_ok =
-        prefix_only (Store.Snapshot.length snap)
-          (fun key -> Store.Snapshot.find snap ~key)
-          (fun key -> Store.Snapshot.mem snap ~key)
-      in
-      Store.Snapshot.close snap;
       let store_ok =
         with_store path (fun s ->
             prefix_only (Store.length s)
@@ -155,7 +148,7 @@ let prop_flipped_byte_recovery =
       in
       let truncated_there = (Unix.stat path).Unix.st_size = !start in
       Sys.remove path;
-      snap_ok && store_ok && truncated_there)
+      store_ok && truncated_there)
 
 let test_store_rejects_foreign () =
   let path = Filename.temp_file "wo-campaign-test" ".store" in
@@ -168,6 +161,50 @@ let test_store_rejects_foreign () =
     Store.close s;
     Alcotest.fail "foreign magic accepted");
   Sys.remove path
+
+(* Compaction keeps exactly the first record of each key: every lookup
+   answers as before, and the rewritten log holds nothing else. *)
+let prop_compaction_identity =
+  QCheck.Test.make
+    ~name:"compaction preserves every live (key, value) pair byte-identically"
+    ~count:60
+    QCheck.(pair (int_range 1 40) (int_range 1 8))
+    (fun (n, distinct) ->
+      let path = temp_store () in
+      (* keys collide (i mod distinct): later adds are superseded
+         duplicates that compaction must drop *)
+      let key i = Printf.sprintf "key-%d" (i mod distinct) in
+      let value i = Printf.sprintf "value-%d-%s" i (String.make (i mod 23) 'z') in
+      with_store path (fun s ->
+          for i = 1 to n do
+            Store.add s ~key:(key i) ~value:(value i)
+          done);
+      let live =
+        with_store path (fun s ->
+            List.filter_map
+              (fun d ->
+                let k = Printf.sprintf "key-%d" d in
+                Option.map (fun v -> (k, v)) (Store.find s ~key:k))
+              (List.init distinct Fun.id))
+      in
+      let cs = Store.compact path in
+      let after_ok =
+        with_store path (fun s ->
+            Store.length s = List.length live
+            && Store.dead_estimate s = 0
+            && Store.tail_dropped s = 0
+            && List.for_all
+                 (fun (k, v) -> Store.find s ~key:k = Some v)
+                 live)
+      in
+      let stats_ok =
+        cs.Store.cs_before_records = n
+        && cs.Store.cs_after_records = List.length live
+        && cs.Store.cs_after_bytes <= cs.Store.cs_before_bytes
+        && cs.Store.cs_after_bytes = (Unix.stat path).Unix.st_size
+      in
+      Sys.remove path;
+      after_ok && stats_ok)
 
 (* Every bad path surfaces as the one documented exception, in the
    "file: reason" shape — never a raw Unix_error — from each entry point
@@ -186,10 +223,6 @@ let test_store_unopenable () =
   expect "openf, missing directory" missing (fun () ->
       Store.close (Store.openf missing));
   expect "openf, a directory" dir (fun () -> Store.close (Store.openf dir));
-  expect "snapshot, missing directory" missing (fun () ->
-      Store.Snapshot.close (Store.Snapshot.load missing));
-  expect "snapshot, a directory" dir (fun () ->
-      Store.Snapshot.close (Store.Snapshot.load dir));
   expect "compact, a directory" dir (fun () -> ignore (Store.compact dir));
   expect "campaign run, missing directory" missing (fun () ->
       ignore
@@ -381,6 +414,68 @@ let test_campaign_counters () =
   Sys.remove path;
   Sys.remove path'
 
+(* Two cases with one program share a store key.  With one cell per
+   shard, the second case's cell meets the key the first one's shard
+   just wrote: the run settled both (one shared batch), and only a later
+   run finds them in the store.  A key an earlier run wrote stays a
+   cache hit even after this run has written others. *)
+let test_campaign_cross_shard_repeat () =
+  let case, other =
+    match cases () with
+    | c :: rest -> (c, List.find (fun o -> o.S.program <> c.S.program) rest)
+    | [] -> Alcotest.fail "no cases"
+  in
+  let cases = [ case; { case with S.name = case.S.name ^ "-twin" } ] in
+  let specs = [ List.hd specs ] in
+  let path = temp_store () in
+  let cfg = { (config path) with C.shard = 1 } in
+  let cold, shared = C.run_with_shared cfg ~specs ~cases in
+  check "cold run: no cache hits" true (cold.C.r_cache_hits = 0);
+  check "cold run settles both cells" true
+    (cold.C.r_executed = 2 && cold.C.r_shards = 2);
+  check "the repeat shares the first cell's batch" true (shared = 1);
+  check "the key is written once" true (cold.C.r_store_records = 1);
+  let warm, warm_shared = C.run_with_shared cfg ~specs ~cases in
+  check "warm run: both cells are cache hits" true
+    (warm.C.r_cache_hits = 2 && warm.C.r_executed = 0 && warm_shared = 0);
+  let mixed = C.run cfg ~specs ~cases:[ other; case ] in
+  check "an earlier run's key is a hit after this run wrote" true
+    (mixed.C.r_executed = 1 && mixed.C.r_cache_hits = 1);
+  Sys.remove path
+
+(* --- campaigns: auto-compaction ----------------------------------------------- *)
+
+let test_auto_compact () =
+  let cases = cases () in
+  let path = temp_store () in
+  (* a cold run writes no duplicates: no compaction even at threshold 0+ *)
+  let cfg = { (config path) with C.auto_compact = Some 0.01 } in
+  let cold = C.run cfg ~specs ~cases in
+  check "clean run does not compact" true (cold.C.r_compacted = None);
+  let records = cold.C.r_store_records in
+  (* append every record again, then run warm: half the store is
+     superseded *)
+  let pairs = ref [] in
+  with_store path (fun s ->
+      Store.iter s (fun ~key ~value -> pairs := (key, value) :: !pairs);
+      List.iter (fun (k, v) -> Store.add s ~key:k ~value:v) !pairs);
+  let warm = C.run cfg ~specs ~cases in
+  check "warm run replays despite duplicates" true (warm.C.r_executed = 0);
+  (match warm.C.r_compacted with
+  | None -> Alcotest.fail "50% superseded store did not auto-compact"
+  | Some cs ->
+    check "compaction dropped the duplicates" true
+      (cs.Store.cs_after_records = records
+      && cs.Store.cs_before_records = 2 * records));
+  Alcotest.(check string)
+    "report unchanged by compaction"
+    (C.findings_report cold) (C.findings_report warm);
+  (* and the compacted store still replays byte-identically *)
+  let again = C.run cfg ~specs ~cases in
+  check "post-compaction run replays everything" true
+    (again.C.r_executed = 0 && again.C.r_compacted = None);
+  Sys.remove path
+
 (* --- campaigns: one seed batch per behaviour class ------------------------------ *)
 
 module Spec = Wo_machines.Spec
@@ -514,4 +609,10 @@ let tests =
       `Quick test_campaign_sharing_keeps_error_names;
     Alcotest.test_case "store: unopenable paths raise Sys_error naming the file"
       `Quick test_store_unopenable;
+    QCheck_alcotest.to_alcotest prop_compaction_identity;
+    Alcotest.test_case "campaign auto-compacts a half-superseded store" `Quick
+      test_auto_compact;
+    Alcotest.test_case
+      "a key repeated in a later shard is settled by the run, not a cache hit"
+      `Quick test_campaign_cross_shard_repeat;
   ]

@@ -35,5 +35,4 @@ let () =
       ("obs", Test_obs.tests);
       ("synth", Test_synth.tests);
       ("campaign", Test_campaign.tests);
-      ("scaleout", Test_scaleout.tests);
     ]
