@@ -14,8 +14,9 @@
      execution order must be identical.  Plus per-seed trace
      determinism on a real machine (the heap must not perturb any
      simulation result).
-   - Sweep driver: Wo_workload.Sweep.litmus_campaign at 1 domain vs.
-     the recommended count; cells must agree.
+   - Sweep driver: the catalogue x machine sweep settled store-free
+     by Wo_campaign.Campaign.settle_all at 1 domain vs. the recommended
+     count; verdicts must agree.
 
    Results go to stdout and BENCH_hotpath.json (schema wo-metrics);
    CI gates on verdict equality and family speedup >= 1. *)
@@ -295,40 +296,34 @@ let run () =
     trace_seeds traces_deterministic;
   Wo_report.Table.subheading "sweep driver: 1 domain vs. recommended";
   print_newline ();
-  let machines =
+  let specs =
     [
-      Wo_machines.Presets.sc_dir;
-      Wo_machines.Presets.wo_old;
-      Wo_machines.Presets.wo_new;
-      Wo_machines.Presets.wo_new_drf1;
+      Wo_machines.Presets.sc_dir_spec;
+      Wo_machines.Presets.wo_old_spec;
+      Wo_machines.Presets.wo_new_spec;
+      Wo_machines.Presets.wo_new_drf1_spec;
     ]
   in
   let sweep_runs = Exp_common.scaled 50 10 in
-  let c1, sweep_1_seconds =
-    time (fun () ->
-        Sweep.litmus_campaign ~runs:sweep_runs ~domains:1 ~machines L.all)
+  let sweep domains =
+    let module C = Wo_campaign.Campaign in
+    let config =
+      { (C.default_config ~store_path:"") with
+        C.runs = sweep_runs;
+        domains = Some domains }
+    in
+    let plan = C.plan config ~specs ~cases:(List.map C.case_of_litmus L.all) in
+    Array.map C.verdict_to_string (C.settle_all config plan).C.s_verdicts
   in
+  let c1, sweep_1_seconds = time (fun () -> sweep 1) in
   let n_domains = max 2 (Sweep.default_domains ()) in
-  let cn, sweep_n_seconds =
-    time (fun () ->
-        Sweep.litmus_campaign ~runs:sweep_runs ~domains:n_domains ~machines
-          L.all)
-  in
-  let cell_key (c : Sweep.litmus_cell) =
-    ( c.Sweep.test.L.name,
-      c.Sweep.machine.M.name,
-      Wo_litmus.Runner.appears_sc c.Sweep.report,
-      c.Sweep.report.Wo_litmus.Runner.histogram,
-      c.Sweep.ok )
-  in
-  let sweep_identical =
-    List.map cell_key c1.Sweep.cells = List.map cell_key cn.Sweep.cells
-  in
+  let cn, sweep_n_seconds = time (fun () -> sweep n_domains) in
+  let sweep_identical = c1 = cn in
   let sweep_speedup = pct_speedup sweep_1_seconds sweep_n_seconds in
   Printf.printf
     "%d cells, %d runs each: 1 domain %.3fs, %d domains %.3fs (%.2fx), \
      results identical: %b\n\n"
-    (List.length c1.Sweep.cells)
+    (Array.length c1)
     sweep_runs sweep_1_seconds n_domains sweep_n_seconds sweep_speedup
     sweep_identical;
   let stats_json (s : En.stats) seconds =
@@ -388,7 +383,7 @@ let run () =
       ( "sweep",
         J.Obj
           [
-            ("cells", J.Int (List.length c1.Sweep.cells));
+            ("cells", J.Int (Array.length c1));
             ("runs", J.Int sweep_runs);
             ("domains", J.Int n_domains);
             ("seconds_1_domain", J.Float sweep_1_seconds);

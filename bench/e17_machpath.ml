@@ -12,8 +12,9 @@
      and finish with the same registers, driven through the same
      scripted port (Wo_oracle.Scripted_port); a reused session's
      results are Marshal-fingerprint identical to fresh sessions' at
-     every seed; sweep campaigns report identically at every domain
-     count;
+     every seed; the store-free catalogue sweep
+     (Wo_campaign.Campaign.settle_all) settles byte-identical verdicts
+     at every domain count;
    - allocation: >=3x fewer allocated bytes/run ([Gc.allocated_bytes])
      for the compiled frontend than for the AST walker at full bounds
      (the AST walk concatenates lists per [If]/[While] unfolding and
@@ -34,7 +35,6 @@
 module M = Wo_machines.Machine
 module P = Wo_machines.Presets
 module L = Wo_litmus.Litmus
-module Sweep = Wo_workload.Sweep
 module Port = Wo_oracle.Scripted_port
 module J = Wo_obs.Json
 
@@ -144,27 +144,18 @@ let measure_sessions ~runs ~name (machine : M.t) program =
 
 (* --- campaign identity across domain counts --------------------------------- *)
 
-let report_fp (r : Wo_litmus.Runner.report) =
-  Marshal.to_string
-    ( r.Wo_litmus.Runner.machine,
-      r.Wo_litmus.Runner.runs,
-      r.Wo_litmus.Runner.sc_outcomes,
-      r.Wo_litmus.Runner.histogram,
-      r.Wo_litmus.Runner.violations,
-      r.Wo_litmus.Runner.lemma1_failures,
-      r.Wo_litmus.Runner.interesting_counts,
-      r.Wo_litmus.Runner.total_cycles,
-      r.Wo_litmus.Runner.sc_coverage )
-    []
+let campaign_fp ~domains ~specs ~runs tests =
+  let module C = Wo_campaign.Campaign in
+  let config =
+    { (C.default_config ~store_path:"") with C.runs; domains = Some domains }
+  in
+  let plan = C.plan config ~specs ~cases:(List.map C.case_of_litmus tests) in
+  Array.map C.verdict_to_string (C.settle_all config plan).C.s_verdicts
 
-let campaign_fp ~domains ~machines ~runs tests =
-  let c = Sweep.litmus_campaign ~runs ~base_seed:1 ~domains ~machines tests in
-  List.map (fun (cell : Sweep.litmus_cell) -> report_fp cell.Sweep.report) c.Sweep.cells
-
-let campaign_identity ~runs ~domains_list ~machines tests =
-  let reference = campaign_fp ~domains:1 ~machines ~runs tests in
+let campaign_identity ~runs ~domains_list ~specs tests =
+  let reference = campaign_fp ~domains:1 ~specs ~runs tests in
   List.for_all
-    (fun domains -> campaign_fp ~domains ~machines ~runs tests = reference)
+    (fun domains -> campaign_fp ~domains ~specs ~runs tests = reference)
     domains_list
 
 (* --- the experiment --------------------------------------------------------- *)
@@ -289,17 +280,18 @@ let run () =
     List.for_all (fun r -> r.r_identical) rows
     && List.for_all (fun r -> r.s_identical) session_rows
   in
-  (* Campaign identity: the sweep front door reports the same bytes per
-     cell at every domain count. *)
+  (* Campaign identity: the sweep's store-free settle gives the same
+     verdict bytes per cell at every domain count. *)
   let domains = max 2 (min 4 (Domain.recommended_domain_count ())) in
   let sweep_identical =
     campaign_identity
       ~runs:(Exp_common.scaled 20 6)
       ~domains_list:[ 1; domains ]
-      ~machines:[ P.sc_dir; P.wo_new ]
+      ~specs:[ P.sc_dir_spec; P.wo_new_spec ]
       (if Exp_common.quick then [ L.figure1; L.dekker_sync ] else L.all)
   in
-  Printf.printf "\nsweep campaigns identical across domain counts (1, %d): %b\n\n"
+  Printf.printf
+    "\nsweep verdicts identical across domain counts (1, %d): %b\n\n"
     domains sweep_identical;
   Printf.printf
     "machine counters: %d runs, %d session reuses, %d session replays\n\n"

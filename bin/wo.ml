@@ -25,6 +25,7 @@ open Cmdliner
 
 module M = Wo_machines.Machine
 module L = Wo_litmus.Litmus
+module C = Wo_campaign.Campaign
 
 let machine_names =
   List.map
@@ -575,49 +576,63 @@ let sweep_cmd =
       @ List.map (fun f -> or_die (load_spec f)) machine_files
     in
     let specs = expand_models model_names specs in
-    let machines = List.map Wo_machines.Spec.build specs in
     let domains = if jobs = 0 then None else Some jobs in
     machine_errors @@ fun () ->
     let t0 = Unix.gettimeofday () in
-    let campaign =
-      Wo_workload.Sweep.spec_campaign ~runs ~base_seed:seed ?domains ~specs
-        Wo_litmus.Litmus.all
+    (* Every (test, spec) cell is one Definition-2 check, settled by the
+       campaign engine with no store. *)
+    let config =
+      { (C.default_config ~store_path:"") with
+        C.runs; base_seed = seed; domains }
     in
+    let plan = C.plan config ~specs ~cases:(List.map C.case_of_litmus L.all) in
+    let settled = C.settle_all config plan in
     let litmus_secs = Unix.gettimeofday () -. t0 in
+    (* A cell whose machine failed exits 3 through [machine_errors]. *)
+    Array.iter
+      (fun v -> Option.iter (fun e -> raise (M.Machine_error e)) v.C.v_error)
+      settled.C.s_verdicts;
+    (* The plan is case-major: cell [i * #specs + j] is test [i] on
+       spec [j]. *)
+    let cells =
+      List.concat_map (fun t -> List.map (fun s -> (t, s)) specs) L.all
+      |> List.mapi (fun idx (t, s) -> (t, s, settled.C.s_verdicts.(idx)))
+    in
+    let loop_free = List.length (List.filter (fun t -> not t.L.loops) L.all) in
+    let sc_reused = (loop_free * List.length specs) - settled.C.s_sc_sets in
+    let domains_used =
+      Option.value domains ~default:(Wo_workload.Sweep.default_domains ())
+    in
     Wo_report.Table.heading
       (Printf.sprintf
          "Litmus sweep: %d tests x %d machines, %d runs each (%d domains, \
           %.2fs; %d SC sets enumerated, %d cells reused one)"
-         (List.length Wo_litmus.Litmus.all)
-         (List.length machines) runs campaign.Wo_workload.Sweep.domains_used
-         litmus_secs campaign.Wo_workload.Sweep.sc_sets
-         campaign.Wo_workload.Sweep.sc_reused);
+         (List.length L.all) (List.length specs) runs domains_used litmus_secs
+         settled.C.s_sc_sets sc_reused);
     Wo_report.Table.print
       ~headers:
         [ "test"; "machine"; "expected"; "appears SC"; "outside SC"; "lemma1" ]
       (List.map
-         (fun (c : Wo_workload.Sweep.litmus_cell) ->
+         (fun ((t : L.t), (s : Wo_machines.Spec.t), (v : C.verdict)) ->
            [
-             c.Wo_workload.Sweep.test.L.name;
-             c.Wo_workload.Sweep.machine.M.name;
-             (if c.Wo_workload.Sweep.expected_sc then "SC" else "-");
-             (if Wo_litmus.Runner.appears_sc c.Wo_workload.Sweep.report then
-                "yes"
-              else "no");
-             string_of_int
-               (List.length c.Wo_workload.Sweep.report.Wo_litmus.Runner.violations);
-             string_of_int
-               c.Wo_workload.Sweep.report.Wo_litmus.Runner.lemma1_failures;
+             t.L.name;
+             s.Wo_machines.Spec.name;
+             (if v.C.v_expected_sc then "SC" else "-");
+             (if v.C.v_appears_sc then "yes" else "no");
+             string_of_int (List.length v.C.v_violations);
+             string_of_int v.C.v_lemma1;
            ])
-         campaign.Wo_workload.Sweep.cells);
-    let failures = Wo_workload.Sweep.failures campaign in
+         cells);
+    let failures = List.filter (fun (_, _, v) -> not v.C.v_ok) cells in
     let workload_cells =
       if not with_workloads then []
       else begin
         let t1 = Unix.gettimeofday () in
         let cells =
           Wo_workload.Sweep.workload_campaign ~runs:(min runs 20)
-            ~base_seed:seed ?domains ~machines Wo_workload.Workload.all
+            ~base_seed:seed ?domains
+            ~machines:(List.map Wo_machines.Spec.build specs)
+            Wo_workload.Workload.all
         in
         Wo_report.Table.heading
           (Printf.sprintf "Workload sweep (avg cycles over %d runs, %.2fs)"
@@ -652,15 +667,11 @@ let sweep_cmd =
           @ [
             ("runs", Wo_obs.Json.Int runs);
             ("seed", Wo_obs.Json.Int seed);
-            ( "domains",
-              Wo_obs.Json.Int campaign.Wo_workload.Sweep.domains_used );
-            ( "litmus_cells",
-              Wo_obs.Json.Int
-                (List.length campaign.Wo_workload.Sweep.cells) );
+            ("domains", Wo_obs.Json.Int domains_used);
+            ("litmus_cells", Wo_obs.Json.Int (List.length cells));
             ("litmus_wall_s", Wo_obs.Json.Float litmus_secs);
-            ("sc_sets", Wo_obs.Json.Int campaign.Wo_workload.Sweep.sc_sets);
-            ( "sc_reused",
-              Wo_obs.Json.Int campaign.Wo_workload.Sweep.sc_reused );
+            ("sc_sets", Wo_obs.Json.Int settled.C.s_sc_sets);
+            ("sc_reused", Wo_obs.Json.Int sc_reused);
             ("contract_failures", Wo_obs.Json.Int (List.length failures));
             ( "workload_cells",
               Wo_obs.Json.Int (List.length workload_cells) );
@@ -672,11 +683,10 @@ let sweep_cmd =
       Printf.printf "metrics: wrote %s\n" path);
     if failures <> [] || workload_failures <> [] then begin
       List.iter
-        (fun (c : Wo_workload.Sweep.litmus_cell) ->
+        (fun ((t : L.t), (s : Wo_machines.Spec.t), _) ->
           Printf.printf
-            "CONTRACT BROKEN: %s on %s promised SC but was not\n"
-            c.Wo_workload.Sweep.test.L.name
-            c.Wo_workload.Sweep.machine.M.name)
+            "CONTRACT BROKEN: %s on %s promised SC but was not\n" t.L.name
+            s.Wo_machines.Spec.name)
         failures;
       List.iter
         (fun (c : Wo_workload.Sweep.workload_cell) ->

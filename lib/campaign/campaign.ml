@@ -128,38 +128,6 @@ let catalogue_corpus () =
 
 let outcome_string o = Format.asprintf "%a" Wo_prog.Outcome.pp o
 
-(* A full trace of the first run whose outcome (or Lemma-1 check) breaks
-   the promise — captured once, stored with the verdict, and replayed
-   from the store forever after. *)
-let witness_of machine (test : L.t) ~runs ~base_seed ~sc_outcomes =
-  let init = Wo_prog.Program.initial_value test.L.program in
-  let rec go seed =
-    if seed >= base_seed + runs then None
-    else
-      let r = M.run machine ~seed test.L.program in
-      let bad_outcome =
-        match sc_outcomes with
-        | Some sc ->
-          not
-            (List.exists
-               (fun o -> Wo_prog.Outcome.compare o r.M.outcome = 0)
-               sc)
-        | None -> false
-      in
-      let bad_lemma1 =
-        (not bad_outcome) && test.L.drf0
-        && (match M.check_lemma1 ~init r with Ok () -> false | Error _ -> true)
-      in
-      if bad_outcome || bad_lemma1 then
-        Some
-          (Format.asprintf "seed %d, outcome %a%s@.%a" seed Wo_prog.Outcome.pp
-             r.M.outcome
-             (if bad_lemma1 then " (Lemma-1 violation)" else "")
-             Wo_sim.Trace.pp r.M.trace)
-      else go (seed + 1)
-  in
-  go base_seed
-
 let evaluate ?engine:(_ = M.Compiled) ?compiled ~runs ~base_seed
     ~sc_outcomes machine (test : L.t) =
   try
@@ -178,6 +146,30 @@ let evaluate ?engine:(_ = M.Compiled) ?compiled ~runs ~base_seed
     in
     let appears = Wo_litmus.Runner.appears_sc report in
     let ok = (not expected_sc) || appears in
+    (* A full trace of the first run whose outcome (or Lemma-1 check)
+       breaks the promise — captured once, stored with the verdict, and
+       replayed from the store forever after. *)
+    let init = Wo_prog.Program.initial_value test.L.program in
+    let outside_sc (r : M.result) =
+      List.exists
+        (fun (o, _) -> Wo_prog.Outcome.compare o r.M.outcome = 0)
+        report.Wo_litmus.Runner.violations
+    in
+    let lemma1_broken (r : M.result) =
+      (not (outside_sc r)) && test.L.drf0
+      && Result.is_error (M.check_lemma1 ~init r)
+    in
+    let witness =
+      if ok then None
+      else
+        Wo_litmus.Runner.first_seed session ~compiled ~base_seed ~runs
+          test.L.program (fun r -> outside_sc r || lemma1_broken r)
+        |> Option.map (fun (seed, (r : M.result)) ->
+               Format.asprintf "seed %d, outcome %a%s@.%a" seed
+                 Wo_prog.Outcome.pp r.M.outcome
+                 (if lemma1_broken r then " (Lemma-1 violation)" else "")
+                 Wo_sim.Trace.pp r.M.trace)
+    in
     {
       v_ok = ok;
       v_expected_sc = expected_sc;
@@ -188,9 +180,7 @@ let evaluate ?engine:(_ = M.Compiled) ?compiled ~runs ~base_seed
           report.Wo_litmus.Runner.violations;
       v_lemma1 = report.Wo_litmus.Runner.lemma1_failures;
       v_error = None;
-      v_witness =
-        (if ok then None
-         else witness_of machine test ~runs ~base_seed ~sc_outcomes);
+      v_witness = witness;
     }
   with M.Machine_error msg ->
     {
@@ -230,6 +220,21 @@ let litmus_of_case (c : Wo_synth.Synth.case) =
       = Wo_synth.Synth.Drf0_by_construction);
     L.loops = Wo_prog.Program.has_loops c.Wo_synth.Synth.program;
     L.interesting = [];
+  }
+
+(* A catalogued test as a case: DRF0 if the test is, racy otherwise
+   (the catalogue is curated: every non-DRF0 test races). *)
+let case_of_litmus (t : L.t) =
+  {
+    Wo_synth.Synth.name = t.L.name;
+    family = "litmus";
+    seed = 0;
+    program = t.L.program;
+    classification =
+      (if t.L.drf0 then Wo_synth.Synth.Drf0_by_construction
+       else Wo_synth.Synth.Racy_by_construction);
+    forbidden = None;
+    forbidden_desc = None;
   }
 
 type plan = { p_cells : cell array; p_shard : int }
@@ -293,44 +298,13 @@ let cell_store_key p idx = p.p_cells.(idx).c_key
    One memo outlives every shard of a run, and counts what [settle] did
    with them. *)
 type memo = {
-  sc_tbl :
-    (Digest.t, (Sweep.program_key * Wo_prog.Outcome.t list) list) Hashtbl.t;
+  sc_tbl : Wo_prog.Outcome.t list Sweep.Key_tbl.t;
   mutable m_sc_sets : int;
   mutable m_shared : int;
 }
 
-let sc_find memo key =
-  match Hashtbl.find_opt memo.sc_tbl key.Sweep.pk_digest with
-  | None -> None
-  | Some bindings -> Sweep.find_keyed key bindings
-
-let ensure_sc_sets memo ~domains cells =
-  let missing =
-    List.fold_left
-      (fun acc (cell : cell) ->
-        if cell.c_loops then acc
-        else if sc_find memo cell.c_pkey <> None then acc
-        else if Sweep.find_keyed cell.c_pkey acc <> None then acc
-        else (cell.c_pkey, cell.c_test.L.program) :: acc)
-      [] cells
-    |> List.rev
-  in
-  let enumerated =
-    Sweep.parallel_map ~domains
-      (fun (key, program) ->
-        ( key,
-          fst (Wo_prog.Enumerate.outcomes_stateful ~domains:1 program) ))
-      missing
-  in
-  List.iter
-    (fun (key, outs) ->
-      memo.m_sc_sets <- memo.m_sc_sets + 1;
-      let prev =
-        Option.value ~default:[]
-          (Hashtbl.find_opt memo.sc_tbl key.Sweep.pk_digest)
-      in
-      Hashtbl.replace memo.sc_tbl key.Sweep.pk_digest (prev @ [ (key, outs) ]))
-    enumerated
+let new_memo () =
+  { sc_tbl = Sweep.Key_tbl.create 256; m_sc_sets = 0; m_shared = 0 }
 
 (* The elements of [l] whose [key] does not occur earlier in [l]. *)
 let firsts key l =
@@ -344,6 +318,21 @@ let firsts key l =
         true
       end)
     l
+
+let ensure_sc_sets memo ~domains cells =
+  List.filter
+    (fun (cell : cell) ->
+      (not cell.c_loops) && Sweep.Key_tbl.find memo.sc_tbl cell.c_pkey = None)
+    cells
+  |> firsts (fun (cell : cell) -> cell.c_pkey.Sweep.pk_payload)
+  |> Sweep.parallel_map ~domains (fun (cell : cell) ->
+         ( cell.c_pkey,
+           fst
+             (Wo_prog.Enumerate.outcomes_stateful ~domains:1
+                cell.c_test.L.program) ))
+  |> List.iter (fun (key, outs) ->
+         memo.m_sc_sets <- memo.m_sc_sets + 1;
+         Sweep.Key_tbl.add memo.sc_tbl key outs)
 
 (* Settle the given (fresh) cells: enumerate any missing SC sets, then
    evaluate in parallel.  Returns [(index, verdict string)] in input
@@ -385,7 +374,8 @@ let settle memo ~domains config p indices =
     |> Sweep.parallel_map ~domains (fun idx ->
            let cell = p.p_cells.(idx) in
            let sc_outcomes =
-             if cell.c_loops then None else sc_find memo cell.c_pkey
+             if cell.c_loops then None
+             else Sweep.Key_tbl.find memo.sc_tbl cell.c_pkey
            in
            let v =
              evaluate ?compiled:cell.c_art ~runs:config.runs
@@ -467,15 +457,34 @@ let findings_of p settled =
       | c -> c)
     !findings
 
-let run_with_shared ?on_shard config ~specs ~cases =
-  let domains =
-    match config.domains with
-    | Some d -> max 1 d
-    | None -> Sweep.default_domains ()
+let domains_of config =
+  match config.domains with Some d -> max 1 d | None -> Sweep.default_domains ()
+
+type settled = {
+  s_verdicts : verdict array;
+  s_sc : Wo_prog.Outcome.t list Sweep.Key_tbl.t;
+  s_sc_sets : int;
+}
+
+let settle_all config p =
+  let memo = new_memo () in
+  let verdicts =
+    settle memo ~domains:(domains_of config) config p
+      (List.init (plan_cells p) Fun.id)
   in
+  {
+    s_verdicts =
+      Array.of_list
+        (List.map (fun (_, s) -> Result.get_ok (verdict_of_string s)) verdicts);
+    s_sc = memo.sc_tbl;
+    s_sc_sets = memo.m_sc_sets;
+  }
+
+let run_with_shared ?on_shard config ~specs ~cases =
+  let domains = domains_of config in
   let p = plan config ~specs ~cases in
   let total = plan_cells p in
-  let memo = { sc_tbl = Hashtbl.create 256; m_sc_sets = 0; m_shared = 0 } in
+  let memo = new_memo () in
   let executed = ref 0 and hits = ref 0 and shards_run = ref 0 in
   let stopped_early = ref false in
   (* Verdict strings of every cell this run settled or replayed, aligned

@@ -12,13 +12,15 @@
     and replayed from the store, never recomputed).
 
     The SC outcome set of each distinct loop-free program is enumerated
-    at most once per process (in-run memoization, {!Wo_workload.Sweep}
-    style) and not at all for cells the store already settles — which is
-    why a warm resume is orders of magnitude faster than a cold run
-    (bench E15).
+    at most once per run (one {!Wo_workload.Sweep.Key_tbl} memo) and
+    not at all for cells the store already settles — which is why a
+    warm resume is orders of magnitude faster than a cold run (bench
+    E15).
 
-    {!run} is the one way a cell is settled; its parallelism is the
-    [domains] of one process.
+    One internal settle step turns cells into verdicts: {!run} calls it
+    per shard against the store, {!settle_all} once over a whole plan
+    with no store ([wo sweep]).  Its parallelism is the [domains] of
+    one process.
 
     Fresh cells share seed batches: cells whose programs agree and
     whose specs build the same hardware ({!Wo_machines.Spec.behaviour_key})
@@ -71,6 +73,10 @@ val litmus_of_case : Wo_synth.Synth.case -> Wo_litmus.Litmus.t
 (** View a synthesized case as a runnable litmus test ([drf0] iff
     classified DRF0-by-construction, [loops] from the program). *)
 
+val case_of_litmus : Wo_litmus.Litmus.t -> Wo_synth.Synth.case
+(** A catalogued test as a case of family ["litmus"]: DRF0 by
+    construction if the test is DRF0, racy by construction otherwise. *)
+
 val evaluate :
   ?engine:Wo_machines.Machine.engine ->
   ?compiled:Wo_prog.Prog_compile.t ->
@@ -82,10 +88,11 @@ val evaluate :
   verdict
 (** One cell's verdict: [runs] seeded runs, outcome comparison against
     [sc_outcomes] when given (loop-free tests), Lemma-1 oracle for DRF0
-    tests, witness trace captured iff the promise broke.  Machine errors
-    become failing verdicts, not exceptions.  The seed batch runs
-    through the calling domain's reusable machine session
-    ({!Wo_workload.Sweep.domain_session}); [compiled] passes the
+    tests, witness trace captured iff the promise broke (the first
+    breaking seed, {!Wo_litmus.Runner.first_seed}).  Machine errors
+    become failing verdicts, not exceptions.  The seed batch and the
+    witness search run through the calling domain's reusable machine
+    session ({!Wo_workload.Sweep.domain_session}); [compiled] passes the
     program's pre-compiled artifact.  [engine] selects nothing (see
     {!Wo_machines.Machine.engine}).  Deterministic in the cell
     arguments — the store replays these forever. *)
@@ -140,6 +147,20 @@ val plan_cells : plan -> int
 
 val cell_store_key : plan -> int -> string
 (** The store key of the cell at an index of the plan. *)
+
+type settled = {
+  s_verdicts : verdict array;  (** one per cell, in plan order *)
+  s_sc : Wo_prog.Outcome.t list Wo_workload.Sweep.Key_tbl.t;
+      (** the SC outcome set of every loop-free program, by
+          {!Wo_workload.Sweep.program_key} *)
+  s_sc_sets : int;  (** SC outcome sets enumerated *)
+}
+
+val settle_all : config -> plan -> settled
+(** {!run}'s settle step over the whole plan at once, with no store;
+    reads only [runs], [base_seed] and [domains] of the config.  Each
+    verdict is the one {!run} would store for the cell; a machine error
+    is a verdict with [v_error = Some _], not an exception. *)
 
 val run :
   ?on_shard:(shard:int -> settled:int -> executed:int -> total:int -> unit) ->

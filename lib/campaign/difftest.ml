@@ -74,16 +74,6 @@ type summary = {
   violating : report list;
 }
 
-let case_of_litmus (t : L.t) =
-  {
-    cname = t.L.name;
-    program = t.L.program;
-    drf0 = t.L.drf0;
-    (* the litmus corpus is curated: every non-DRF0 test races *)
-    racy = not t.L.drf0;
-    loops = t.L.loops;
-  }
-
 let case_of_synth (c : Wo_synth.Synth.case) =
   {
     cname = c.Wo_synth.Synth.name;
@@ -92,6 +82,8 @@ let case_of_synth (c : Wo_synth.Synth.case) =
     racy = c.Wo_synth.Synth.classification = Wo_synth.Synth.Racy_by_construction;
     loops = Wo_prog.Program.has_loops c.Wo_synth.Synth.program;
   }
+
+let case_of_litmus t = case_of_synth (Campaign.case_of_litmus t)
 
 let default_cases ?(family = "cycle-racy") ?(count = 8) () =
   let litmus = List.map case_of_litmus L.all in
@@ -103,22 +95,6 @@ let default_cases ?(family = "cycle-racy") ?(count = 8) () =
   litmus @ synth
 
 let in_set set o = List.exists (fun a -> Wo_prog.Outcome.compare a o = 0) set
-
-let find_witness session ~base_seed ~runs ~compiled program bad =
-  let rec search seed =
-    if seed >= base_seed + runs then None
-    else
-      let r = M.session_run session ~seed ?compiled program in
-      if Wo_prog.Outcome.compare r.M.outcome bad = 0 then
-        Some
-          {
-            wseed = seed;
-            woutcome = bad;
-            wtrace = Format.asprintf "%a" Wo_sim.Trace.pp r.M.trace;
-          }
-      else search (seed + 1)
-  in
-  search base_seed
 
 type machine = {
   mspec : S.t;
@@ -171,7 +147,14 @@ let check_case ~runs ~base_seed ~witnesses ~sc_set ~model_set (c : case) m =
   let witness =
     match (witnesses, violations) with
     | true, (bad, _) :: _ ->
-      find_witness m.session ~base_seed ~runs ~compiled:None c.program bad
+      R.first_seed m.session ~compiled:None ~base_seed ~runs c.program
+        (fun r -> Wo_prog.Outcome.compare r.M.outcome bad = 0)
+      |> Option.map (fun (seed, (r : M.result)) ->
+             {
+               wseed = seed;
+               woutcome = bad;
+               wtrace = Format.asprintf "%a" Wo_sim.Trace.pp r.M.trace;
+             })
     | _ -> None
   in
   {

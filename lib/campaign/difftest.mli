@@ -61,8 +61,11 @@ type summary = {
   violating : report list;
 }
 
-val case_of_litmus : Wo_litmus.Litmus.t -> case
 val case_of_synth : Wo_synth.Synth.case -> case
+
+val case_of_litmus : Wo_litmus.Litmus.t -> case
+(** [case_of_synth] of {!Campaign.case_of_litmus}: DRF0 tests are DRF0,
+    the rest racy. *)
 
 val default_cases : ?family:string -> ?count:int -> unit -> case list
 (** The litmus corpus plus a deterministic synthesis batch

@@ -117,6 +117,15 @@ let run ?(runs = 100) ?(base_seed = 1) ?check_lemma1 ?sc_outcomes ?session
 
 let appears_sc r = r.violations = [] && r.lemma1_failures = 0
 
+let first_seed session ~compiled ~base_seed ~runs program bad =
+  let rec search seed =
+    if seed >= base_seed + runs then None
+    else
+      let r = Wo_machines.Machine.session_run session ~seed ?compiled program in
+      if bad r then Some (seed, r) else search (seed + 1)
+  in
+  search base_seed
+
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>%s on %s: %d runs" r.test.Litmus.name r.machine
     r.runs;

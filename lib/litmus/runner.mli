@@ -42,14 +42,25 @@ val run :
     again without re-checking.  Without [sc_outcomes] a loop-free
     test's SC set comes from {!Wo_prog.Enumerate.outcomes_stateful} on one
     domain; [sc_outcomes] supplies a precomputed set instead, skipping the
-    enumeration — the sweep driver ({!Wo_workload.Sweep}) memoizes one set
-    per distinct program and shares it across every machine/seed
-    combination.  All seeds run
+    enumeration — the campaign memoizes one set per distinct program
+    and shares it across every machine/seed combination.  All seeds run
     through one machine session — [session] to share across calls
     (it must belong to this machine) — and [compiled] passes the test
     program's pre-compiled artifact. *)
 
 val appears_sc : report -> bool
 (** No violations and no Lemma-1 failures. *)
+
+val first_seed :
+  Wo_machines.Machine.session ->
+  compiled:Wo_prog.Prog_compile.t option ->
+  base_seed:int ->
+  runs:int ->
+  Wo_prog.Program.t ->
+  (Wo_machines.Machine.result -> bool) ->
+  (int * Wo_machines.Machine.result) option
+(** The first seed of [base_seed..base_seed+runs-1] whose session run
+    satisfies the predicate, with that run's result: the witness search
+    behind a broken verdict (session runs equal fresh runs). *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -33,9 +33,6 @@ let new_session t Compiled = t.new_session ()
 let session_run s ?(seed = 0) ?compiled program =
   s.session_run ~seed ?compiled program
 
-let run_batch s ?compiled ~seeds program =
-  List.map (fun seed -> s.session_run ~seed ?compiled program) seeds
-
 (* --- run accounting --------------------------------------------------------- *)
 
 (* Atomics: sweep/campaign workers run machines from several domains. *)

@@ -84,14 +84,6 @@ val session_run :
   result
 (** [seed] defaults to 0. *)
 
-val run_batch :
-  session ->
-  ?compiled:Wo_prog.Prog_compile.t ->
-  seeds:int list ->
-  Wo_prog.Program.t ->
-  result list
-(** Run one program at each seed through the session, in order. *)
-
 (** {2 Run accounting}
 
     Process-wide counters (atomic — sweep workers run machines on

@@ -45,22 +45,7 @@ let parallel_map ~domains f items =
   end;
   Array.to_list (Array.map Option.get out)
 
-(* --- litmus campaigns ----------------------------------------------------- *)
-
-type litmus_cell = {
-  test : Wo_litmus.Litmus.t;
-  machine : Wo_machines.Machine.t;
-  report : Wo_litmus.Runner.report;
-  expected_sc : bool;
-  ok : bool;
-}
-
-type litmus_campaign = {
-  cells : litmus_cell list;
-  domains_used : int;
-  sc_sets : int;
-  sc_reused : int;
-}
+(* --- program keys ---------------------------------------------------------- *)
 
 (* Structural identity of the parts of a program the SC outcome set
    depends on.  The payload is the compiled program's canonical byte
@@ -100,10 +85,8 @@ let key_equal a b =
 let find_keyed key table =
   List.find_map (fun (k, v) -> if key_equal k key then Some v else None) table
 
-(* Digest-indexed map over program keys: O(1) per lookup where the assoc
-   list [find_keyed] walked (and payload-compared) every binding.  A
-   digest hit still confirms the full payload, so collisions cannot
-   alias. *)
+(* Digest-indexed map over program keys: O(1) per lookup, and a digest
+   hit still confirms the full payload, so collisions cannot alias. *)
 module Key_tbl = struct
   type 'a t = (Digest.t, (program_key * 'a) list) Hashtbl.t
 
@@ -118,11 +101,6 @@ module Key_tbl = struct
     let prev = Option.value ~default:[] (Hashtbl.find_opt t key.pk_digest) in
     Hashtbl.replace t key.pk_digest (prev @ [ (key, v) ])
 end
-
-let key_tests tests =
-  List.map
-    (fun (t : Wo_litmus.Litmus.t) -> (t, program_key t.Wo_litmus.Litmus.program))
-    tests
 
 (* --- per-domain machine sessions ------------------------------------------- *)
 
@@ -144,112 +122,6 @@ let domain_session (m : Wo_machines.Machine.t) =
     let s = Wo_machines.Machine.new_session m Wo_machines.Machine.Compiled in
     Hashtbl.replace tbl m.Wo_machines.Machine.name (m, s);
     s
-
-let litmus_campaign_keyed ?runs ?base_seed ?domains ~machines keyed =
-  let d = match domains with Some d -> max 1 d | None -> default_domains () in
-  (* Phase 1: one SC enumeration per distinct loop-free program, fanned
-     out, then frozen into a digest-indexed table every cell reads.  The
-     keys arrive precomputed — one compiled canonical encoding per
-     program, built exactly once and threaded through both phases. *)
-  let seen : unit Key_tbl.t = Key_tbl.create 64 in
-  let distinct =
-    List.filter
-      (fun ((t : Wo_litmus.Litmus.t), key) ->
-        if t.Wo_litmus.Litmus.loops || Key_tbl.find seen key <> None then false
-        else begin
-          Key_tbl.add seen key ();
-          true
-        end)
-      keyed
-  in
-  let sc_list =
-    parallel_map ~domains:d
-      (fun ((t : Wo_litmus.Litmus.t), key) ->
-        ( key,
-          fst
-            (Wo_prog.Enumerate.outcomes_stateful ~domains:1
-               t.Wo_litmus.Litmus.program) ))
-      distinct
-  in
-  let sc_table : Wo_prog.Outcome.t list Key_tbl.t =
-    Key_tbl.create (List.length sc_list)
-  in
-  List.iter (fun (key, outs) -> Key_tbl.add sc_table key outs) sc_list;
-  (* Phase 2: the test × machine product, each cell an independent
-     seeded simulation batch.  Each test's compiled artifact is built
-     once here and shared across every machine and seed; jobs are
-     ordered machine-major (all of one machine's cells contiguous) so a
-     worker's per-domain session rebinds programs, not machines, as it
-     strides — each job carries its position in the tests × machines
-     product, which the output is reassembled into. *)
-  let keyed_art =
-    Array.of_list
-      (List.map
-         (fun ((t : Wo_litmus.Litmus.t), key) ->
-           (t, key, Wo_prog.Prog_compile.compile t.Wo_litmus.Litmus.program))
-         keyed)
-  in
-  let mach = Array.of_list machines in
-  let nmach = Array.length mach in
-  let jobs =
-    List.concat_map
-      (fun im ->
-        List.init (Array.length keyed_art) (fun it ->
-            let t, key, art = keyed_art.(it) in
-            ((it * nmach) + im, t, key, art, mach.(im))))
-      (List.init nmach Fun.id)
-  in
-  let placed =
-    parallel_map ~domains:d
-      (fun (pos, (t : Wo_litmus.Litmus.t), key, art, (m : Wo_machines.Machine.t))
-      ->
-        let sc_outcomes = Key_tbl.find sc_table key in
-        let session = domain_session m in
-        let report =
-          Wo_litmus.Runner.run ?runs ?base_seed ?sc_outcomes ~session
-            ?compiled:art m t
-        in
-        let expected_sc =
-          m.Wo_machines.Machine.sequentially_consistent
-          || (m.Wo_machines.Machine.weakly_ordered_drf0
-             && t.Wo_litmus.Litmus.drf0)
-        in
-        ( pos,
-          {
-            test = t;
-            machine = m;
-            report;
-            expected_sc;
-            ok = (not expected_sc) || Wo_litmus.Runner.appears_sc report;
-          } ))
-      jobs
-  in
-  let out = Array.make (Array.length keyed_art * nmach) None in
-  List.iter (fun (pos, cell) -> out.(pos) <- Some cell) placed;
-  let cells = Array.to_list (Array.map Option.get out) in
-  let loop_free =
-    List.length
-      (List.filter
-         (fun ((t : Wo_litmus.Litmus.t), _) -> not t.Wo_litmus.Litmus.loops)
-         keyed)
-  in
-  {
-    cells;
-    domains_used = d;
-    sc_sets = List.length distinct;
-    sc_reused = (loop_free * List.length machines) - List.length distinct;
-  }
-
-let litmus_campaign ?runs ?base_seed ?domains ~machines tests =
-  litmus_campaign_keyed ?runs ?base_seed ?domains ~machines (key_tests tests)
-
-let spec_campaign ?runs ?base_seed ?domains ?keyed ~specs tests =
-  let keyed = match keyed with Some k -> k | None -> key_tests tests in
-  litmus_campaign_keyed ?runs ?base_seed ?domains
-    ~machines:(List.map Wo_machines.Spec.build specs)
-    keyed
-
-let failures c = List.filter (fun cell -> not cell.ok) c.cells
 
 (* --- workload campaigns --------------------------------------------------- *)
 

@@ -1,16 +1,16 @@
-(** Parallel sweep campaigns.
+(** The parallel substrate the campaigns share, and the workload sweep.
 
-    The quantitative experiments run cartesian products — litmus tests ×
-    machines × seeds, workloads × machines × seeds — where every cell is
-    an independent deterministic simulation (every run resets its
-    machine session's engine and reseeds its RNG from the seed).  This
-    module fans the cells out across OCaml 5 [Domain]s and memoizes the
-    expensive shared prefix: the SC outcome set of a litmus program, which is identical
-    for every machine and seed and dominates the cost of small sweeps.
+    {!parallel_map} fans independent cells out across OCaml 5
+    [Domain]s; {!domain_session} gives each domain one reusable session
+    per machine; {!program_key} is the structural identity of a program
+    that SC outcome sets are memoized by ({!Key_tbl}).  Litmus cells —
+    the Definition-2 checks — are settled by [Wo_campaign.Campaign]
+    alone; this module runs only the workload × machine × seed product
+    ({!workload_campaign}).
 
     Results are independent of the domain count: cells are pure
-    functions of (test, machine, runs, base_seed), and the output keeps
-    the input product order. *)
+    functions of (workload, machine, runs, base_seed), and the output
+    keeps the input product order. *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count () - 1], at least 1. *)
@@ -50,78 +50,20 @@ val domain_session :
 val find_keyed : program_key -> (program_key * 'a) list -> 'a option
 (** First binding whose key is {e fully} equal (digest and payload). *)
 
-val key_tests :
-  Wo_litmus.Litmus.t list -> (Wo_litmus.Litmus.t * program_key) list
-(** One {!program_key} per test, each compiled canonical encoding built
-    exactly once — thread the result through {!litmus_campaign_keyed} /
-    {!spec_campaign} (and the campaign engine's persistent store) instead
-    of re-deriving keys per phase. *)
+(** Digest-indexed table over program keys — the one SC-set memo
+    ([Wo_campaign.Campaign] keeps every SC set it enumerates in one).  A
+    digest hit is confirmed on the full payload, so a collision cannot
+    alias two programs. *)
+module Key_tbl : sig
+  type 'a t
 
-(** {1 Litmus campaigns} *)
+  val create : int -> 'a t
 
-type litmus_cell = {
-  test : Wo_litmus.Litmus.t;
-  machine : Wo_machines.Machine.t;
-  report : Wo_litmus.Runner.report;
-  expected_sc : bool;
-      (** the machine promises SC behaviour on this test: it is
-          sequentially consistent outright, or weakly ordered and the
-          test is DRF0 *)
-  ok : bool;
-      (** the promise holds: [not expected_sc || Runner.appears_sc] *)
-}
+  val find : 'a t -> program_key -> 'a option
 
-type litmus_campaign = {
-  cells : litmus_cell list;  (** in [tests × machines] product order *)
-  domains_used : int;
-  sc_sets : int;  (** distinct programs whose SC set was enumerated *)
-  sc_reused : int;  (** cells that reused a memoized SC set *)
-}
-
-val litmus_campaign :
-  ?runs:int ->
-  ?base_seed:int ->
-  ?domains:int ->
-  machines:Wo_machines.Machine.t list ->
-  Wo_litmus.Litmus.t list ->
-  litmus_campaign
-(** Run every test on every machine ([runs] seeded runs each, defaults
-    as {!Wo_litmus.Runner.run}).  SC outcome sets are enumerated once
-    per distinct program — in parallel — then shared read-only by all
-    cells through a digest-indexed table (payload-confirmed, so a
-    digest collision cannot alias two programs).  Cells run through
-    per-domain machine sessions, with each test compiled once and the
-    artifact shared across machines and seeds. *)
-
-val litmus_campaign_keyed :
-  ?runs:int ->
-  ?base_seed:int ->
-  ?domains:int ->
-  machines:Wo_machines.Machine.t list ->
-  (Wo_litmus.Litmus.t * program_key) list ->
-  litmus_campaign
-(** {!litmus_campaign} with the program keys supplied by the caller
-    (see {!key_tests}): the canonical encoding behind each key is
-    computed once and reused for SC memoization — and, in the campaign
-    engine, for the persistent store key — instead of being re-digested
-    per layer. *)
-
-val spec_campaign :
-  ?runs:int ->
-  ?base_seed:int ->
-  ?domains:int ->
-  ?keyed:(Wo_litmus.Litmus.t * program_key) list ->
-  specs:Wo_machines.Spec.t list ->
-  Wo_litmus.Litmus.t list ->
-  litmus_campaign
-(** {!litmus_campaign} over machines defined as data: every spec is
-    built with {!Wo_machines.Spec.build} and swept against every test.
-    [keyed] (default: [key_tests tests]) supplies precomputed program
-    keys.  Compose with {!Wo_machines.Spec.grid} to sweep a fabric ×
-    sync-policy cross product of one base machine. *)
-
-val failures : litmus_campaign -> litmus_cell list
-(** Cells whose SC promise was broken (the CI contract: must be []). *)
+  val add : 'a t -> program_key -> 'a -> unit
+  (** Bind a key not yet in the table. *)
+end
 
 (** {1 Workload campaigns} *)
 

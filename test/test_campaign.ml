@@ -267,6 +267,71 @@ let test_verdict_roundtrip () =
         (String.starts_with ~prefix:ok_prefix (C.verdict_to_string v)))
     vs
 
+(* A broken promise's stored verdict, witness trace included, is pinned
+   byte for byte (MD5 of [verdict_to_string]).  The machines are hand
+   built to claim weak ordering w.r.t. DRF0 and break it: the
+   relaxed net-cache on dekker-sync leaves the SC set (witness: the first
+   seed outside it), and the wo-new derivative without reserve bits on
+   a slow-route figure-3 scenario (loops, so no SC set) fails Lemma 1
+   (witness: the first Lemma-1 failure). *)
+let test_broken_promise_verdict_bytes () =
+  let module M = Wo_machines.Machine in
+  let module P = Wo_machines.Presets in
+  let module L = Wo_litmus.Litmus in
+  let liar =
+    { P.net_cache_relaxed with M.name = "liar"; weakly_ordered_drf0 = true }
+  in
+  let no_reserve =
+    Wo_machines.Coherent.make ~name:"ablated" ~description:""
+      ~sequentially_consistent:false ~weakly_ordered_drf0:true
+      {
+        P.wo_new_config with
+        Wo_machines.Coherent.cache =
+          { Wo_cache.Cache_ctrl.default_config with reserve_enabled = false };
+        fabric = Wo_machines.Coherent.Net { base = 2; jitter = 40 };
+        slow_routes = [ ((3, 1), 8) ];
+      }
+  in
+  let pinned machine (t : L.t) ~runs ~witness_head ~md5 =
+    let sc_outcomes =
+      if t.L.loops then None
+      else
+        Some (fst (Wo_prog.Enumerate.outcomes_stateful ~domains:1 t.L.program))
+    in
+    let v = C.evaluate ~runs ~base_seed:1 ~sc_outcomes machine t in
+    let name = machine.M.name ^ "/" ^ t.L.name in
+    check (name ^ " breaks its promise") false v.C.v_ok;
+    (match v.C.v_witness with
+    | Some w ->
+      check (name ^ " witness seed") true
+        (String.starts_with ~prefix:witness_head w)
+    | None -> Alcotest.failf "%s: no witness" name);
+    Alcotest.(check string)
+      (name ^ " verdict bytes") md5
+      (Digest.to_hex (Digest.string (C.verdict_to_string v)))
+  in
+  pinned liar L.dekker_sync ~runs:30
+    ~witness_head:"seed 5, outcome { P0:r0=0; P1:r0=0; x=1; y=1; }\n"
+    ~md5:"3ee8675378c80dc3869dee6bf744b407";
+  pinned no_reserve
+    (L.figure3_scenario ~work_before_unset:2 ())
+    ~runs:100
+    ~witness_head:
+      "seed 3, outcome { P1:r0=0; x=1; s=1; t=2; } (Lemma-1 violation)\n"
+    ~md5:"311bd51b8fd4a4d82097837ceecccaa1"
+
+(* The sweep's cases: every catalogued test keeps its DRF0 and loop flags
+   through [case_of_litmus] and back. *)
+let test_catalogue_cases_keep_flags () =
+  let module L = Wo_litmus.Litmus in
+  List.iter
+    (fun (t : L.t) ->
+      let t' = C.litmus_of_case (C.case_of_litmus t) in
+      check (t.L.name ^ " flags") true
+        (t'.L.name = t.L.name && t'.L.drf0 = t.L.drf0
+        && t'.L.loops = t.L.loops))
+    L.all
+
 (* --- campaigns: resume and determinism --------------------------------------- *)
 
 let specs =
@@ -596,6 +661,10 @@ let tests =
     Alcotest.test_case "store: foreign magic rejected" `Quick
       test_store_rejects_foreign;
     Alcotest.test_case "verdict JSON round-trips" `Quick test_verdict_roundtrip;
+    Alcotest.test_case "broken-promise verdict bytes (witness included)"
+      `Quick test_broken_promise_verdict_bytes;
+    Alcotest.test_case "catalogue cases keep DRF0 and loop flags" `Quick
+      test_catalogue_cases_keep_flags;
     Alcotest.test_case
       "interrupted+resumed campaign = uninterrupted (byte-identical report)"
       `Quick test_campaign_resume_identical;

@@ -18,7 +18,6 @@
 module M = Wo_machines.Machine
 module L = Wo_litmus.Litmus
 module P = Wo_machines.Presets
-module Sweep = Wo_workload.Sweep
 module Port = Wo_oracle.Scripted_port
 module R = Wo_litmus.Runner
 
@@ -262,49 +261,61 @@ let test_uncompilable_program_raises () =
                 Wo_prog.Program.max_procs)))
     [ P.wo_new; P.ideal ]
 
-(* 5. [run_batch] is exactly the per-seed session runs. *)
-let test_run_batch_matches_per_seed () =
+(* 5. The witness search: the first seed of the batch whose session run
+   satisfies the predicate, with a result equal to a fresh run's. *)
+let test_first_seed () =
   let t = L.figure1 in
   let session = M.new_session P.wo_new M.Compiled in
-  let seeds = [ 5; 1; 12 ] in
-  let batch = M.run_batch session ~seeds t.L.program in
-  check_int "batch length" (List.length seeds) (List.length batch);
-  List.iter2
-    (fun seed r ->
-      check "batch element = fresh run" true
-        (fingerprint r = fresh_fp P.wo_new ~seed t.L.program))
-    seeds batch
-
-(* 6. The sweep front door reports the same science at every domain
-   count — per cell, the full report content. *)
-let report_fp (r : Wo_litmus.Runner.report) =
-  Marshal.to_string
-    ( r.Wo_litmus.Runner.machine,
-      r.Wo_litmus.Runner.runs,
-      r.Wo_litmus.Runner.sc_outcomes,
-      r.Wo_litmus.Runner.histogram,
-      r.Wo_litmus.Runner.violations,
-      r.Wo_litmus.Runner.lemma1_failures,
-      r.Wo_litmus.Runner.interesting_counts,
-      r.Wo_litmus.Runner.total_cycles,
-      r.Wo_litmus.Runner.sc_coverage )
-    []
-
-let test_sweep_domain_identity () =
-  let machines = [ P.sc_dir; P.wo_new ] in
-  let campaign domains =
-    Sweep.litmus_campaign ~runs:8 ~base_seed:1 ~domains ~machines L.all
+  let outcome seed = (M.run P.wo_new ~seed t.L.program).M.outcome in
+  let target = outcome 7 in
+  let want =
+    List.find
+      (fun seed -> Wo_prog.Outcome.compare (outcome seed) target = 0)
+      (List.init 7 (fun i -> i + 3))
   in
-  let one = campaign 1 and two = campaign 2 in
-  List.iter2
-    (fun (a : Sweep.litmus_cell) (c : Sweep.litmus_cell) ->
-      check
-        (Printf.sprintf "sweep cell %s/%s domain-independent"
-           a.Sweep.test.L.name a.Sweep.machine.M.name)
-        true
-        (report_fp a.Sweep.report = report_fp c.Sweep.report
-        && a.Sweep.ok = c.Sweep.ok))
-    one.Sweep.cells two.Sweep.cells
+  let matches (r : M.result) = Wo_prog.Outcome.compare r.M.outcome target = 0 in
+  (match
+     R.first_seed session ~compiled:None ~base_seed:3 ~runs:10 t.L.program
+       matches
+   with
+  | Some (seed, r) ->
+    check_int "first matching seed" want seed;
+    check "its result = a fresh run's" true
+      (fingerprint r = fresh_fp P.wo_new ~seed t.L.program)
+  | None -> Alcotest.fail "no seed found");
+  check "no seed past the batch" true
+    (R.first_seed session ~compiled:None ~base_seed:3 ~runs:10 t.L.program
+       (fun _ -> false)
+    = None)
+
+(* 6. The sweep's store-free settle gives the same verdict bytes per
+   cell at every domain count. *)
+let test_sweep_domain_identity () =
+  let module C = Wo_campaign.Campaign in
+  let specs = [ P.sc_dir_spec; P.wo_new_spec ] in
+  let sweep domains =
+    let config =
+      { (C.default_config ~store_path:"") with
+        C.runs = 8; domains = Some domains }
+    in
+    let plan = C.plan config ~specs ~cases:(List.map C.case_of_litmus L.all) in
+    (C.settle_all config plan).C.s_verdicts
+  in
+  let one = sweep 1 and two = sweep 2 in
+  check_int "one verdict per cell" (List.length L.all * List.length specs)
+    (Array.length one);
+  List.iteri
+    (fun i (t : L.t) ->
+      List.iteri
+        (fun j (spec : Wo_machines.Spec.t) ->
+          let idx = (i * List.length specs) + j in
+          check
+            (Printf.sprintf "sweep cell %s/%s domain-independent" t.L.name
+               spec.Wo_machines.Spec.name)
+            true
+            (C.verdict_to_string one.(idx) = C.verdict_to_string two.(idx)))
+        specs)
+    L.all
 
 (* 7. The campaign front door: same cases, same specs, one store per
    domain count — the stores and the findings reports must be
@@ -382,6 +393,10 @@ let replay_machines = List.map (fun s -> (s, Spec.build s)) replay_specs
 
 let seeds n = List.init n (fun i -> i + 1)
 
+(* A session run at each of seeds 1..n, in order. *)
+let run_seeds session ~n program =
+  List.map (fun seed -> M.session_run session ~seed program) (seeds n)
+
 (* A run's observable result, or the fact that it raised. *)
 let attempt f =
   match f () with
@@ -424,7 +439,7 @@ let replays_during f =
 
 let batch_replays machine ~n program =
   let session = M.new_session machine M.Compiled in
-  replays_during (fun () -> ignore (M.run_batch session ~seeds:(seeds n) program))
+  replays_during (fun () -> ignore (run_seeds session ~n program))
 
 let test_replay_counter () =
   let n = 5 and program = L.dekker_sync.L.program in
@@ -459,7 +474,7 @@ let test_replay_counter () =
   (* the CLI's metrics document carries the counter *)
   let session = M.new_session P.bus_nocache_wb M.Compiled in
   let rec_ = Wo_obs.Recorder.create () in
-  ignore (M.run_batch session ~seeds:(seeds n) program);
+  ignore (run_seeds session ~n program);
   Wo_obs.Recorder.with_sink rec_ M.emit_counters;
   check "machine.session_replays emitted with its value" true
     (List.exists
@@ -575,7 +590,7 @@ let test_replay_guards () =
     (replays_during (fun () ->
          traced :=
            spans_of (fun () ->
-               ignore (M.run_batch session ~seeds:(seeds n) t.L.program))));
+               ignore (run_seeds session ~n t.L.program))));
   check_int "a traced batch records every run's spans" (n * one) !traced;
   (* untraced again: the traced runs were not kept *)
   check_int "first untraced run after tracing simulates" 0
@@ -700,8 +715,8 @@ let tests =
       test_deadlock_names_location;
     Alcotest.test_case "uncompilable programs raise Machine_error" `Quick
       test_uncompilable_program_raises;
-    Alcotest.test_case "run_batch = per-seed session runs" `Quick
-      test_run_batch_matches_per_seed;
+    Alcotest.test_case "first_seed = first matching fresh run" `Quick
+      test_first_seed;
     Alcotest.test_case "sweep campaigns domain-independent" `Quick
       test_sweep_domain_identity;
     Alcotest.test_case "campaign stores and reports domain-independent"

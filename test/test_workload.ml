@@ -99,28 +99,43 @@ let test_parallel_map_propagates_exceptions () =
     | exception Exit -> ()
   done
 
-let test_litmus_campaign_unaffected_by_stateful_memoization () =
-  (* The SC memoization phase now runs the stateful enumerator; cells must
-     be bit-identical to a direct tree enumeration of each program. *)
+let test_campaign_sc_sets_match_tree_enumeration () =
+  (* The campaign's SC memo runs the stateful enumerator; every memoized
+     set must equal a direct tree enumeration of its program. *)
   let module S = Wo_workload.Sweep in
+  let module C = Wo_campaign.Campaign in
   let tests =
     [ Wo_litmus.Litmus.figure1; Wo_litmus.Litmus.message_passing ]
   in
-  let machines = [ Option.get (Wo_machines.Presets.find "sc-dir") ] in
-  let campaign = S.litmus_campaign ~runs:4 ~base_seed:1 ~domains:2 ~machines tests in
+  let config =
+    { (C.default_config ~store_path:"") with C.runs = 4; domains = Some 2 }
+  in
+  let plan =
+    C.plan config
+      ~specs:[ Option.get (Wo_machines.Presets.spec_of "sc-dir") ]
+      ~cases:(List.map C.case_of_litmus tests)
+  in
+  let settled = C.settle_all config plan in
   check "all cells ran" true
-    (List.length campaign.S.cells = List.length tests);
+    (Array.length settled.C.s_verdicts = List.length tests);
+  check "one SC set per program" true
+    (settled.C.s_sc_sets = List.length tests);
   List.iter
-    (fun (c : S.litmus_cell) ->
-      let direct =
-        Wo_oracle.Enum_ref.outcomes c.S.test.Wo_litmus.Litmus.program
-      in
-      let via_campaign = c.S.report.Wo_litmus.Runner.sc_outcomes in
-      check
-        (c.S.test.Wo_litmus.Litmus.name ^ " SC set matches tree enumeration")
-        true
-        (Wo_oracle.Enum_ref.outcome_sets_equal direct via_campaign))
-    campaign.S.cells
+    (fun (t : Wo_litmus.Litmus.t) ->
+      let direct = Wo_oracle.Enum_ref.outcomes t.Wo_litmus.Litmus.program in
+      match
+        S.Key_tbl.find settled.C.s_sc (S.program_key t.Wo_litmus.Litmus.program)
+      with
+      | None -> Alcotest.failf "%s: no memoized SC set" t.Wo_litmus.Litmus.name
+      | Some via_campaign ->
+        check
+          (t.Wo_litmus.Litmus.name ^ " SC set matches tree enumeration")
+          true
+          (Wo_oracle.Enum_ref.outcome_sets_equal direct via_campaign))
+    tests;
+  Array.iter
+    (fun (v : C.verdict) -> check "sc-dir appears SC" true v.C.v_appears_sc)
+    settled.C.s_verdicts
 
 let test_workload_programs_have_loops () =
   (* every workload synchronizes by spinning somewhere *)
@@ -146,5 +161,5 @@ let tests =
     Alcotest.test_case "parallel_map propagates exceptions" `Quick
       test_parallel_map_propagates_exceptions;
     Alcotest.test_case "campaign SC sets match tree enumeration" `Quick
-      test_litmus_campaign_unaffected_by_stateful_memoization;
+      test_campaign_sc_sets_match_tree_enumeration;
   ]
