@@ -32,10 +32,11 @@ let is_write e =
   | Data_write | Sync_write | Sync_rmw -> true
   | Data_read | Sync_read -> false
 
-let is_sync e =
-  match e.kind with
+let is_sync_kind = function
   | Sync_read | Sync_write | Sync_rmw -> true
   | Data_read | Data_write -> false
+
+let is_sync e = is_sync_kind e.kind
 
 let is_data e = not (is_sync e)
 

@@ -44,6 +44,9 @@ val is_read : t -> bool
 val is_write : t -> bool
 (** Has a write component. *)
 
+val is_sync_kind : kind -> bool
+(** The kind is one of the three synchronization kinds. *)
+
 val is_sync : t -> bool
 
 val is_data : t -> bool

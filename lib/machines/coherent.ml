@@ -83,11 +83,6 @@ type proc_ctx = {
   mutable gp_zero_waiters : (unit -> unit) list;
 }
 
-let is_sync_kind = function
-  | Wo_core.Event.Sync_read | Wo_core.Event.Sync_write | Wo_core.Event.Sync_rmw ->
-    true
-  | Wo_core.Event.Data_read | Wo_core.Event.Data_write -> false
-
 let access_kind (policy : policy) (op : Proc_frontend.memory_op) :
     Cache_ctrl.access_kind =
   match (op.Proc_frontend.kind, op.Proc_frontend.payload) with
@@ -177,7 +172,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   in
   let perform p (op : Proc_frontend.memory_op) =
     let ctx = ctxs.(p) in
-    let sync = is_sync_kind op.Proc_frontend.kind in
+    let sync = Wo_core.Event.is_sync_kind op.Proc_frontend.kind in
     let issue () =
       let r = Driver.new_op env ~proc:p op in
       ctx.gp_outstanding <- ctx.gp_outstanding + 1;

@@ -6,8 +6,8 @@
     processor-frontend wiring, the run loop, a unified livelock/deadlock
     watchdog with rich per-processor diagnostics, operation lifecycle
     bookkeeping and result assembly.  A memory system contributes only a
-    {!Memsys.port}; see {!Uncached} and {!Coherent} for the two shipped
-    protocols.
+    {!Memsys.port}; see {!Uncached}, {!Ordering} and {!Coherent} for the
+    shipped protocols.
 
     There is one execution path: {!new_session} builds once per machine
     shape, then resets the environment in place before every run, the

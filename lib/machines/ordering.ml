@@ -23,7 +23,7 @@
    synchronization is treated as data (the machine enforces nothing and
    is not weakly ordered, mirroring [Sync_none] elsewhere).
 
-   The memory side is the flat module-interleaved store of {!Uncached};
+   The memory side is {!Flat_memory}, shared with {!Uncached};
    everything machine-generic lives in {!Driver}. *)
 
 type kind =
@@ -50,37 +50,6 @@ let drain_delay_of = function
   | Tso { drain_delay; _ } | Pso { drain_delay; _ } | Ra { drain_delay; _ } ->
     drain_delay
 
-(* Messages between processors and memory modules (same protocol as the
-   uncached machine: modules apply operations atomically in arrival
-   order and reply with the application time). *)
-type amsg =
-  | M_read of { loc : Wo_core.Event.loc; proc : int; tag : int }
-  | M_write of {
-      loc : Wo_core.Event.loc;
-      value : Wo_core.Event.value;
-      proc : int;
-      tag : int;
-    }
-  | M_rmw of {
-      loc : Wo_core.Event.loc;
-      f : Wo_core.Event.rmw;
-      proc : int;
-      tag : int;
-    }
-  | M_read_reply of { tag : int; value : Wo_core.Event.value; applied_at : int }
-  | M_write_ack of { tag : int; applied_at : int }
-  | M_rmw_reply of { tag : int; old : Wo_core.Event.value; applied_at : int }
-
-let amsg_tags = [| "Read"; "Write"; "Rmw"; "ReadReply"; "WriteAck"; "RmwReply" |]
-
-let amsg_tag_index = function
-  | M_read _ -> 0
-  | M_write _ -> 1
-  | M_rmw _ -> 2
-  | M_read_reply _ -> 3
-  | M_write_ack _ -> 4
-  | M_rmw_reply _ -> 5
-
 type entry = { eloc : Wo_core.Event.loc; evalue : Wo_core.Event.value; etag : int }
 
 (* One ordered path to memory: a FIFO of deposited writes with at most
@@ -102,11 +71,7 @@ type proc_ctx = {
 
 let build (config : config) (env : Driver.env) : Memsys.port =
   let engine = env.Driver.engine in
-  let num_procs = env.Driver.num_procs in
-  let module_node loc = num_procs + (loc mod config.modules) in
-  let fabric =
-    Driver.fabric env ~tags:amsg_tags ~tag_index:amsg_tag_index config.fabric
-  in
+  let mem = Flat_memory.create env ~modules:config.modules config.fabric in
   let per_loc_channels =
     match config.kind with Tso _ -> false | Pso _ | Ra _ -> true
   in
@@ -114,37 +79,8 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     match config.kind with Tso _ | Pso _ -> false | Ra _ -> true
   in
   let drain_delay = max 0 (drain_delay_of config.kind) in
-  (* Memory modules. *)
-  let memory : (Wo_core.Event.loc, Wo_core.Event.value) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let mem_read loc =
-    match Hashtbl.find_opt memory loc with
-    | Some v -> v
-    | None -> Wo_prog.Program.initial_value env.Driver.program loc
-  in
-  for m = 0 to config.modules - 1 do
-    let node = num_procs + m in
-    fabric.Wo_interconnect.Fabric.connect ~node (fun msg ->
-        match msg with
-        | M_read { loc; proc; tag } ->
-          fabric.Wo_interconnect.Fabric.send ~src:node ~dst:proc
-            (M_read_reply
-               { tag; value = mem_read loc; applied_at = Wo_sim.Engine.now engine })
-        | M_write { loc; value; proc; tag } ->
-          Hashtbl.replace memory loc value;
-          fabric.Wo_interconnect.Fabric.send ~src:node ~dst:proc
-            (M_write_ack { tag; applied_at = Wo_sim.Engine.now engine })
-        | M_rmw { loc; f; proc; tag } ->
-          let old = mem_read loc in
-          Hashtbl.replace memory loc (Wo_core.Event.apply_rmw f old);
-          fabric.Wo_interconnect.Fabric.send ~src:node ~dst:proc
-            (M_rmw_reply { tag; old; applied_at = Wo_sim.Engine.now engine })
-        | M_read_reply _ | M_write_ack _ | M_rmw_reply _ ->
-          raise (Machine.Machine_error "memory module received a reply"))
-  done;
   let ctxs =
-    Array.init num_procs (fun _ ->
+    Array.init env.Driver.num_procs (fun _ ->
         {
           channels = Hashtbl.create 8;
           last_value = Hashtbl.create 8;
@@ -155,14 +91,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
           loc_waiters = [];
         })
   in
-  let next_tag = ref 0 in
-  let by_tag : (int, Memsys.op * (Memsys.op -> unit)) Hashtbl.t =
-    Hashtbl.create 64
-  in
   Driver.on_reset env (fun () ->
-      Hashtbl.reset memory;
-      next_tag := 0;
-      Hashtbl.reset by_tag;
       Array.iter
         (fun ctx ->
           Hashtbl.reset ctx.channels;
@@ -229,13 +158,6 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   let on_quiet ctx k =
     if quiet ctx then k () else ctx.quiet_waiters <- k :: ctx.quiet_waiters
   in
-  let send_with_reply p msg_of_tag (r : Memsys.op) k =
-    let tag = !next_tag in
-    incr next_tag;
-    Hashtbl.replace by_tag tag (r, k);
-    fabric.Wo_interconnect.Fabric.send ~src:p ~dst:(module_node r.Memsys.oloc)
-      (msg_of_tag tag)
-  in
   (* Drain one channel: send its oldest entry after the rest delay, and
      only send the next after the acknowledgement comes back, so entries
      of one channel perform in deposit order. *)
@@ -247,15 +169,8 @@ let build (config : config) (env : Driver.env) : Memsys.port =
         ignore (Queue.pop chan.cq);
         chan.inflight <- true;
         Wo_sim.Engine.schedule engine ~delay:drain_delay (fun () ->
-            fabric.Wo_interconnect.Fabric.send ~src:p
-              ~dst:(module_node entry.eloc)
-              (M_write
-                 {
-                   loc = entry.eloc;
-                   value = entry.evalue;
-                   proc = p;
-                   tag = entry.etag;
-                 }))
+            Flat_memory.send_write mem ~proc:p ~tag:entry.etag entry.eloc
+              entry.evalue)
   and write_acked p ctx loc =
     let chan = chan_of ctx loc in
     chan.inflight <- false;
@@ -269,9 +184,9 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   in
   let deposit p ctx (r : Memsys.op) v =
     let now = Wo_sim.Engine.now engine in
-    let tag = !next_tag in
-    incr next_tag;
-    Hashtbl.replace by_tag tag (r, fun _ -> write_acked p ctx r.Memsys.oloc);
+    let tag =
+      Flat_memory.expect mem r (fun _ -> write_acked p ctx r.Memsys.oloc)
+    in
     Hashtbl.replace ctx.last_value r.Memsys.oloc v;
     Hashtbl.replace ctx.pending_at r.Memsys.oloc (pending ctx r.Memsys.oloc + 1);
     ctx.total_pending <- ctx.total_pending + 1;
@@ -286,45 +201,8 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   let perform p (op : Proc_frontend.memory_op) =
     let ctx = ctxs.(p) in
     let now () = Wo_sim.Engine.now engine in
-    let sync =
-      match op.Proc_frontend.kind with
-      | Wo_core.Event.Sync_read | Wo_core.Event.Sync_write
-      | Wo_core.Event.Sync_rmw ->
-        true
-      | Wo_core.Event.Data_read | Wo_core.Event.Data_write -> false
-    in
+    let sync = Wo_core.Event.is_sync_kind op.Proc_frontend.kind in
     let barrier = sync && config.sync_barriers in
-    let issue_read (r : Memsys.op) ~reason =
-      let t0 = now () in
-      send_with_reply p
-        (fun tag -> M_read { loc = r.Memsys.oloc; proc = p; tag })
-        r
-        (fun r ->
-          stall p reason (now () - t0);
-          let store =
-            match (op.Proc_frontend.dest, r.Memsys.rv) with
-            | Some reg, Some v -> Some (reg, v)
-            | _ -> None
-          in
-          Driver.resume env p ~store ~delay:1)
-    in
-    let issue_rmw (r : Memsys.op) ~reason f =
-      let t0 = now () in
-      send_with_reply p
-        (fun tag -> M_rmw { loc = r.Memsys.oloc; f; proc = p; tag })
-        r
-        (fun r ->
-          stall p reason (now () - t0);
-          (match (r.Memsys.rv, op.Proc_frontend.payload) with
-          | Some old, `Rmw d -> r.Memsys.wv <- Some (Wo_core.Event.apply_rmw d old)
-          | _ -> ());
-          let store =
-            match (op.Proc_frontend.dest, r.Memsys.rv) with
-            | Some reg, Some v -> Some (reg, v)
-            | _ -> None
-          in
-          Driver.resume env p ~store ~delay:1)
-    in
     (* A synchronization write (or a data write on a machine that waits)
        goes straight to its module; the processor resumes at the
        acknowledgement. *)
@@ -332,10 +210,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
       let t0 = now () in
       Hashtbl.replace ctx.pending_at r.Memsys.oloc (pending ctx r.Memsys.oloc + 1);
       ctx.total_pending <- ctx.total_pending + 1;
-      send_with_reply p
-        (fun tag -> M_write { loc = r.Memsys.oloc; value = v; proc = p; tag })
-        r
-        (fun r ->
+      Flat_memory.write mem ~proc:p r v (fun r ->
           Hashtbl.replace ctx.pending_at r.Memsys.oloc
             (pending ctx r.Memsys.oloc - 1);
           ctx.total_pending <- ctx.total_pending - 1;
@@ -344,13 +219,9 @@ let build (config : config) (env : Driver.env) : Memsys.port =
           stall p reason (now () - t0);
           Driver.resume env p ~store:None ~delay:1)
     in
-    let forward_read (r : Memsys.op) v =
+    let forward_read r v =
       stat s_forwards;
-      r.Memsys.rv <- Some v;
-      r.Memsys.committed <- now ();
-      r.Memsys.performed <- now ();
-      let store = Option.map (fun reg -> (reg, v)) op.Proc_frontend.dest in
-      Driver.resume env p ~store ~delay:1
+      Flat_memory.forward mem ~proc:p op r v
     in
     let go () =
       let r = Driver.new_op env ~proc:p op in
@@ -359,24 +230,18 @@ let build (config : config) (env : Driver.env) : Memsys.port =
         if pending ctx r.Memsys.oloc > 0 then
           (* store-to-load forwarding: the youngest pending write wins *)
           forward_read r (Hashtbl.find ctx.last_value r.Memsys.oloc)
-        else
-          issue_read r
-            ~reason:
-              (if sync then Wo_obs.Stall.Sync_commit else Wo_obs.Stall.Read_miss)
+        else Flat_memory.read mem ~proc:p op r ~on_reply:ignore
       | `Rmw f ->
-        let reason =
-          if sync then Wo_obs.Stall.Sync_commit else Wo_obs.Stall.Rmw_wait
-        in
         if pending ctx r.Memsys.oloc > 0 then begin
           let t0 = now () in
           ctx.loc_waiters <-
             ( r.Memsys.oloc,
               fun () ->
                 stall p Wo_obs.Stall.Rmw_order (now () - t0);
-                issue_rmw r ~reason f )
+                Flat_memory.rmw mem ~proc:p op r f ~on_reply:ignore )
             :: ctx.loc_waiters
         end
-        else issue_rmw r ~reason f
+        else Flat_memory.rmw mem ~proc:p op r f ~on_reply:ignore
       | `Write v ->
         if barrier then
           issue_direct_write r v ~reason:Wo_obs.Stall.Write_ack
@@ -407,35 +272,6 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     end
     else go ()
   in
-  Array.iteri
-    (fun p _ctx ->
-      fabric.Wo_interconnect.Fabric.connect ~node:p (fun msg ->
-          let complete tag fill =
-            match Hashtbl.find_opt by_tag tag with
-            | None -> raise (Machine.Machine_error "unknown reply tag")
-            | Some (r, k) ->
-              Hashtbl.remove by_tag tag;
-              fill r;
-              k r
-          in
-          match msg with
-          | M_read_reply { tag; value; applied_at } ->
-            complete tag (fun (r : Memsys.op) ->
-                r.Memsys.rv <- Some value;
-                r.Memsys.committed <- applied_at;
-                r.Memsys.performed <- applied_at)
-          | M_rmw_reply { tag; old; applied_at } ->
-            complete tag (fun (r : Memsys.op) ->
-                r.Memsys.rv <- Some old;
-                r.Memsys.committed <- applied_at;
-                r.Memsys.performed <- applied_at)
-          | M_write_ack { tag; applied_at } ->
-            complete tag (fun (r : Memsys.op) ->
-                if r.Memsys.committed < 0 then r.Memsys.committed <- applied_at;
-                r.Memsys.performed <- applied_at)
-          | M_read _ | M_write _ | M_rmw _ ->
-            raise (Machine.Machine_error "processor received a request")))
-    ctxs;
   let fence p =
     let ctx = ctxs.(p) in
     let t0 = Wo_sim.Engine.now engine in
@@ -457,35 +293,8 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     Printf.sprintf "pending=%d%s" ctx.total_pending
       (if locs = "" then "" else " [" ^ locs ^ "]")
   in
-  let debug_dump () =
-    let b = Buffer.create 256 in
-    Array.iteri
-      (fun p ctx ->
-        Buffer.add_string b
-          (Printf.sprintf "P%d: %s quiet=%b\n" p (proc_status p) (quiet ctx)))
-      ctxs;
-    Buffer.add_string b
-      (Printf.sprintf "unmatched reply tags: %d\n" (Hashtbl.length by_tag));
-    Buffer.contents b
-  in
-  let check_drained () =
-    Array.iteri
-      (fun p ctx ->
-        if not (quiet ctx) then
-          raise
-            (Machine.Machine_error
-               (Printf.sprintf "%s: P%d has undrained writes" env.Driver.name p)))
-      ctxs
-  in
-  {
-    Memsys.perform;
-    fence;
-    final_value = mem_read;
-    proc_status;
-    shared_status = (fun () -> "");
-    debug_dump;
-    check_drained;
-  }
+  Flat_memory.port mem ~perform ~fence ~proc_status
+    ~quiet:(fun p -> quiet ctxs.(p))
 
 let make ~name ~description ~sequentially_consistent ~weakly_ordered_drf0
     (config : config) : Machine.t =

@@ -1,7 +1,9 @@
 (** Operational consistency-model backends.
 
     One port builder behind {!Memsys.port} realizes the relaxed hardware
-    ordering models of {!Wo_core.Sync_model} with concrete timing:
+    ordering models of {!Wo_core.Sync_model} with concrete timing, as
+    processor-side write channels over the memory modules of
+    {!Flat_memory} (shared with {!Uncached}):
 
     - {b TSO}: one FIFO store buffer per processor.  Reads overtake
       pending writes and forward from the youngest same-location entry;

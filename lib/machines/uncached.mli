@@ -1,7 +1,9 @@
 (** Cache-less machines (Figure 1, configurations 1 and 2).
 
-    Processors talk to memory modules over a bus or a general network.
-    The knobs correspond exactly to the performance features the paper
+    Processors talk to memory modules over a bus or a general network;
+    the modules and their request/reply protocol are {!Flat_memory},
+    shared with {!Ordering}, and this backend is the processor side's
+    write path.  The knobs correspond exactly to the performance features the paper
     blames for the Figure-1 violation:
 
     - a {e write buffer} whose read-bypass lets a read overtake buffered

@@ -324,6 +324,49 @@ let test_uncached_same_location_ordering () =
       done)
     [ P.rp3_fence; P.bus_nocache_wb ]
 
+(* A processor cannot stall for longer than it runs: each wait is
+   charged once, to one reason.  On the cache-less backends a read or
+   RMW that first waited for the write buffer (Buffer_drain) or for its
+   own write to the location (Rmw_order) is charged from its send, not
+   again from its issue.  Below, with sync treated as data, P0's
+   TestAndSet first waits for its buffered write to x; P0 is charged
+   what the fenced preset charges, within its 27-cycle run. *)
+let test_cacheless_stalls_fit_the_run () =
+  let module S = Wo_machines.Spec in
+  let fits (m : M.t) name seed (r : M.result) =
+    Array.iteri
+      (fun p finish ->
+        let stalls = M.proc_stalls r ~proc:p in
+        if stalls > finish then
+          Alcotest.failf "%s / %s / seed %d: P%d stalls %d > finish %d"
+            m.M.name name seed p stalls finish)
+      r.M.proc_finish
+  in
+  let t =
+    Wo_litmus.Parse.of_string
+      "name: rmw-after-buffered-write\n\
+       P0: x := 1 ; r0 := tas(x) ; r1 := y\n\
+       P1: y := 1 ; r2 := faa(y, 1)\n"
+  in
+  let sync_none = S.build { P.bus_nocache_wb_spec with S.sync = S.Sync_none } in
+  let r = M.run sync_none ~seed:1 t.L.program in
+  fits sync_none t.L.name 1 r;
+  check_int "P0 charged as on the fenced preset"
+    (M.proc_stalls (M.run P.bus_nocache_wb ~seed:1 t.L.program) ~proc:0)
+    (M.proc_stalls r ~proc:0);
+  check_int "P0 stall cycles" 24 (M.proc_stalls r ~proc:0);
+  List.iter
+    (fun (m : M.t) ->
+      List.iter
+        (fun (lt : L.t) ->
+          for seed = 1 to 3 do
+            fits m lt.L.name seed (M.run m ~seed lt.L.program)
+          done)
+        (t :: L.all))
+    ([ sync_none; P.sc_bus_nocache; P.bus_nocache_wb; P.net_nocache_weak;
+       P.net_nocache_rp3; P.rp3_fence ]
+    @ P.models)
+
 let test_coarse_counter_deadlocks_watermark_does_not () =
   (* Finding 1 of DESIGN.md, made executable.  The paper's literal
      accounting — "all reserve bits are reset when the counter reads
@@ -512,6 +555,8 @@ let tests =
       test_ablated_machine_breaks_contract;
     Alcotest.test_case "uncached same-location ordering" `Quick
       test_uncached_same_location_ordering;
+    Alcotest.test_case "cache-less stalls fit the run" `Quick
+      test_cacheless_stalls_fit_the_run;
     Alcotest.test_case "coarse counter deadlock" `Quick
       test_coarse_counter_deadlocks_watermark_does_not;
     Alcotest.test_case "process migration" `Quick test_process_migration;

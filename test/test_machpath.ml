@@ -3,8 +3,9 @@
    artifact inside a reusable session, and [Machine.run] is a fresh
    session's first run.  Three things pin it to the AST walk it
    replaced:
-   - a golden of canonical result digests over every preset x catalogue
-     test x seeds 1-3 ([machine_canonical.golden]), recorded from fresh
+   - a golden of canonical result digests over every preset and model
+     preset x catalogue test x seeds 1-3 ([machine_canonical.golden],
+     compiled in as [Machine_canonical_golden]), recorded from fresh
      compiled runs, which were proven equal to fresh-construction AST
      runs before them;
    - a frontend lockstep: the compiled frontend and the AST walker
@@ -70,27 +71,27 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
-(* 1. Every catalogued litmus test, on every preset, at seeds 1-3: a
-   reused session and a fresh one both reproduce the golden canonical
-   digests, and their results are byte-identical to each other.  The
-   complete product, not a sample — the [ideal] rows cover Cinterp's
-   random scheduler. *)
+(* 1. Every catalogued litmus test, on every preset and model preset, at
+   seeds 1-3: a reused session and a fresh one both reproduce the golden
+   canonical digests, and their results are byte-identical to each
+   other.  The complete product, not a sample — the [ideal] rows cover
+   Cinterp's random scheduler, the model rows the {!Ordering} backend. *)
+let golden_machines = P.all @ P.models
+
 let golden =
   lazy
-    (let ic = open_in "machine_canonical.golden" in
-     let tbl = Hashtbl.create 1024 in
-     (try
-        while true do
-          Scanf.sscanf (input_line ic) "%s %s %d %s" (fun m t seed fp ->
-              Hashtbl.replace tbl (m, t, seed) fp)
-        done
-      with End_of_file -> close_in ic);
+    (let tbl = Hashtbl.create 1024 in
+     String.split_on_char '\n' Machine_canonical_golden.contents
+     |> List.iter (fun line ->
+            if line <> "" then
+              Scanf.sscanf line "%s %s %d %s" (fun m t seed fp ->
+                  Hashtbl.replace tbl (m, t, seed) fp));
      tbl)
 
 let test_compiled_session_matches_fresh_ast () =
   let golden = Lazy.force golden in
   check_int "golden covers presets x tests x 3 seeds"
-    (List.length P.all * List.length L.all * 3)
+    (List.length golden_machines * List.length L.all * 3)
     (Hashtbl.length golden);
   List.iter
     (fun (machine : M.t) ->
@@ -112,7 +113,7 @@ let test_compiled_session_matches_fresh_ast () =
                 machine.M.name t.L.name seed
           done)
         L.all)
-    P.all
+    golden_machines
 
 (* 2. The frontend lockstep: the compiled frontend and the AST walker
    issue the same (time, proc, request) stream and finish with the same
