@@ -62,7 +62,7 @@ let ideal_exec =
 
 let test_detector =
   Test.make ~name:"e6.vector-clock-detector"
-    (Staged.stage @@ fun () -> Wo_race.Detector.races_of_execution ideal_exec)
+    (Staged.stage @@ fun () -> Wo_core.Drf0_inc.check_execution ideal_exec)
 
 let test_ablation_sim =
   Test.make ~name:"e7.simulate-sync-chain-wo-new"

@@ -4,11 +4,11 @@
                                      workloads
      wo litmus figure1 -m wo-new     run a litmus test on a machine and
                                      compare against the SC outcome set
-     wo races message-passing        check a litmus program against DRF0
      wo check dekker-sync -j 4
                                      exhaustive DRF0 check: DAG search with
                                      canonical state hashing, symmetry
                                      reduction and work-stealing domains
+                                     (spin-loop tests: sampled schedules)
      wo workload critical-section -m sc-dir
                                      run a workload, validate its invariant
      wo trace figure3 -m wo-new      dump one run's operation timeline
@@ -362,10 +362,10 @@ let litmus_cmd =
       const run $ test_arg $ machine_arg $ machine_file_arg $ runs_arg
       $ seed_arg $ metrics_arg)
 
-(* --- wo races ------------------------------------------------------------- *)
+(* --- wo check -------------------------------------------------------------- *)
 
-(* Definition 3's verdict as `wo races' and `wo check' print it: exit 2
-   with one racy execution's races. *)
+(* Definition 3's verdict on a loop-free test, from the exact search:
+   exit 2 with one racy execution's races. *)
 let report_drf0 = function
   | Ok () ->
     print_endline
@@ -377,46 +377,68 @@ let report_drf0 = function
       report.Wo_core.Drf0.races;
     exit 2
 
-let races_cmd =
-  let test_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TEST" ~doc:"Litmus test name (see `wo list').")
+(* Every idealized execution of a loop-free test, through the stateful
+   DAG search on [domains].  Returns the metrics fields and the verdict
+   to print last. *)
+let check_exact ?domains program =
+  let t0 = Unix.gettimeofday () in
+  let result, s = Wo_prog.Enumerate.check_drf0_stateful ?domains program in
+  let wall = Unix.gettimeofday () -. t0 in
+  Printf.printf
+    "search: %.3fs, %d states expanded, %d executions; visited table: %d \
+     distinct, %d dedup hits; %d steals over %d domain(s)\n"
+    wall s.Wo_prog.Enumerate.sf_states s.Wo_prog.Enumerate.sf_executions
+    s.Wo_prog.Enumerate.sf_distinct s.Wo_prog.Enumerate.sf_hits
+    s.Wo_prog.Enumerate.sf_steals
+    (Array.length s.Wo_prog.Enumerate.sf_per_domain);
+  ( [
+      ("racy", Wo_obs.Json.Bool (Result.is_error result));
+      ("wall_s", Wo_obs.Json.Float wall);
+      ("states", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_states);
+      ("distinct", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_distinct);
+      ("dedup_hits", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_hits);
+      ("executions", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_executions);
+      ("steals", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_steals);
+    ],
+    fun () -> report_drf0 result )
+
+let sampled_schedules = 30
+
+(* A test with spin loops has unboundedly long idealized executions, so
+   the search cannot cover them: sample seeded schedules and check each
+   with the incremental race checker.  A clean sample is consistent with
+   DRF0 but does not prove it. *)
+let check_sampled program =
+  Printf.printf
+    "(program has spin loops; sampling %d schedules with the incremental \
+     race checker)\n"
+    sampled_schedules;
+  let art = Option.get (Wo_prog.Prog_compile.compile program) in
+  let t0 = Unix.gettimeofday () in
+  let races =
+    List.filter_map
+      (fun seed ->
+        Wo_core.Drf0_inc.check_execution
+          (Wo_prog.Cinterp.execution (Wo_prog.Cinterp.run_random ~seed art)))
+      (List.init sampled_schedules Fun.id)
   in
-  let run test =
-    let test = or_die (get_litmus test) in
-    Format.printf "%a@.@." Wo_prog.Program.pp test.L.program;
-    if test.L.loops then begin
-      Printf.printf
-        "(program has spin loops; sampling 30 schedules with the dynamic \
-         detector)\n";
-      let art = Option.get (Wo_prog.Prog_compile.compile test.L.program) in
-      let races =
-        Wo_race.Detector.sample_program ~schedules:30
-          ~run:(fun ~seed ->
-            Wo_prog.Cinterp.execution (Wo_prog.Cinterp.run_random ~seed art))
-          ()
-      in
+  let wall = Unix.gettimeofday () -. t0 in
+  ( [
+      ("racy", Wo_obs.Json.Bool (races <> []));
+      ("wall_s", Wo_obs.Json.Float wall);
+      ("sampled_schedules", Wo_obs.Json.Int sampled_schedules);
+    ],
+    fun () ->
       if races = [] then print_endline "no races found: consistent with DRF0"
       else begin
-        Printf.printf "%d race report(s); first few:\n" (List.length races);
+        Printf.printf "%d race report(s), one per racy schedule; first few:\n"
+          (List.length races);
         List.iteri
           (fun i r ->
             if i < 5 then Format.printf "  %a@." Wo_core.Drf0.pp_race r)
           races;
         exit 2
-      end
-    end
-    else
-      report_drf0
-        (fst (Wo_prog.Enumerate.check_drf0_stateful ~domains:1 test.L.program))
-  in
-  Cmd.v
-    (Cmd.info "races" ~doc:"Check a litmus program against Definition 3 (DRF0)")
-    Term.(const run $ test_arg)
-
-(* --- wo check -------------------------------------------------------------- *)
+      end )
 
 let check_cmd =
   let test_arg =
@@ -432,60 +454,38 @@ let check_cmd =
           ~doc:
             "Number of OCaml domains to search with; $(b,0) picks the \
              recommended count for this host.  The verdict is identical \
-             for every value.")
+             for every value.  A test with spin loops is sampled on one \
+             domain whatever the value.")
   in
   let run test jobs metrics =
     let test = or_die (get_litmus test) in
-    if test.L.loops then
-      or_die
-        (Error
-           (Printf.sprintf
-              "%S has spin loops, so its idealized executions are unbounded; \
-               use `wo races %s' (dynamic sampling) instead"
-              test.L.name test.L.name));
-    let domains = if jobs = 0 then None else Some jobs in
     Format.printf "%a@.@." Wo_prog.Program.pp test.L.program;
-    let t0 = Unix.gettimeofday () in
-    let result, s =
-      Wo_prog.Enumerate.check_drf0_stateful ?domains test.L.program
+    let fields, verdict =
+      if test.L.loops then check_sampled test.L.program
+      else
+        check_exact
+          ?domains:(if jobs = 0 then None else Some jobs)
+          test.L.program
     in
-    let wall = Unix.gettimeofday () -. t0 in
-    Printf.printf
-      "search: %.3fs, %d states expanded, %d executions; visited table: %d \
-       distinct, %d dedup hits; %d steals over %d domain(s)\n"
-      wall s.Wo_prog.Enumerate.sf_states s.Wo_prog.Enumerate.sf_executions
-      s.Wo_prog.Enumerate.sf_distinct s.Wo_prog.Enumerate.sf_hits
-      s.Wo_prog.Enumerate.sf_steals
-      (Array.length s.Wo_prog.Enumerate.sf_per_domain);
-    (match metrics with
-    | None -> ()
-    | Some path ->
-      let doc =
-        Wo_obs.Metrics.make ~experiment:"check"
-          [
-            ("test", Wo_obs.Json.String test.L.name);
-            ( "racy",
-              Wo_obs.Json.Bool (match result with Ok () -> false | Error _ -> true)
-            );
-            ("wall_s", Wo_obs.Json.Float wall);
-            ("states", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_states);
-            ("distinct", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_distinct);
-            ("dedup_hits", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_hits);
-            ("executions", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_executions);
-            ("steals", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_steals);
-          ]
-      in
-      Wo_obs.Metrics.write_file ~path doc;
-      Printf.printf "metrics: wrote %s\n" path);
-    report_drf0 result
+    Option.iter
+      (fun path ->
+        Wo_obs.Metrics.write_file ~path
+          (Wo_obs.Metrics.make ~experiment:"check"
+             (("test", Wo_obs.Json.String test.L.name) :: fields));
+        Printf.printf "metrics: wrote %s\n" path)
+      metrics;
+    verdict ()
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Exhaustively check a litmus program against Definition 3 (DRF0) \
-          with the stateful DAG search (canonical state hashing, \
-          processor-symmetry reduction, work stealing across $(b,-j) \
-          domains)")
+         (Printf.sprintf
+            "Check a litmus program against Definition 3 (DRF0): \
+             exhaustively with the stateful DAG search (canonical state \
+             hashing, processor-symmetry reduction, work stealing across \
+             $(b,-j) domains), or, for a program with spin loops, on %d \
+             sampled schedules"
+            sampled_schedules))
     Term.(const run $ test_arg $ jobs_arg $ metrics_arg)
 
 (* --- wo workload ---------------------------------------------------------- *)
@@ -1380,7 +1380,6 @@ let main =
       list_cmd;
       litmus_cmd;
       litmus_file_cmd;
-      races_cmd;
       check_cmd;
       workload_cmd;
       sweep_cmd;

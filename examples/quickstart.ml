@@ -125,12 +125,13 @@ let () =
   (* verify race-freedom dynamically (the spin precludes enumeration) *)
   let drf0_art = Option.get (Wo_prog.Prog_compile.compile drf0) in
   let races =
-    Wo_race.Detector.sample_program ~schedules:20
-      ~run:(fun ~seed ->
-        Wo_prog.Cinterp.execution (Wo_prog.Cinterp.run_random ~seed drf0_art))
-      ()
+    List.filter_map
+      (fun seed ->
+        Wo_core.Drf0_inc.check_execution
+          (Wo_prog.Cinterp.execution (Wo_prog.Cinterp.run_random ~seed drf0_art)))
+      (List.init 20 Fun.id)
   in
-  Printf.printf "dynamic race detection over 20 schedules: %d races\n\n"
+  Printf.printf "dynamic race detection over 20 schedules: %d racy\n\n"
     (List.length races);
   print_endline
     "Every machine that is weakly ordered w.r.t. DRF0 must appear\n\

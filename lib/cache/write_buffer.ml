@@ -28,7 +28,6 @@ let push t e =
   end
 
 let pop t = Queue.take_opt t.queue
-let peek t = Queue.peek_opt t.queue
 
 let newest_for t loc =
   Queue.fold

@@ -20,8 +20,6 @@ val push : t -> entry -> bool
 
 val pop : t -> entry option
 
-val peek : t -> entry option
-
 val newest_for : t -> Wo_core.Event.loc -> entry option
 (** Youngest buffered write to [loc] (store-to-load forwarding source). *)
 

@@ -37,6 +37,7 @@ type case = {
 
 type check = Against_sc | Against_model | Lemma1_only | Report_only
 
+(* ["sc-set"], ["model-set"], ["lemma1"], ["report"]. *)
 let check_name = function
   | Against_sc -> "sc-set"
   | Against_model -> "model-set"

@@ -24,9 +24,6 @@ type case = {
 
 type check = Against_sc | Against_model | Lemma1_only | Report_only
 
-val check_name : check -> string
-(** ["sc-set"], ["model-set"], ["lemma1"], ["report"]. *)
-
 type witness = {
   wseed : int;
   woutcome : Wo_prog.Outcome.t;
@@ -61,10 +58,8 @@ type summary = {
   violating : report list;
 }
 
-val case_of_synth : Wo_synth.Synth.case -> case
-
 val case_of_litmus : Wo_litmus.Litmus.t -> case
-(** [case_of_synth] of {!Campaign.case_of_litmus}: DRF0 tests are DRF0,
+(** {!Campaign.case_of_litmus} as a difftest case: DRF0 tests are DRF0,
     the rest racy. *)
 
 val default_cases : ?family:string -> ?count:int -> unit -> case list

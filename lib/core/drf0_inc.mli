@@ -118,13 +118,11 @@ val last_read : loc_view -> int -> int
 val sync : loc_view -> int -> int
 (** [sync v q]: [ls_sync.(q)], or 0 when absent. *)
 
-val first_race :
-  ?mode:mode -> nprocs:int -> Event.t list -> Drf0.race option
-(** Fold {!push} over a complete event list with a fresh checker. *)
-
 val check_execution : ?mode:mode -> Execution.t -> Drf0.race option
-(** {!first_race} over an execution's events (processor count inferred).
-    Same verdict as [Drf0.races ~augment:true] being non-empty, but
-    without building the closure; the returned race has the smallest
+(** {!push} folded over an execution's events with a fresh checker
+    (processor count inferred), stopping at the first race.  Same
+    verdict as [Drf0.races ~augment:true] being non-empty, but without
+    building the closure; the returned race has the smallest
     second endpoint among all races (the event that creates the first
-    race), with [e1] chosen as documented for {!push}. *)
+    race), with [e1] chosen as documented for {!push}.  [wo check] runs
+    it on each sampled schedule of a program with spin loops. *)

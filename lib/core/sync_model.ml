@@ -83,10 +83,3 @@ let ra_hw =
     relaxations = [ W_to_r; W_to_w; Acquire_no_drain ];
     forwarding = true;
   }
-
-let hardware_models = [ sc_hw; tso_hw; pso_hw; ra_hw ]
-
-let hardware_of_string n =
-  List.find_opt (fun hw -> hw.hname = n) hardware_models
-
-let pp_hardware ppf hw = Format.fprintf ppf "%s" hw.hname

@@ -64,11 +64,5 @@ val sc_hw : hardware
 val tso_hw : hardware
 val pso_hw : hardware
 val ra_hw : hardware
-
-val hardware_models : hardware list
-(** In strength order: [sc], [tso], [pso], [ra].  Each model's allowed
-    behaviours are a subset of the next's. *)
-
-val hardware_of_string : string -> hardware option
-
-val pp_hardware : Format.formatter -> hardware -> unit
+(** [sc_hw], [tso_hw], [pso_hw], [ra_hw] are in strength order: each
+    model's allowed behaviours are a subset of the next's. *)

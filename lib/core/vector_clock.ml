@@ -39,7 +39,3 @@ let equal a b = a = b
 let compare = Stdlib.compare
 
 let concurrent a b = (not (leq a b)) && not (leq b a)
-
-let pp ppf t =
-  Format.fprintf ppf "<%s>"
-    (String.concat "," (Array.to_list (Array.map string_of_int t)))

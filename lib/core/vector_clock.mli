@@ -1,10 +1,8 @@
 (** Vector clocks over a fixed set of processors.
 
-    The substrate for on-the-fly happens-before tracking: the dynamic
-    race detector ({!Wo_race.Detector}) and the path-incremental DRF0
-    checker ({!Drf0_inc}) both maintain one clock per processor and
-    per-location access metadata in terms of these.  Lives in [wo_core]
-    so the core checkers can use it. *)
+    The substrate for on-the-fly happens-before tracking: the
+    path-incremental DRF0 checker ({!Drf0_inc}) maintains one clock per
+    processor and per-location access metadata in terms of these. *)
 
 type t
 
@@ -35,5 +33,3 @@ val compare : t -> t -> int
 
 val concurrent : t -> t -> bool
 (** Neither [leq a b] nor [leq b a]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -17,13 +17,19 @@ type spec =
       spike_probability : float;
       spike_factor : int;
     }
+      (** Like [Jittered], but each message independently suffers a
+          congestion spike with probability [spike_probability],
+          multiplying its delay by [spike_factor] — a heavy-tailed
+          network.  Weak machines' rare reorderings (e.g. an
+          invalidation overtaken by a whole synchronization chain) need
+          such tails to show up at observable rates. *)
 (** A latency model as data, so machine specifications can carry one
     (serialized, compared, swept over) and build the function only when a
     simulation starts.  {!of_spec} is the sole interpreter. *)
 
 val of_spec : Wo_sim.Rng.t -> spec -> t
-(** [Fixed] ignores the generator; the jittered models consult it per
-    message exactly as {!jittered} and {!spiky} do. *)
+(** [Fixed] ignores the generator; the jittered models consult it once
+    per message ([Jittered] exactly as {!jittered} does). *)
 
 val fixed : int -> t
 
@@ -34,15 +40,6 @@ val scale_nodes : (int * int) list -> t -> t
 (** [scale_nodes [(node, factor); ...] inner] multiplies the inner latency
     by [factor] for messages to or from the listed nodes — used to make one
     processor's invalidations slow, as in the Figure-3 scenario. *)
-
-val spiky :
-  Wo_sim.Rng.t -> base:int -> jitter:int -> spike_probability:float ->
-  spike_factor:int -> t
-(** Like {!jittered}, but each message independently suffers a congestion
-    spike with the given probability, multiplying its delay — a
-    heavy-tailed network.  Weak machines' rare reorderings (e.g. an
-    invalidation overtaken by a whole synchronization chain) need such
-    tails to show up at observable rates. *)
 
 val scale_routes : ((int * int) * int) list -> t -> t
 (** [scale_routes [((src, dst), factor); ...] inner] multiplies the inner

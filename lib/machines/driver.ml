@@ -240,6 +240,7 @@ type session_state = {
   mutable skept : Machine.result option;
 }
 
+(* One session of [make]'s machine; the interface states its contract. *)
 let new_session ~name ~local_cost ~build () : Machine.session =
   let state : session_state option ref = ref None in
   let session_run ~seed ?compiled program =

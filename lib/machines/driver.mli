@@ -9,8 +9,8 @@
     {!Memsys.port}; see {!Uncached}, {!Ordering} and {!Coherent} for the
     shipped protocols.
 
-    There is one execution path: {!new_session} builds once per machine
-    shape, then resets the environment in place before every run, the
+    There is one execution path: a session ({!make}) builds once per
+    machine shape, then resets the environment in place before every run, the
     first included ({!Machine.run} is a fresh session's first run).  A
     [build] function whose components keep mutable state must register
     an {!on_reset} hook restoring them to their just-built state; hooks
@@ -88,15 +88,18 @@ val fabric :
     stats slots.  Registers its own {!on_reset} hook
     (state drop + stream re-split), so builders need not. *)
 
-val new_session :
+val make :
   name:string ->
+  description:string ->
+  sequentially_consistent:bool ->
+  weakly_ordered_drf0:bool ->
   local_cost:int ->
   build:(env -> Memsys.port) ->
-  unit ->
-  Machine.session
-(** A reusable context over the same [build].  The memory system, port
-    and frontends are constructed on the first run (and again only if a
-    program with a different processor count arrives); every run starts
+  Machine.t
+(** Package [build] as a {!Machine.t}.  Each {!Machine.new_session} of
+    it is a reusable context over the same [build].  The memory system,
+    port and frontends are constructed on the first run (and again only
+    if a program with a different processor count arrives); every run starts
     by resetting the environment in place — including the first, and
     including after a {!Machine.Machine_error} run, whose debris must
     not leak into the next seed.  The frontends step the program's
@@ -124,12 +127,3 @@ val new_session :
     simulate (their spans are output) and are never kept.  Replays
     count in {!Machine.runs} and {!Machine.session_replays}. *)
 
-val make :
-  name:string ->
-  description:string ->
-  sequentially_consistent:bool ->
-  weakly_ordered_drf0:bool ->
-  local_cost:int ->
-  build:(env -> Memsys.port) ->
-  Machine.t
-(** Package {!new_session} as a {!Machine.t}. *)

@@ -50,7 +50,7 @@ type session = {
     are byte-identical ([Marshal]-fingerprint-equal) to a fresh
     session's ({!run}) at every seed.
     A session may return the same physical result for several seeds
-    (a replayed run, see {!Driver.new_session}); results are immutable
+    (a replayed run, see {!Driver.make}); results are immutable
     by contract, so a caller must never mutate one it was handed.
     [compiled] supplies a pre-compiled artifact for the program (e.g. a
     campaign's memoised compilation); without it the session compiles

@@ -39,13 +39,6 @@ type config = {
   local_cost : int;
 }
 
-let hardware_of_kind = function
-  | Tso _ -> Wo_core.Sync_model.tso_hw
-  | Pso _ -> Wo_core.Sync_model.pso_hw
-  | Ra _ -> Wo_core.Sync_model.ra_hw
-
-let kind_name k = (hardware_of_kind k).Wo_core.Sync_model.hname
-
 let drain_delay_of = function
   | Tso { drain_delay; _ } | Pso { drain_delay; _ } | Ra { drain_delay; _ } ->
     drain_delay

@@ -49,13 +49,6 @@ type config = {
   local_cost : int;
 }
 
-val hardware_of_kind : kind -> Wo_core.Sync_model.hardware
-(** The axiomatic descriptor a kind implements ({!Wo_core.Sync_model.tso_hw},
-    [pso_hw] or [ra_hw]). *)
-
-val kind_name : kind -> string
-(** ["tso"], ["pso"] or ["ra"]. *)
-
 val build : config -> Driver.env -> Memsys.port
 (** The port builder, for composition with a custom driver. *)
 

@@ -294,36 +294,10 @@ let models = [ tso_wb; pso_wb; ra_window ]
    parameters (e.g. Figure 3's slow invalidations) and rebuild with
    {!Coherent.make}. *)
 let sc_dir_config = Spec.cached_config sc_dir_spec
-let bus_cache_config = Spec.cached_config bus_cache_spec
 let net_cache_config = Spec.cached_config net_cache_spec
 let wo_old_config = Spec.cached_config wo_old_spec
 let wo_new_config = Spec.cached_config wo_new_spec
 let wo_new_drf1_config = Spec.cached_config wo_new_drf1_spec
-
-let wo_new_ablated ?(disable_reserve = false) ?(disable_sync_commit_wait = false)
-    () =
-  let cache =
-    {
-      Wo_cache.Cache_ctrl.default_config with
-      reserve_enabled = not disable_reserve;
-    }
-  in
-  let policy =
-    if disable_sync_commit_wait then
-      { Coherent.def2_policy with sync_wait = Coherent.Sync_wait_none }
-    else Coherent.def2_policy
-  in
-  let tags =
-    (if disable_reserve then [ "no-reserve" ] else [])
-    @ if disable_sync_commit_wait then [ "no-commit-wait" ] else []
-  in
-  Coherent.make
-    ~name:(String.concat "+" ("wo-new" :: tags))
-    ~description:
-      "Section-5.3 implementation with mechanisms disabled for ablation."
-    ~sequentially_consistent:false
-    ~weakly_ordered_drf0:(not (disable_reserve || disable_sync_commit_wait))
-    { wo_new_config with policy; cache }
 
 let all =
   [

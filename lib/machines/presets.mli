@@ -68,18 +68,10 @@ val pso_wb_spec : Spec.t
 val ra_window_spec : Spec.t
 
 val sc_dir_config : Coherent.config
-val bus_cache_config : Coherent.config
 val net_cache_config : Coherent.config
 val wo_old_config : Coherent.config
 val wo_new_config : Coherent.config
 val wo_new_drf1_config : Coherent.config
-
-val wo_new_ablated :
-  ?disable_reserve:bool -> ?disable_sync_commit_wait:bool -> unit -> Machine.t
-(** The Section-5.3 machine with individual mechanisms removed, for the
-    ablation experiment (E7): [disable_reserve] removes the reserve-bit
-    stall (condition 5), [disable_sync_commit_wait] lets the processor run
-    past an uncommitted synchronization operation (condition 4). *)
 
 val all : Machine.t list
 (** Every preset, idealized machine first. *)

@@ -139,6 +139,9 @@ let model_hardware = function
   | Model_pso _ -> Wo_core.Sync_model.pso_hw
   | Model_ra _ -> Wo_core.Sync_model.ra_hw
 
+(* The relaxed-ordering backend config this spec denotes.  Raises
+   [Invalid_argument] if [model] is [Model_sc] or [memory] is not
+   [Uncached]. *)
 let ordering_config (s : t) : Ordering.config =
   if s.model = Model_sc then
     invalid_arg
@@ -228,6 +231,7 @@ let model_of_string = function
   | "ra" -> Some (Model_ra { window = 8; drain_delay = 6 })
   | _ -> None
 
+(* Short name for grid-generated machine names, e.g. ["net4j6"]. *)
 let fabric_slug = function
   | Memsys.Bus { transfer_cycles } -> Printf.sprintf "bus%d" transfer_cycles
   | Memsys.Net { base; jitter } -> Printf.sprintf "net%dj%d" base jitter

@@ -88,7 +88,7 @@ val build : t -> Machine.t
 val behaviour_key : t -> string
 (** The identity of the hardware {!build} assembles: a structural
     encoding of {!flags} and the resolved backend config
-    ({!ordering_config}, {!uncached_config}, {!cached_config}, or a
+    (the ordering config, {!uncached_config}, {!cached_config}, or a
     constant for [Ideal]) — everything [build] hands the backend except
     [name] and [description].  Two specs with equal keys build machines
     that produce the same results on every program and seed, and differ
@@ -107,18 +107,10 @@ val cached_config : t -> Coherent.config
 (** The coherent driver config this spec denotes.
     @raise Invalid_argument if [memory] is not [Cached]. *)
 
-val ordering_config : t -> Ordering.config
-(** The relaxed-ordering backend config this spec denotes.
-    @raise Invalid_argument if [model] is [Model_sc] or [memory] is not
-    [Uncached]. *)
-
 val model_hardware : model -> Wo_core.Sync_model.hardware
 (** The axiomatic descriptor of the spec's ordering model, for the
     reference enumerator ({!Wo_prog.Relaxed}); {!Wo_core.Sync_model.sc_hw}
     for [Model_sc]. *)
-
-val sync_to_string : sync_policy -> string
-val sync_of_string : string -> sync_policy option
 
 val model_to_string : model -> string
 (** ["sc"], ["tso"], ["pso"] or ["ra"]. *)
@@ -127,16 +119,13 @@ val model_of_string : string -> model option
 (** The inverse, with the default knobs (depth/window 8, drain delay 6)
     for the relaxed models. *)
 
-val fabric_slug : Memsys.fabric_kind -> string
-(** Short name for grid-generated machine names, e.g. ["net4j6"]. *)
-
 (** {2 JSON} *)
 
 val to_json : t -> Wo_obs.Json.t
 val to_string : ?pretty:bool -> t -> string
 
-val of_json : Wo_obs.Json.t -> (t, string) result
-(** Missing fields default: [description] to [""], [fabric] to
+val of_string : string -> (t, string) result
+(** Parse a spec from JSON text.  Missing fields default: [description] to [""], [fabric] to
     {!Coherent.default_net}, [model] to [Model_sc], [memory] to
     {!default_cached} (one-module uncached when a relaxed model is
     given), [sync] to [Sync_none], [local_cost] to [1] (at least 1:
@@ -145,7 +134,6 @@ val of_json : Wo_obs.Json.t -> (t, string) result
     ([{"kind":"ra","window":8,"drain_delay":6}]); a relaxed model with
     explicit cached or ideal memory is rejected. *)
 
-val of_string : string -> (t, string) result
 val of_file : string -> (t, string) result
 
 (** {2 Grids} *)

@@ -39,8 +39,10 @@ let sum t = t.total
 
 let max_value t = t.max_v
 
+(* 0.0 when empty. *)
 let mean t = if t.n = 0 then 0.0 else float_of_int t.total /. float_of_int t.n
 
+(* Non-empty buckets as [(lo, hi, count)], ascending. *)
 let buckets t =
   let acc = ref [] in
   for i = nbuckets - 1 downto 0 do

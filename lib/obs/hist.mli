@@ -25,12 +25,6 @@ val sum : t -> int
 val max_value : t -> int
 (** Largest value recorded (0 when empty). *)
 
-val mean : t -> float
-(** 0.0 when empty. *)
-
-val buckets : t -> (int * int * int) list
-(** Non-empty buckets as [(lo, hi, count)], ascending. *)
-
 val merge : t -> t -> t
 (** Pointwise sum into a fresh histogram. *)
 

@@ -19,8 +19,6 @@ val to_string : ?pretty:bool -> t -> string
     Non-finite floats serialize as [null] (JSON has no representation
     for them). *)
 
-val to_buffer : ?pretty:bool -> Buffer.t -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; the error carries an offset. *)
 

@@ -6,9 +6,6 @@
     experiment-specific payload fields.  Consumers check
     [{!validate}]-style structure before trusting the rest. *)
 
-val schema_name : string
-(** ["wo-metrics"]. *)
-
 val schema_version : int
 (** Bumped whenever the envelope or a shared payload shape changes. *)
 

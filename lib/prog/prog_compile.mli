@@ -61,7 +61,6 @@ val o_fence : int
 
 val e_const : int
 val e_reg : int
-val e_postfix : int
 
 (** Postfix item tags, two pool ints per item: [tag; arg]. *)
 
@@ -73,7 +72,6 @@ val p_mul : int
 val p_eq : int
 val p_ne : int
 val p_lt : int
-val p_le : int
 
 type t = private {
   source : Program.t;
@@ -86,7 +84,8 @@ type t = private {
   reg_base : int array;
       (** per processor: offset of its block in the flat register file *)
   nregs : int;  (** flat register file length *)
-  e_kind : int array;  (** per expression id: {!e_const}/{!e_reg}/{!e_postfix} *)
+  e_kind : int array;
+      (** per expression id: {!e_const}, {!e_reg}, or postfix code *)
   e_arg : int array;  (** constant value / flat register / pool offset *)
   e_len : int array;  (** postfix items (0 for the scalar kinds) *)
   epool : int array;

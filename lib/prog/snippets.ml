@@ -6,6 +6,10 @@ let acquire_tas ~lock ~scratch =
        [ Instr.Test_and_set (scratch, lock) ]);
   ]
 
+(* Test-and-TestAndSet acquire: spin with a read-only synchronization
+   [Test] and attempt the TestAndSet only when the lock looks free — the
+   idiom Section 6 discusses, whose spinning the Section-5.3
+   implementation serializes but the DRF1 refinement does not. *)
 let acquire_ttas ~lock ~scratch ~scratch2 =
   (* scratch holds the TestAndSet result (0 = acquired); scratch2 the value
      observed by the read-only Test. *)

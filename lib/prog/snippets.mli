@@ -11,16 +11,6 @@ val acquire_tas : lock:Wo_core.Event.loc -> scratch:Instr.reg -> Instr.t list
 (** Spin lock acquire with bare TestAndSet: retry until the old value is 0.
     Every iteration is a read-write synchronization operation. *)
 
-val acquire_ttas :
-  lock:Wo_core.Event.loc ->
-  scratch:Instr.reg ->
-  scratch2:Instr.reg ->
-  Instr.t list
-(** Test-and-TestAndSet acquire: spin with a read-only synchronization
-    [Test] and attempt the TestAndSet only when the lock looks free — the
-    idiom Section 6 discusses, whose spinning the Section-5.3
-    implementation serializes but the DRF1 refinement does not. *)
-
 val release : lock:Wo_core.Event.loc -> Instr.t list
 (** [Unset]: a write-only synchronization operation storing 0. *)
 

@@ -51,12 +51,3 @@ let subheading s =
   print_newline ();
   print_endline s;
   print_endline (String.make (String.length s) '-')
-
-let kv pairs =
-  let w =
-    List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 pairs
-  in
-  List.iter
-    (fun (k, v) ->
-      Printf.printf "%s%s : %s\n" k (String.make (w - String.length k) ' ') v)
-    pairs

@@ -14,6 +14,3 @@ val heading : string -> unit
 (** Print an underlined section heading. *)
 
 val subheading : string -> unit
-
-val kv : (string * string) list -> unit
-(** Print aligned key/value lines. *)

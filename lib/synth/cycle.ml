@@ -6,6 +6,7 @@ type edge = { conflict : conflict; sync_from : bool; sync_to : bool }
 
 type shape = { edges : edge list; padding : int list }
 
+(* At least two edges and matching padding length. *)
 let validate s =
   let k = List.length s.edges in
   if k < 2 then Error "cycle needs at least two conflict edges"

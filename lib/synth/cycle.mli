@@ -57,9 +57,6 @@ type shape = {
           processor (same length as [edges]); pure timing variation *)
 }
 
-val validate : shape -> (unit, string) result
-(** At least two edges and matching padding length. *)
-
 val program : name:string -> shape -> Wo_prog.Program.t
 (** Emit the shape as a program.  Processor [i] runs [padding.(i)]
     [Nop]s, its first access (register [r0] if a read), then its second

@@ -107,7 +107,7 @@ let test_lockstep_litmus () =
 
 (* [Cinterp.run_random] makes the AST interpreter's scheduler draws: the
    same execution (every event) and the same outcome at every seed — what
-   the ideal machine and [wo races]' sampler rely on. *)
+   the ideal machine and [wo check]'s sampler rely on. *)
 let prop_run_random_matches_ast =
   QCheck.Test.make
     ~name:"Cinterp.run_random = Interp.run_random on random programs"

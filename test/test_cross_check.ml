@@ -53,11 +53,12 @@ let prop_lemma1_implies_sc_witness =
             |> List.sort (fun (a : E.t) b -> compare a.E.seq b.E.seq))
           procs
       in
-      let witness_ok = Wo_core.Sc.witness threads <> None in
+      let witness_ok = Wo_oracle.Sc.witness threads <> None in
       (not lemma1_ok) || witness_ok)
 
-(* 3. The exhaustive DRF0 checker vs. the streaming detector on every
-   enumerated execution of small random programs (not just one). *)
+(* 3. The exhaustive DRF0 checker vs. the incremental (streaming) race
+   checker on every enumerated execution of small random programs (not
+   just one). *)
 let prop_all_executions_agree =
   QCheck.Test.make
     ~name:"exhaustive checker and detector agree on every execution"
@@ -68,7 +69,7 @@ let prop_all_executions_agree =
       Seq.for_all
         (fun exn ->
           (Wo_core.Drf0.races ~augment:false exn <> [])
-          = not (Wo_race.Detector.is_race_free exn))
+          = (Wo_core.Drf0_inc.check_execution exn <> None))
         (Wo_oracle.Enum_ref.executions program))
 
 (* 4. Machine outcome vs. trace: replaying the trace's reads against the
@@ -97,12 +98,13 @@ let test_trace_read_values_match_outcome () =
       (Wo_sim.Trace.events r.Wo_machines.Machine.trace)
   done
 
-(* 5. Figure-2(a) is also clean under the streaming detector AND satisfies
-   Lemma 1 directly (three independent validations of one artifact). *)
+(* 5. Figure-2(a) is also clean under the incremental race checker AND
+   satisfies Lemma 1 directly (three independent validations of one
+   artifact). *)
 let test_figure2a_three_ways () =
   let exn = Wo_litmus.Figure2.execution_a in
   check "exhaustive" true (Wo_core.Drf0.obeys exn);
-  check "streaming" true (Wo_race.Detector.is_race_free exn);
+  check "streaming" true (Wo_core.Drf0_inc.check_execution exn = None);
   check "lemma1" true (Wo_core.Lemma1.check_execution exn = Ok ())
 
 let tests =

@@ -210,7 +210,7 @@ let prop_all_executions_are_sc =
         Wo_synth.Synth.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
-      Seq.for_all Wo_core.Sc.is_sequentially_consistent
+      Seq.for_all Wo_oracle.Sc.is_sequentially_consistent
         (En.executions program))
 
 let tests =

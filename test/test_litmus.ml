@@ -4,7 +4,6 @@
 
 module L = Wo_litmus.Litmus
 module R = Wo_litmus.Runner
-module D = Wo_race.Detector
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -18,20 +17,13 @@ let test_drf0_flags_verified_by_enumeration () =
     L.all
 
 let test_drf0_flags_verified_by_sampling () =
-  (* Loop-bearing tests cannot be enumerated; sample schedules with the
-     dynamic detector instead. *)
+  (* Loop-bearing tests cannot be enumerated; check sampled schedules
+     instead, as `wo check' does. *)
   List.iter
     (fun (t : L.t) ->
-      if t.L.loops then begin
-        let races =
-          D.sample_program ~schedules:15
-            ~run:(fun ~seed ->
-              Wo_oracle.Interp.execution
-                (Wo_oracle.Interp.run_random ~seed t.L.program))
-            ()
-        in
-        check (t.L.name ^ " sampled race-free") t.L.drf0 (races = [])
-      end)
+      if t.L.loops then
+        check (t.L.name ^ " sampled race-free") t.L.drf0
+          (Test_race.sampled_races ~schedules:15 t.L.program = []))
     L.all
 
 let test_loop_flags_accurate () =
@@ -87,12 +79,7 @@ let test_runner_loops_use_lemma1 () =
 
 let test_figure3_parameters () =
   let t = L.figure3_scenario ~work_before_unset:5 ~work_after_unset:7 ~consumer_delay:3 () in
-  check "still DRF0 by sampling" true
-    (D.sample_program ~schedules:10
-       ~run:(fun ~seed ->
-         Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed t.L.program))
-       ()
-    = []);
+  check "still DRF0 by sampling" true (Test_race.sampled_races t.L.program = []);
   check "has the stale-x predicate" true
     (List.mem_assoc "stale-x" t.L.interesting)
 

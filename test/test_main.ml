@@ -29,7 +29,6 @@ let () =
       ("workload", Test_workload.tests);
       ("delay-set", Test_delay_set.tests);
       ("parse", Test_parse.tests);
-      ("lockset", Test_lockset.tests);
       ("cross-check", Test_cross_check.tests);
       ("report", Test_report.tests);
       ("obs", Test_obs.tests);

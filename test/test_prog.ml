@@ -143,7 +143,7 @@ let test_execution_of_run () =
   let state = In.run_random ~seed:1 p in
   let exn = In.execution state in
   check_int "four events" 4 (Wo_core.Execution.size exn);
-  check "execution is SC" true (Wo_core.Sc.is_sequentially_consistent exn)
+  check "execution is SC" true (Wo_oracle.Sc.is_sequentially_consistent exn)
 
 let test_snippets_acquire_release () =
   (* A two-processor lock protocol built from the snippets ends with the

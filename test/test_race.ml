@@ -1,7 +1,9 @@
-(* Tests for the vector-clock substrate and the on-the-fly race detector. *)
+(* Tests for the vector-clock substrate and for race checking with the
+   incremental checker built on it: hand-built executions, sampled
+   schedules, and agreement with the closure-based checker. *)
 
 module V = Wo_core.Vector_clock
-module D = Wo_race.Detector
+module Inc = Wo_core.Drf0_inc
 module E = Wo_core.Event
 module X = Wo_core.Execution
 
@@ -60,23 +62,30 @@ let prop_leq_antisymmetric =
     QCheck.(pair arbitrary_vc arbitrary_vc)
     (fun (a, b) -> (not (V.leq a b && V.leq b a)) || V.equal a b)
 
-(* --- detector ---------------------------------------------------------------- *)
+(* --- hand-built executions ------------------------------------------------ *)
 
-let test_detector_on_figure2 () =
-  check "figure 2(a) race-free" true
-    (D.is_race_free Wo_litmus.Figure2.execution_a);
-  check "figure 2(b) racy" false
-    (D.is_race_free Wo_litmus.Figure2.execution_b)
+(* The incremental verdict, checked against the closure-based checker
+   under the same synchronization model. *)
+let race_free ?(model = Wo_core.Sync_model.drf0) exn =
+  let mode = Option.get (Inc.mode_of_model model) in
+  let free = Inc.check_execution ~mode exn = None in
+  check "agrees with the closure checker" free
+    (Wo_core.Drf0.races ~model exn = []);
+  free
 
-let test_detector_simple_race () =
+let test_figure2 () =
+  check "figure 2(a) race-free" true (race_free Wo_litmus.Figure2.execution_a);
+  check "figure 2(b) racy" false (race_free Wo_litmus.Figure2.execution_b)
+
+let test_simple_race () =
   let exn =
     X.build
       [ (0, E.Data_write, 0, None, Some 1); (1, E.Data_read, 0, Some 1, None) ]
   in
-  let races = D.races_of_execution exn in
-  check_int "one race" 1 (List.length races)
+  check "racy" false (race_free exn);
+  check_int "one race" 1 (List.length (Wo_core.Drf0.races exn))
 
-let test_detector_sync_ordering () =
+let test_sync_ordering () =
   let exn =
     X.build
       [
@@ -86,9 +95,9 @@ let test_detector_sync_ordering () =
         (1, E.Data_read, 0, Some 1, None);
       ]
   in
-  check "synchronized handoff clean" true (D.is_race_free exn)
+  check "synchronized handoff clean" true (race_free exn)
 
-let test_detector_drf1_model () =
+let test_drf1_model () =
   (* Release via read-only synchronization: DRF0-clean, DRF1-racy. *)
   let exn =
     X.build
@@ -99,44 +108,49 @@ let test_detector_drf1_model () =
         (1, E.Data_read, 0, Some 1, None);
       ]
   in
-  check "drf0 clean" true (D.is_race_free ~model:D.Model_drf0 exn);
-  check "drf1 racy" false (D.is_race_free ~model:D.Model_drf1 exn)
+  check "drf0 clean" true (race_free exn);
+  check "drf1 racy" false (race_free ~model:Wo_core.Sync_model.drf1 exn)
 
-let test_detector_write_write () =
+let test_write_write () =
   let exn =
     X.build
       [ (0, E.Data_write, 0, None, Some 1); (1, E.Data_write, 0, None, Some 2) ]
   in
-  check "write-write race" false (D.is_race_free exn)
+  check "write-write race" false (race_free exn)
 
-let test_detector_read_read_clean () =
+let test_read_read_clean () =
   let exn =
     X.build
       [ (0, E.Data_read, 0, Some 0, None); (1, E.Data_read, 0, Some 0, None) ]
   in
-  check "read-read never races" true (D.is_race_free exn)
+  check "read-read never races" true (race_free exn)
+
+(* --- sampled schedules --------------------------------------------------- *)
+
+(* Seeded idealized schedules, each checked with the incremental race
+   checker: how `wo check' treats a test with spin loops.  One race per
+   racy schedule. *)
+let sampled_races ?(schedules = 10) program =
+  let art = Option.get (Wo_prog.Prog_compile.compile program) in
+  List.filter_map
+    (fun seed ->
+      Inc.check_execution
+        (Wo_prog.Cinterp.execution (Wo_prog.Cinterp.run_random ~seed art)))
+    (List.init schedules Fun.id)
 
 let test_sample_program () =
-  let program = Wo_litmus.Litmus.figure1.Wo_litmus.Litmus.program in
-  let races =
-    D.sample_program ~schedules:10
-      ~run:(fun ~seed ->
-        Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed program))
-      ()
-  in
-  check "racy program caught by sampling" true (races <> []);
-  let clean = Wo_litmus.Litmus.dekker_sync.Wo_litmus.Litmus.program in
-  let races =
-    D.sample_program ~schedules:10
-      ~run:(fun ~seed ->
-        Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed clean))
-      ()
-  in
-  check "clean program has no sampled races" true (races = [])
+  let program t = t.Wo_litmus.Litmus.program in
+  check "racy program caught by sampling" true
+    (sampled_races (program Wo_litmus.Litmus.figure1) <> []);
+  check "clean program has no sampled races" true
+    (sampled_races (program Wo_litmus.Litmus.dekker_sync) = []);
+  check "clean spin-loop program has no sampled races" true
+    (sampled_races (program Wo_litmus.Litmus.message_passing_sync) = [])
 
-(* Agreement with the exhaustive checker: the streaming detector reports a
-   race iff the quadratic checker (without augmentation) does. *)
-let prop_detector_agrees_with_drf0 =
+(* Agreement with the exhaustive checker on one random schedule of a
+   larger random program: the incremental checker reports a race iff the
+   quadratic checker (without augmentation) does. *)
+let prop_agrees_with_drf0 =
   QCheck.Test.make ~name:"detector agrees with the exhaustive checker"
     ~count:150
     QCheck.(pair small_int small_int)
@@ -149,7 +163,7 @@ let prop_detector_agrees_with_drf0 =
         Wo_oracle.Interp.execution (Wo_oracle.Interp.run_random ~seed:sseed program)
       in
       let exhaustive = Wo_core.Drf0.races ~augment:false exn <> [] in
-      let streaming = not (D.is_race_free exn) in
+      let streaming = Inc.check_execution exn <> None in
       exhaustive = streaming)
 
 let prop_lock_disciplined_race_free =
@@ -161,9 +175,10 @@ let prop_lock_disciplined_race_free =
       in
       List.for_all
         (fun sseed ->
-          D.is_race_free
+          Inc.check_execution
             (Wo_oracle.Interp.execution
-               (Wo_oracle.Interp.run_random ~seed:sseed program)))
+               (Wo_oracle.Interp.run_random ~seed:sseed program))
+          = None)
         [ 1; 2; 3 ])
 
 let tests =
@@ -175,13 +190,13 @@ let tests =
     QCheck_alcotest.to_alcotest prop_join_idempotent;
     QCheck_alcotest.to_alcotest prop_join_upper_bound;
     QCheck_alcotest.to_alcotest prop_leq_antisymmetric;
-    Alcotest.test_case "detector on figure 2" `Quick test_detector_on_figure2;
-    Alcotest.test_case "simple race" `Quick test_detector_simple_race;
-    Alcotest.test_case "synchronized handoff" `Quick test_detector_sync_ordering;
-    Alcotest.test_case "drf1 model" `Quick test_detector_drf1_model;
-    Alcotest.test_case "write-write" `Quick test_detector_write_write;
-    Alcotest.test_case "read-read" `Quick test_detector_read_read_clean;
+    Alcotest.test_case "detector on figure 2" `Quick test_figure2;
+    Alcotest.test_case "simple race" `Quick test_simple_race;
+    Alcotest.test_case "synchronized handoff" `Quick test_sync_ordering;
+    Alcotest.test_case "drf1 model" `Quick test_drf1_model;
+    Alcotest.test_case "write-write" `Quick test_write_write;
+    Alcotest.test_case "read-read" `Quick test_read_read_clean;
     Alcotest.test_case "sampling programs" `Quick test_sample_program;
-    QCheck_alcotest.to_alcotest prop_detector_agrees_with_drf0;
+    QCheck_alcotest.to_alcotest prop_agrees_with_drf0;
     QCheck_alcotest.to_alcotest prop_lock_disciplined_race_free;
   ]

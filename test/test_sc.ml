@@ -2,7 +2,7 @@
    definition applied to finite executions). *)
 
 module E = Wo_core.Event
-module S = Wo_core.Sc
+module S = Wo_oracle.Sc
 module X = Wo_core.Execution
 
 let check = Alcotest.(check bool)

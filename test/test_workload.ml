@@ -3,7 +3,6 @@
 
 module W = Wo_workload.Workload
 module In = Wo_oracle.Interp
-module D = Wo_race.Detector
 
 let check = Alcotest.(check bool)
 
@@ -25,13 +24,8 @@ let test_all_validate_on_ideal () =
 let test_all_race_free_by_sampling () =
   List.iter
     (fun (w : W.t) ->
-      let races =
-        D.sample_program ~schedules:10
-          ~run:(fun ~seed ->
-            In.execution (In.run_random ~seed w.W.program))
-          ()
-      in
-      check (w.W.name ^ " race-free") true (races = []))
+      check (w.W.name ^ " race-free") true
+        (Test_race.sampled_races w.W.program = []))
     W.all
 
 let test_parameterized_instances () =
