@@ -54,6 +54,25 @@ let mirrored_sync ~procs ~ops =
     (List.init procs (fun _ ->
          List.init ops (fun _ -> I.Sync_write (0, I.Const 1))))
 
+(* A four-processor critical cycle {Rf, Fr, Ws, Ws} (E19 drf0-check's
+   quick shape): all endpoints sync (race free), or the last edge's
+   plain data (racy).  Each location is shared by two neighbours only,
+   so these are the identity rows where persistent singletons and
+   location-aware sync dependence actually prune. *)
+let sync_cycle ~racy =
+  let module Cy = Wo_synth.Cycle in
+  Cy.program
+    ~name:(if racy then "cycle-4-racy" else "cycle-4-sync")
+    {
+      Cy.edges =
+        List.mapi
+          (fun i conflict ->
+            let sync = not (racy && i = 3) in
+            { Cy.conflict; sync_from = sync; sync_to = sync })
+          Cy.[ Rf; Fr; Ws; Ws ];
+      padding = [ 0; 1; 2; 0 ];
+    }
+
 let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
 
 let speedup slow fast = if fast <= 0.0 then 0.0 else slow /. fast
@@ -222,6 +241,8 @@ let run () =
       L.two_plus_two_w.L.program;
       convergent ~procs:2 ~ops:4;
       mirrored_sync ~procs:3 ~ops:2;
+      sync_cycle ~racy:false;
+      sync_cycle ~racy:true;
     ]
   in
   let identity_rows = List.map (identity_check identity_domains) identity_programs in

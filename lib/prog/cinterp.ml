@@ -137,20 +137,26 @@ let finished st =
   in
   go (st.prog.P.nprocs - 1)
 
+let access_at t code pc =
+  let o = code.(pc) in
+  let li = if o = P.o_write || o = P.o_sync_write then code.(pc + 1) else code.(pc + 2) in
+  Some
+    {
+      loc = t.P.locs.(li);
+      writes = o <> P.o_read && o <> P.o_sync_read;
+      sync = o >= P.o_sync_read;
+    }
+
+(* Fast path: a pc already at a memory op needs no local unfolding. *)
 let peek st proc =
-  match advance st proc with
-  | `Finished _ -> None
-  | `Memory (_, pc) ->
-    let t = st.prog in
-    let code = t.P.code.(proc) in
-    let o = code.(pc) in
-    let li = if o = P.o_write || o = P.o_sync_write then code.(pc + 1) else code.(pc + 2) in
-    Some
-      {
-        loc = t.P.locs.(li);
-        writes = o <> P.o_read && o <> P.o_sync_read;
-        sync = o >= P.o_sync_read;
-      }
+  let t = st.prog in
+  let code = t.P.code.(proc) in
+  let pc = st.pcs.(proc) in
+  if pc < Array.length code && code.(pc) <= P.o_faa then access_at t code pc
+  else
+    match advance st proc with
+    | `Finished _ -> None
+    | `Memory (_, pc) -> access_at t code pc
 
 let step st proc =
   let t = st.prog in

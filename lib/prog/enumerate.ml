@@ -13,24 +13,55 @@ type stateful_stats = {
 
 (* Advance every processor that can finish without another memory access;
    such steps commute with everything, so they are not branch points and
-   skipping them avoids enumerating duplicate executions. *)
+   skipping them avoids enumerating duplicate executions.  [peek] finds
+   the silent processor without stepping (and copying) the others. *)
 let rec drain_silent state =
-  let silent =
-    List.find_map
-      (fun p ->
-        let state', ev = Cinterp.step state p in
-        match ev with None -> Some state' | Some _ -> None)
-      (Cinterp.runnable state)
-  in
-  match silent with None -> state | Some state' -> drain_silent state'
+  match
+    List.find_opt (fun p -> Cinterp.peek state p = None) (Cinterp.runnable state)
+  with
+  | None -> state
+  | Some p -> drain_silent (fst (Cinterp.step state p))
 
-(* Two pending steps of different processors commute unless they conflict:
-   same location with a write component, or either is a synchronization
-   operation (synchronization order is observable through happens-before,
-   so sync steps are conservatively dependent on everything). *)
+(* Two pending steps of different processors commute unless they touch
+   the same location and either writes or both are synchronization
+   operations.  Values read and written are then unchanged by the swap,
+   and so is happens-before: [so] orders only same-location sync pairs,
+   so two syncs on different locations swap without changing po, so or
+   hb, and a data access enters [so] with nobody.  The incremental
+   checker's state is likewise unchanged: the two pushes update
+   different processors' clocks and different locations' records. *)
 let dependent (a : Cinterp.access) (b : Cinterp.access) =
-  a.Cinterp.sync || b.Cinterp.sync
-  || (a.Cinterp.loc = b.Cinterp.loc && (a.Cinterp.writes || b.Cinterp.writes))
+  a.Cinterp.loc = b.Cinterp.loc
+  && (a.Cinterp.writes || b.Cinterp.writes || (a.Cinterp.sync && b.Cinterp.sync))
+
+(* Does [q]'s code still reach location [loc] from its pc?  The live
+   stream holds dense indices, so compare through the location table. *)
+let may_touch cp state q loc =
+  let live = Prog_compile.live_locs cp q (Cinterp.pc state q) in
+  let rec go i =
+    i < Array.length live && (cp.Prog_compile.locs.(live.(i)) = loc || go (i + 1))
+  in
+  go 0
+
+(* A persistent singleton: a processor whose pending access is on a
+   location no other runnable processor can still reach.  Every
+   completion of the state takes that step eventually, and it is
+   independent of every step other processors take before it, so some
+   completion equivalent to each one takes it first — expanding it alone
+   loses no outcome and no race (Godefroid's persistent sets; the search
+   space is acyclic, so the ignoring problem cannot arise).  A sleeping
+   singleton is preferred, since then nothing needs expanding at all. *)
+let singleton state sleep pending =
+  let cp = Cinterp.compiled state in
+  let private_step (p, (a : Cinterp.access)) =
+    List.for_all
+      (fun (q, _) -> q = p || not (may_touch cp state q a.Cinterp.loc))
+      pending
+  in
+  let candidates = List.filter private_step pending in
+  match List.find_opt (fun (p, _) -> sleep land (1 lsl p) <> 0) candidates with
+  | Some _ as asleep -> asleep
+  | None -> ( match candidates with c :: _ -> Some c | [] -> None)
 
 (* Children of a drained, non-final node, with the event taken on the edge
    (consumed by the incremental DRF0 checker) and the sleep set each child
@@ -41,13 +72,17 @@ let dependent (a : Cinterp.access) (b : Cinterp.access) =
    sibling subtree elsewhere in the search; exploring them here would only
    revisit Mazurkiewicz-equivalent interleavings.
 
-   Sleep-set discipline (Godefroid): iterate awake processors in ascending
-   order; the child for processor [p] sleeps on every processor of
-   [sleep ∪ done-before-p] whose pending step is independent of [p]'s step.
-   Pending accesses are stable under other processors' steps (locations are
-   static), so sleep entries stay valid until the sleeper itself runs —
-   which, while it sleeps, it never does. *)
-let children_of state sleep =
+   Sleep-set discipline (Godefroid): iterate the awake processors of the
+   expanded set in ascending order; the child for processor [p] sleeps on
+   every processor of [sleep ∪ done-before-p] whose pending step is
+   independent of [p]'s step.  The expanded set is every runnable
+   processor, or, when [persistent] and one exists, a persistent
+   singleton — and nothing at all when that singleton is asleep (the
+   persistent set minus the sleep set).  Pending accesses are stable
+   under other processors' steps (locations are static), so sleep
+   entries stay valid until the sleeper itself runs — which, while it
+   sleeps, it never does. *)
+let children_of ~persistent state sleep =
   match Cinterp.runnable state with
   | [] -> None (* complete execution *)
   | procs ->
@@ -60,6 +95,13 @@ let children_of state sleep =
       List.fold_left (fun m (p, _) -> m lor (1 lsl p)) 0 pending
     in
     let sleep = sleep land runnable_mask in
+    let expanded =
+      if not persistent then pending
+      else
+        match singleton state sleep pending with
+        | Some c -> [ c ]
+        | None -> pending
+    in
     let rec expand sleep_now acc = function
       | [] -> List.rev acc
       | (p, ap) :: rest ->
@@ -79,7 +121,7 @@ let children_of state sleep =
             ((state', ev, child_sleep) :: acc)
             rest
     in
-    Some (expand sleep [] pending)
+    Some (expand sleep [] expanded)
 
 (* A program the compiler cannot pack (more processors than sleep-set
    bits, or locations/registers beyond 16-bit indices) is beyond the
@@ -121,8 +163,8 @@ type hooks = {
 (* One DAG walk from [root]; the hooks must agree with the path to [root].
    [offload] may hand sibling subtrees to the scheduler (returning true)
    instead of having them explored inline. *)
-let walk ~max_events ~max_executions ~leaves ~on_node ~offload h root
-    root_sleep =
+let walk ~persistent ~max_events ~max_executions ~leaves ~on_node ~offload h
+    root root_sleep =
   let rec go state sleep =
     let state = drain_silent state in
     if Cinterp.events_so_far state > max_events then raise Limit_exceeded;
@@ -130,7 +172,7 @@ let walk ~max_events ~max_executions ~leaves ~on_node ~offload h root
     | `Skip -> ()
     | `Explore sleep -> (
       on_node ();
-      match children_of state sleep with
+      match children_of ~persistent state sleep with
       | None ->
         if Atomic.fetch_and_add leaves 1 >= max_executions then
           raise Limit_exceeded;
@@ -178,21 +220,22 @@ let emit_obs ~name ~elapsed ~tbl (s : stateful_stats) =
 (* Run one search: on the calling domain when [domains = 1], otherwise
    under the work-stealing scheduler with a shared striped table.
    [hooks ~worker tbl root] builds a walk's hooks for a task rooted at
-   [root].  A race ends the search with [Error]; a parallel search's
-   counters then describe an abandoned run, so they are not emitted. *)
-let search ~name ~domains ~max_events ~max_executions ~hooks cp =
+   [root].  A race ends the search with [Error]; the counters of a
+   search with persistent singletons then describe a run that is about
+   to be repeated without them, so they are not emitted. *)
+let search ~name ~persistent ~domains ~max_events ~max_executions ~hooks cp =
   let t0 = Unix.gettimeofday () in
   (* A table only one domain touches needs no lock striping: one stripe
-     grows as one region, instead of 64 that each start small. *)
-  let tbl =
-    if domains = 1 then Visited.create ~shards:1 () else Visited.create ()
-  in
+     grows as one region, instead of 64 that each start small.  It is
+     the domain's spare, lent for the search and handed back cleared (a
+     search that raises drops it). *)
+  let tbl = if domains = 1 then Visited.borrow () else Visited.create () in
   let leaves = Atomic.make 0 in
   (* Per-worker slots are written only by their owner and read after the
      scheduler joins every domain, so a plain array is race-free. *)
   let per_domain = Array.make domains 0 in
   let run ~worker ~offload (root, sleep) =
-    walk ~max_events ~max_executions ~leaves
+    walk ~persistent ~max_events ~max_executions ~leaves
       ~on_node:(fun () -> per_domain.(worker) <- per_domain.(worker) + 1)
       ~offload (hooks ~worker tbl root) root sleep
   in
@@ -226,8 +269,9 @@ let search ~name ~domains ~max_events ~max_executions ~hooks cp =
       sf_per_domain = per_domain;
     }
   in
-  if domains = 1 || Result.is_ok result then
+  if Result.is_ok result || not persistent then
     emit_obs ~name ~elapsed:(Unix.gettimeofday () -. t0) ~tbl stats;
+  if domains = 1 then Visited.give_back tbl;
   (result, stats)
 
 (* --- outcome collection --------------------------------------------------- *)
@@ -257,8 +301,8 @@ let outcomes_stateful ?(max_events = 64) ?(max_executions = 1_000_000)
     }
   in
   let _, stats =
-    search ~name:"stateful.outcomes" ~domains ~max_events ~max_executions
-      ~hooks cp
+    search ~name:"stateful.outcomes" ~persistent:true ~domains ~max_events
+      ~max_executions ~hooks cp
   in
   ( Outcome_set.elements
       (Array.fold_left Outcome_set.union Outcome_set.empty outs),
@@ -335,21 +379,27 @@ let drf0_hooks ~symmetry ~max_events ~worker:_ tbl root =
     leaf = ignore;
   }
 
-(* Sequential walks visit children in tree order, so the first racy prefix
-   found — and hence the report — is the tree search's (a skipped
-   subtree's states were fully explored, race-free, earlier in DFS
-   order).  Which parallel worker sees a race first is timing-dependent,
-   so a parallel race is re-searched sequentially on a fresh table: the
-   verdict is already known, the rerun only makes the reported execution
-   deterministic across domain counts.  (The parallel table is unusable
-   after a halt — its claims no longer imply coverage.) *)
+(* With persistent singletons the walk expands a different subset of
+   the tree, and which worker of a parallel walk sees a race first is
+   timing-dependent, so neither fixes which racy prefix is found.  A
+   racy verdict is therefore re-searched once, sequentially, without
+   persistent singletons, on a table with no claims: that walk visits
+   children in tree order, so its first racy prefix — and hence the
+   report — is the tree search's (a skipped subtree's states were fully
+   explored, race-free, earlier in DFS order; sleep sets skip only
+   interleavings equivalent to earlier ones, which contain the same
+   races).  The verdict is already known; the re-search only makes the
+   reported execution deterministic.  Its counters are the ones
+   returned. *)
 let check_drf0_stateful ?(symmetry = true) ?(max_events = 64)
     ?(max_executions = 1_000_000) ?domains program =
   let cp = compile program in
-  let domains = num_domains domains in
-  let run domains =
-    search ~name:"stateful.drf0" ~domains ~max_events ~max_executions
+  let run ~persistent domains =
+    search ~name:"stateful.drf0" ~persistent ~domains ~max_events
+      ~max_executions
       ~hooks:(drf0_hooks ~symmetry ~max_events)
       cp
   in
-  match run domains with Error _, _ when domains > 1 -> run 1 | r -> r
+  match run ~persistent:true (num_domains domains) with
+  | Error _, _ -> run ~persistent:false 1
+  | r -> r

@@ -13,9 +13,17 @@
 
     - {b Partial-order reduction}: sleep-set pruning driven by a per-step
       independence test — two pending steps commute unless they touch the
-      same location with a write or either is a synchronization operation.
-      Outcome sets and DRF0 verdicts are invariant under commuting
-      independent steps, so they equal those of the exhaustive tree.
+      same location and either writes or both are synchronization
+      operations (happens-before's [so] relates only same-location sync
+      pairs, so syncs on different locations swap without changing hb).
+      A processor whose pending access is on a location no other runnable
+      processor can still reach ({!Prog_compile.live_locs}) is a
+      persistent singleton: it is expanded alone, and a node whose
+      singleton is asleep is not expanded at all.  The search therefore
+      branches only where a value, an outcome or happens-before can
+      change.  Outcome sets and DRF0 verdicts are invariant under
+      commuting independent steps, so they equal those of the exhaustive
+      tree.
     - {b Stateful}: the search {e tree} becomes a DAG — a visited table
       ({!Visited}) keyed on packed state encodings merges convergent
       schedules.  The outcome search keys on the exact state
@@ -24,7 +32,9 @@
       ({!Cinterp.canonical_key}), quotiented by processor/location
       symmetry, and pushes/pops each edge's event on that checker.
     - {b Parallel}: [domains > 1] runs share a striped table under a
-      work-stealing scheduler ({!Wsq}).
+      work-stealing scheduler ({!Wsq}).  One-domain runs borrow the
+      calling domain's spare table ({!Visited.borrow}) and hand it back
+      cleared.
 
     The oracles these searches are tested against — the naive and POR
     tree enumerators, the closure and tree-incremental DRF0 checkers, and
@@ -81,10 +91,13 @@ val check_drf0_stateful :
     processors ([symmetry], default [true]; Dekker-style mirrored
     programs collapse onto one orbit representative), and per-coordinate
     rank compression of the clocks.  On racy programs the report is
-    deterministic: sequential walks visit children in tree order, so they
-    find the tree search's first racy prefix (pruned subtrees are
-    race-free), and parallel walks re-search sequentially once a race is
-    known.  Bounds and [domains] as for {!outcomes_stateful}.
+    deterministic and equals the tree search's: persistent singletons and
+    parallel workers change which racy prefix is met first, so a racy
+    verdict is re-searched once, on one domain and without persistent
+    singletons — a walk that visits children in tree order and so finds
+    the tree search's first racy prefix (pruned subtrees are race-free).
+    The returned counters are that re-search's.  Bounds and [domains] as
+    for {!outcomes_stateful}.
     @raise Limit_exceeded past a bound or on an uncompilable program. *)
 
 (** {2 Shim for the E19 trace} *)

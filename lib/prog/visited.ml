@@ -143,7 +143,10 @@ let arena_store s key =
       Array.blit s.chunks 0 chunks' 0 s.nchunks;
       s.chunks <- chunks'
     end;
-    s.chunks.(s.nchunks) <- Bytes.create size;
+    (* A cleared table keeps its chunks; the doubling sequence repeats,
+       so the chunk at this index is normally the right size. *)
+    if Bytes.length s.chunks.(s.nchunks) <> size then
+      s.chunks.(s.nchunks) <- Bytes.create size;
     s.nchunks <- s.nchunks + 1;
     s.cur_off <- 0;
     s.arena <- s.arena + size
@@ -253,3 +256,47 @@ let probe_hist t =
       Array.iteri (fun i v -> out.(i) <- out.(i) + v) s.probe_hist)
     t.stripes;
   out
+
+(* --- one spare table per domain --------------------------------------------- *)
+
+(* A campaign or check call runs many small searches back to back.  A
+   fresh table per search allocates a slot region and an arena each
+   time, and at that rate the short-lived regions churn the major heap.
+   So each domain keeps one cleared single-stripe table to lend.  A
+   borrower that raises never gives its table back, and a nested search
+   finds the spare already out, so both get fresh tables; a table grown
+   past [keep_bytes] is dropped rather than held between searches. *)
+
+let keep_bytes = 1 lsl 20
+
+let spare : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let borrow () =
+  let slot = Domain.DLS.get spare in
+  match !slot with
+  | Some t ->
+    slot := None;
+    t
+  | None -> create ~shards:1 ()
+
+let clear s =
+  Bigarray.Array1.fill s.slots 0;
+  s.count <- 0;
+  s.nchunks <- 0;
+  s.cur_off <- 0;
+  s.arena <- 0;
+  Array.fill s.probe_hist 0 probe_buckets 0
+
+let give_back t =
+  let slot = Domain.DLS.get spare in
+  match t.stripes with
+  | [| s |] when Option.is_none !slot ->
+    let kept =
+      Array.fold_left (fun acc c -> acc + Bytes.length c) (24 * s.cap) s.chunks
+    in
+    if kept <= keep_bytes then begin
+      clear s;
+      Atomic.set t.hits 0;
+      slot := Some t
+    end
+  | _ -> ()

@@ -52,3 +52,18 @@ val probe_hist : t -> int array
 
 val hash64 : string -> int
 (** The table's 63-bit FNV-1a key hash (exposed for tests). *)
+
+val borrow : unit -> t
+(** The calling domain's spare single-stripe table, empty, when it is in;
+    a fresh single-stripe table when it is out (lent to a search still
+    running on this domain, or dropped).  Reusing the spare keeps back
+    to back searches from allocating a slot region and arena each. *)
+
+val give_back : t -> unit
+(** Return a table from {!borrow}: it is cleared and becomes the
+    domain's spare, unless a spare is already in, it has more than one
+    stripe, or its slot region and arena together exceed 1 MiB — then it
+    is left to the GC.  A cleared table answers every claim as a fresh
+    one would ({!size}, {!hits} and {!arena_bytes} start from 0); it
+    keeps its slot capacity, so only {!probe_hist} can differ.  The
+    caller must not touch [t] afterwards. *)

@@ -21,8 +21,9 @@ let check_int = Alcotest.(check int)
 let mirrored_writes ~procs ~len =
   P.make (List.init procs (fun _ -> List.init len (fun _ -> I.Write (0, I.Const 1))))
 
-(* Mirrored but racy-free via sync operations (fully dependent, so sleep
-   sets never prune: any reduction must come from the visited table). *)
+(* Mirrored but race-free via sync operations on one location (syncs on
+   the same location stay dependent, so sleep sets never prune: any
+   reduction must come from the visited table). *)
 let mirrored_sync ~procs ~len =
   P.make
     (List.init procs (fun _ ->
@@ -153,9 +154,9 @@ let prop_check_stateful_report_deterministic =
 let test_symmetry_reduces_states () =
   (* Four identical sync-writing threads: 4! thread arrangements per
      reachable profile collapse onto one orbit representative, so the
-     symmetric table must be strictly (and substantially) smaller.  Sync
-     steps are fully dependent, so none of the reduction can come from
-     sleep sets. *)
+     symmetric table must be strictly (and substantially) smaller.  Only
+     same-location syncs stay fully dependent, and every step here is
+     one, so none of the reduction can come from sleep sets. *)
   let p = mirrored_sync ~procs:4 ~len:2 in
   let r_sym, s_sym = En.check_drf0_stateful ~symmetry:true ~domains:1 p in
   let r_raw, s_raw = En.check_drf0_stateful ~symmetry:false ~domains:1 p in
@@ -169,7 +170,13 @@ let test_symmetry_reduces_states () =
    set, the shape E19's drf0-check runs: every endpoint a sync op (race
    free), or the last edge's endpoints plain data (racy).  The state key
    must not move the search, so the one-domain counts are pinned, and
-   the verdict and report must not depend on the domain count. *)
+   the verdict and report must not depend on the domain count.  The
+   sync row is the 3^6 lattice of per-processor progress: each thread's
+   two syncs touch locations it shares with one neighbour each, so
+   persistent singletons and location-aware dependence leave one
+   expansion per progress vector and no visited-table hits.  The racy
+   row's counts are the re-search's, which runs without persistent
+   singletons so that the report is the tree search's. *)
 let six_cycle ~racy =
   let module Cy = Wo_synth.Cycle in
   let kinds = Cy.[ Rf; Rf; Fr; Fr; Ws; Ws ] in
@@ -201,7 +208,7 @@ let test_six_cycle_counts_pinned () =
             true
             (Ref.reports_agree r1 (fst (En.check_drf0_stateful ~domains p))))
         [ 2; 4 ])
-    [ (false, (2701, 2701, 5406)); (true, (15, 15, 0)) ]
+    [ (false, (729, 729, 0)); (true, (15, 15, 0)) ]
 
 let test_stateful_limits_raise () =
   let p = mirrored_writes ~procs:2 ~len:6 in
@@ -219,6 +226,110 @@ let test_stateful_limits_raise () =
             (mirrored_sync ~procs:2 ~len:2));
        false
      with En.Limit_exceeded -> true)
+
+(* --- wider programs: where persistent singletons fire ------------------------ *)
+
+(* Three- to five-processor programs from the synth families.  Each
+   location of a critical cycle is shared by two threads only, so once
+   one of them is past it the other's access is a persistent singleton;
+   the two-processor random programs above rarely reach that.  All-sync
+   cycles stop at four processors: on five, the closure oracle checks
+   over 10^5 tree leaves and takes 5-7 s per program. *)
+let mutate_corpus =
+  List.filter_map
+    (fun (t : Wo_litmus.Litmus.t) ->
+      let n = P.num_procs t.Wo_litmus.Litmus.program in
+      if t.Wo_litmus.Litmus.loops || n < 3 || n > 5 then None
+      else
+        Some
+          {
+            Wo_synth.Synth.base_name = t.Wo_litmus.Litmus.name;
+            base_program = t.Wo_litmus.Litmus.program;
+            base_drf0 = t.Wo_litmus.Litmus.drf0;
+          })
+    Wo_litmus.Litmus.all
+
+let wide_program seed =
+  let module Cy = Wo_synth.Cycle in
+  let cycle ~max_procs sync =
+    let rng = Wo_sim.Rng.make seed in
+    let shape = Cy.generate ~rng ~min_procs:3 ~max_procs ~sync () in
+    Cy.program ~name:(Cy.slug shape) shape
+  in
+  match seed mod 3 with
+  | 0 -> cycle ~max_procs:4 `All
+  | 1 -> cycle ~max_procs:5 `Mixed
+  | _ -> (
+    match
+      Wo_synth.Synth.generate ~corpus:mutate_corpus ~family:"mutate" ~seed ()
+    with
+    | Ok c -> c.Wo_synth.Synth.program
+    | Error e -> failwith e)
+
+let wide_gen = QCheck.make ~print:string_of_int QCheck.Gen.small_nat
+
+let prop_wide_verdicts =
+  QCheck.Test.make
+    ~name:"3-5 processors: DRF0 verdicts equal the closure oracle" ~count:30
+    wide_gen (fun seed ->
+      let program = wide_program seed in
+      let reference = Result.is_ok (Ref.check_drf0_closure program) in
+      List.for_all
+        (fun domains ->
+          reference
+          = Result.is_ok (fst (En.check_drf0_stateful ~domains program)))
+        [ 1; 3 ])
+
+let prop_wide_reports =
+  QCheck.Test.make
+    ~name:
+      "3-5 processors: racy reports equal check_drf0's (1 and 3 domains, \
+       symmetry on and off)"
+    ~count:30 wide_gen (fun seed ->
+      let program = wide_program seed in
+      let reference = Ref.check_drf0 program in
+      List.for_all
+        (fun (symmetry, domains) ->
+          Ref.reports_agree reference
+            (fst (En.check_drf0_stateful ~symmetry ~domains program)))
+        [ (true, 1); (false, 1); (true, 3); (false, 3) ])
+
+let prop_wide_outcomes =
+  QCheck.Test.make ~name:"3-5 processors: outcome sets equal the tree oracle"
+    ~count:30 wide_gen (fun seed ->
+      let program = wide_program seed in
+      let reference = Ref.outcomes program in
+      List.for_all
+        (fun domains ->
+          Ref.outcome_sets_equal reference
+            (fst (En.outcomes_stateful ~domains program)))
+        [ 1; 3 ])
+
+(* The AST twin walks the same DAG with every sync step dependent on
+   every other and no persistent singletons: the unreduced search.
+   Larger sleep sets can cost a few expansions on a case (a state first
+   claimed with one is explored again when reached with a sleep set
+   that is not a superset; seed 11's outcome search expands 126 states
+   against 120), so the gate is on some cases and on the total. *)
+let test_wide_reduction_fires () =
+  let fewer = ref 0 and reduced_sum = ref 0 and unreduced_sum = ref 0 in
+  let tally (reduced : En.stateful_stats) (unreduced : En.stateful_stats) =
+    if reduced.En.sf_states < unreduced.En.sf_states then incr fewer;
+    reduced_sum := !reduced_sum + reduced.En.sf_states;
+    unreduced_sum := !unreduced_sum + unreduced.En.sf_states
+  in
+  for seed = 0 to 29 do
+    let program = wide_program seed in
+    tally
+      (snd (En.outcomes_stateful ~domains:1 program))
+      (snd (Ref.outcomes_stateful program));
+    match En.check_drf0_stateful ~domains:1 program with
+    | Ok (), reduced -> tally reduced (snd (Ref.check_drf0_stateful program))
+    | Error _, _ -> ()
+  done;
+  check "the reduced search expands fewer states on some cases" true
+    (!fewer > 0);
+  check "and fewer in total" true (!reduced_sum < !unreduced_sum)
 
 (* --- visited table --------------------------------------------------------- *)
 
@@ -242,6 +353,88 @@ let test_visited_claim_discipline () =
   | `Explore _ -> ()
   | `Skip -> Alcotest.fail "fresh key must explore");
   check_int "two distinct states" 2 (Wo_prog.Visited.size t)
+
+(* Each domain lends its searches one cleared table.  Whatever the
+   previous search left behind — a larger table, a bound that raised
+   mid-search, a race that stopped it — the next search must answer and
+   count exactly as on a fresh table; the reference runs on a new
+   domain, whose spare starts out empty. *)
+let test_visited_reuse () =
+  let module V = Wo_prog.Visited in
+  let probes =
+    [
+      ( "outcomes",
+        fun () ->
+          let outs, s =
+            En.outcomes_stateful ~domains:1 (mirrored_writes ~procs:2 ~len:4)
+          in
+          (Ok (), outs, s) );
+      ( "drf0",
+        fun () ->
+          let r, s =
+            En.check_drf0_stateful ~domains:1 (mirrored_sync ~procs:3 ~len:2)
+          in
+          (r, [], s) );
+      ( "racy",
+        fun () ->
+          let r, s = En.check_drf0_stateful ~domains:1 (six_cycle ~racy:true) in
+          (r, [], s) );
+    ]
+  in
+  let counts (r, outs, (s : En.stateful_stats)) =
+    (r, outs, (s.En.sf_states, s.En.sf_distinct, s.En.sf_hits))
+  in
+  let same (r, outs, n) (r', outs', n') =
+    Ref.reports_agree r r' && Ref.outcome_sets_equal outs outs' && n = n'
+  in
+  let fresh =
+    List.map
+      (fun (_, run) -> Domain.join (Domain.spawn (fun () -> counts (run ()))))
+      probes
+  in
+  let befores =
+    [
+      ( "a larger search",
+        fun () ->
+          ignore (En.check_drf0_stateful ~domains:1 (six_cycle ~racy:false)) );
+      ( "a search past max_events",
+        fun () ->
+          try
+            ignore
+              (En.outcomes_stateful ~domains:1 ~max_events:4
+                 (mirrored_writes ~procs:2 ~len:6))
+          with En.Limit_exceeded -> () );
+      ( "a racy stop",
+        fun () ->
+          ignore (En.check_drf0_stateful ~domains:1 (six_cycle ~racy:true)) );
+    ]
+  in
+  List.iter
+    (fun (before, prepare) ->
+      List.iter2
+        (fun (what, run) reference ->
+          prepare ();
+          check
+            (Printf.sprintf "%s after %s = on a fresh table" what before)
+            true
+            (same (counts (run ())) reference))
+        probes fresh)
+    befores;
+  (* A search nested inside another's lifetime finds the spare lent out:
+     it gets its own table and leaves the holder's alone. *)
+  let held = V.borrow () in
+  ignore (V.try_claim held "outer" 0);
+  List.iter2
+    (fun (what, run) reference ->
+      check (what ^ " nested = on a fresh table") true
+        (same (counts (run ())) reference))
+    probes fresh;
+  check_int "the holder's table is untouched" 1 (V.size held);
+  V.give_back held;
+  let again = V.borrow () in
+  check_int "a returned table comes back cleared" 0 (V.size again);
+  check_int "with its hit count reset" 0 (V.hits again);
+  V.give_back again
 
 (* --- work-stealing scheduler ----------------------------------------------- *)
 
@@ -288,10 +481,17 @@ let tests =
     Alcotest.test_case "stateful limits raise" `Quick test_stateful_limits_raise;
     Alcotest.test_case "visited claim discipline" `Quick
       test_visited_claim_discipline;
+    Alcotest.test_case "visited table reuse = fresh table" `Quick
+      test_visited_reuse;
+    Alcotest.test_case "3-5 processors: reduction fires" `Quick
+      test_wide_reduction_fires;
     Alcotest.test_case "wsq runs every task" `Quick test_wsq_runs_every_task;
     Alcotest.test_case "wsq propagates exceptions" `Quick
       test_wsq_propagates_exceptions;
     QCheck_alcotest.to_alcotest prop_outcomes_stateful_equals_tree;
     QCheck_alcotest.to_alcotest prop_check_stateful_equals_closure;
     QCheck_alcotest.to_alcotest prop_check_stateful_report_deterministic;
+    QCheck_alcotest.to_alcotest prop_wide_verdicts;
+    QCheck_alcotest.to_alcotest prop_wide_reports;
+    QCheck_alcotest.to_alcotest prop_wide_outcomes;
   ]
