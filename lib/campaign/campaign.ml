@@ -128,6 +128,12 @@ let catalogue_corpus () =
 
 let outcome_string o = Format.asprintf "%a" Wo_prog.Outcome.pp o
 
+(* The one bit of a machine's consistency flags a verdict reads: it
+   promises SC outright, or for DRF0 programs by Definition 2. *)
+let expected_sc (machine : M.t) (test : L.t) =
+  machine.M.sequentially_consistent
+  || (machine.M.weakly_ordered_drf0 && test.L.drf0)
+
 let evaluate ?engine:(_ = M.Compiled) ?compiled ~runs ~base_seed
     ~sc_outcomes machine (test : L.t) =
   try
@@ -140,10 +146,7 @@ let evaluate ?engine:(_ = M.Compiled) ?compiled ~runs ~base_seed
       Wo_litmus.Runner.run ~runs ~base_seed ?sc_outcomes ~session ?compiled
         machine test
     in
-    let expected_sc =
-      machine.M.sequentially_consistent
-      || (machine.M.weakly_ordered_drf0 && test.L.drf0)
-    in
+    let expected_sc = expected_sc machine test in
     let appears = Wo_litmus.Runner.appears_sc report in
     let ok = (not expected_sc) || appears in
     (* A full trace of the first run whose outcome (or Lemma-1 check)
@@ -201,7 +204,7 @@ type cell = {
   c_key : string;  (** store key of the (program, spec, batch) triple *)
   c_spec : Wo_machines.Spec.t;
   c_machine : M.t;
-  c_behaviour : string;  (** [Spec.behaviour_key c_spec] *)
+  c_run : string;  (** [Spec.run_key c_spec] on the case's program *)
   c_loops : bool;
   c_pkey : Sweep.program_key;
   c_art : Wo_prog.Prog_compile.t option;
@@ -244,24 +247,36 @@ type plan = { p_cells : cell array; p_shard : int }
    case-major (every spec of a case lands in the same shard region), and
    the shard partition is a pure function of (cases, specs, shard size),
    so a resumed run walks the interrupted run's shards in the same
-   order. *)
+   order.  [run] re-plans on every call, warm ones included, so
+   run keys are encoded once per (spec, program features), not per
+   cell: a campaign's cases have few distinct features. *)
 let plan config ~specs ~cases =
   let built =
-    List.map
-      (fun spec ->
-        ( spec,
+    List.mapi
+      (fun i spec ->
+        ( i,
+          spec,
           Wo_machines.Spec.build spec,
-          J.to_string (Wo_machines.Spec.to_json spec),
-          Wo_machines.Spec.behaviour_key spec ))
+          J.to_string (Wo_machines.Spec.to_json spec) ))
       specs
+  in
+  let run_keys = Hashtbl.create 64 in
+  let run_key i spec features =
+    match Hashtbl.find_opt run_keys (i, features) with
+    | Some k -> k
+    | None ->
+      let k = Wo_machines.Spec.run_key spec features in
+      Hashtbl.add run_keys (i, features) k;
+      k
   in
   let cells =
     List.concat_map
       (fun (c : Wo_synth.Synth.case) ->
         let test = litmus_of_case c in
+        let features = Wo_prog.Program.features c.Wo_synth.Synth.program in
         let pkey, art = Sweep.program_key_art c.Wo_synth.Synth.program in
         List.map
-          (fun (spec, machine, spec_json, behaviour) ->
+          (fun (i, spec, machine, spec_json) ->
             {
               c_case = c;
               c_test = test;
@@ -270,7 +285,7 @@ let plan config ~specs ~cases =
                   ~runs:config.runs ~base_seed:config.base_seed;
               c_spec = spec;
               c_machine = machine;
-              c_behaviour = behaviour;
+              c_run = run_key i spec features;
               c_loops = test.L.loops;
               c_pkey = pkey;
               c_art = art;
@@ -340,20 +355,24 @@ let ensure_sc_sets memo ~domains cells =
    run settling a cell writes the bytes an uninterrupted one would —
    what makes the resume contract byte-stable.
 
-   One seed batch runs per behaviour class: cells with the same
-   program payload, the same DRF0 flag and the same
-   [Spec.behaviour_key].  Their machines differ at most in name and
-   description; no run reads the description, and the name reaches
-   only [Machine_error] and watchdog text, so the class's
+   One seed batch runs per run class: cells with the same program
+   payload, the same DRF0 flag, the same expected-SC bit and the same
+   [Spec.run_key].  A verdict reads the machine only through its runs
+   and [expected_sc] (the flags themselves are not stored); members'
+   runs agree in everything a verdict reads, and their machines'
+   names reach only [Machine_error] and watchdog text, so the class's
    first cell answers for every member — except when its verdict
    carries such an error, where each member runs its own batch and
-   keeps its own name in the message. *)
+   keeps its own wording in the message. *)
 let settle memo ~domains config p indices =
   let fresh = List.map (fun idx -> p.p_cells.(idx)) indices in
   ensure_sc_sets memo ~domains fresh;
   let class_of idx =
     let c = p.p_cells.(idx) in
-    (c.c_pkey.Sweep.pk_payload, c.c_test.L.drf0, c.c_behaviour)
+    ( c.c_pkey.Sweep.pk_payload,
+      c.c_test.L.drf0,
+      expected_sc c.c_machine c.c_test,
+      c.c_run )
   in
   let reps = firsts class_of indices in
   let rep = Hashtbl.create (List.length reps) in

@@ -23,8 +23,9 @@
     one process.
 
     Fresh cells share seed batches: cells whose programs agree and
-    whose specs build the same hardware ({!Wo_machines.Spec.behaviour_key})
-    are simulated once (see {!run}).
+    whose specs run that program identically
+    ({!Wo_machines.Spec.run_key}) and make it the same SC promise are
+    simulated once (see {!run}).
 
     Observability ({!Wo_obs} counters, when a recorder is active):
     [campaign.settled], [campaign.shared], [campaign.cache_hits],
@@ -178,14 +179,18 @@ val run :
     run, the store is compacted if the [auto_compact] dead-record
     threshold is met.
 
-    One {!evaluate} runs per {e behaviour class}: the fresh cells of a
-    shard with equal program payload, equal DRF0 flag and equal
-    {!Wo_machines.Spec.behaviour_key}.  Its verdict string is every
-    member's, byte for byte what the member's own {!evaluate} would
-    give: the members' machines differ only in name, and a name reaches
-    only [Machine_error] and watchdog text.  So when the class's
-    verdict carries an error ([v_error = Some _]), every other member
-    runs its own batch and keeps its own name in the message.
+    One {!evaluate} runs per {e run class}: the fresh cells of a shard
+    with equal program payload, equal DRF0 flag, equal [expected_sc]
+    (the one bit of the spec's flags a verdict reads) and equal
+    {!Wo_machines.Spec.run_key} on the program's
+    {!Wo_prog.Program.features}.  [plan] computes the features once
+    per case and the key once per (spec, distinct features).  The
+    class's verdict string is every member's, byte for byte what the
+    member's own {!evaluate} would give: the members' runs agree in
+    everything a verdict reads, and a machine's name (and its backend's
+    diagnostic wording) reaches only [Machine_error] and watchdog text.
+    So when the class's verdict carries an error ([v_error = Some _]),
+    every other member runs its own batch and keeps its own message.
     Execution is grouped by spec so each domain's reusable machine
     session stays on one machine across consecutive cells; the grouping
     and the sharing are pure performance knobs, and the bytes depend on

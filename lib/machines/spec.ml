@@ -166,8 +166,8 @@ let ordering_config (s : t) : Ordering.config =
 
 (* Everything [build] hands a backend apart from the name and the
    description: the resolved config, or nothing for the ideal machine.
-   [build] and [behaviour_key] both go through it, so a knob a backend
-   starts reading enters the key by itself. *)
+   [build] and [run_key] both go through it, so a knob a backend starts
+   reading enters the key by itself. *)
 type backend =
   | B_ideal
   | B_ordering of Ordering.config
@@ -197,11 +197,84 @@ let build (s : t) : Machine.t =
     Coherent.make ~name:s.name ~description:s.description
       ~sequentially_consistent ~weakly_ordered_drf0 c
 
+(* Figure 1's configuration-1 store buffer has two implementations: an
+   uncached write buffer with read bypass and forwarding, and the TSO
+   ordering backend.  They agree run for run except where
+   - a thread can hold more than [depth] writes outstanding: the
+     uncached buffer pops an entry when it starts draining, so it holds
+     [depth + 1], while TSO counts the entry in flight;
+   - an RMW meets its own location still buffered under [Sync_none]: the
+     uncached buffer waits for the whole buffer, TSO only for that
+     location (with [flush_buffer_on_sync] the RMW drains first).
+   So the buffer resolves to TSO only on loop-free programs with at most
+   [depth] writes per thread, and with synchronization flushing or
+   absent.  The buffer has no [wait_write_ack] counterpart under TSO, so
+   only a buffer that does not wait resolves. *)
+let as_tso (f : Wo_prog.Program.features) = function
+  | B_uncached
+      {
+        Uncached.fabric;
+        write_buffer =
+          Some { Uncached.depth; read_bypass = true; forwarding = true; drain_delay };
+        wait_write_ack = false;
+        flush_buffer_on_sync;
+        modules;
+        local_cost;
+      }
+    when f.loop_free
+         && f.max_thread_writes <= depth
+         && (flush_buffer_on_sync || f.sync_free) ->
+    B_ordering
+      {
+        Ordering.fabric;
+        kind = Ordering.Tso { depth; drain_delay };
+        sync_barriers = flush_buffer_on_sync;
+        modules;
+        local_cost;
+      }
+  | b -> b
+
+(* On a program without synchronization instructions, the knobs that
+   only synchronization reads take one value.  Each is listed by name;
+   a field not listed here stays in the key (the coherent policy is
+   rebuilt whole, so a new policy field must be placed here to compile),
+   and a new knob can cost sharing but never merge machines that differ.
+   The policy keeps its gate where it gates data too ([Gate_every_op]);
+   its [pname] is a label no run reads. *)
+let sync_blind = function
+  | B_ideal -> B_ideal
+  | B_ordering c -> B_ordering { c with Ordering.sync_barriers = false }
+  | B_uncached c -> B_uncached { c with Uncached.flush_buffer_on_sync = false }
+  | B_cached c ->
+    let p = c.Coherent.policy and cache = c.Coherent.cache in
+    B_cached
+      {
+        c with
+        Coherent.policy =
+          {
+            Coherent.pname = "";
+            sync_as_data = false;
+            sync_wait = Coherent.Sync_wait_commit;
+            gate =
+              (match p.Coherent.gate with
+              | Coherent.Gate_sync_only -> Coherent.Gate_never
+              | g -> g);
+          };
+        cache =
+          {
+            cache with
+            Wo_cache.Cache_ctrl.reserve_enabled = false;
+            sync_read_shared = false;
+          };
+      }
+
 (* The configs are plain data (no closures, no mutable state), so their
    structural encoding is a canonical identity; [No_sharing] keeps it
    independent of how the values happen to share substructure. *)
-let behaviour_key (s : t) =
-  Marshal.to_string (flags s, backend s) [ Marshal.No_sharing ]
+let run_key (s : t) (f : Wo_prog.Program.features) =
+  let b = as_tso f (backend s) in
+  let b = if f.Wo_prog.Program.sync_free then sync_blind b else b in
+  Marshal.to_string b [ Marshal.No_sharing ]
 
 (* --- names ----------------------------------------------------------------- *)
 

@@ -85,18 +85,38 @@ val build : t -> Machine.t
     combinations build byte-identical machines (same results on every
     program and seed). *)
 
-val behaviour_key : t -> string
-(** The identity of the hardware {!build} assembles: a structural
-    encoding of {!flags} and the resolved backend config
-    (the ordering config, {!uncached_config}, {!cached_config}, or a
-    constant for [Ideal]) — everything [build] hands the backend except
-    [name] and [description].  Two specs with equal keys build machines
-    that produce the same results on every program and seed, and differ
-    only where the machine's name is printed: [Machine_error] and
-    watchdog text.  {!Wo_campaign.Campaign.run} runs one seed batch
-    per (program, key) class on that contract.  Knobs that resolve to
-    the same config share a key: on the uncached and ordering backends
-    every sync policy but {!Sync_none} builds the same machine.
+val run_key : t -> Wo_prog.Program.features -> string
+(** The identity of the hardware {!build} assembles, as runs of a
+    program with the given {!Wo_prog.Program.features} can observe it:
+    a structural encoding of the resolved backend config (the ordering
+    config, {!uncached_config}, {!cached_config}, or a constant for
+    [Ideal]) — everything [build] hands the backend except [name],
+    [description] and {!flags} — normalised in two ways.
+    - On a sync-free program, the fields only synchronization reads take
+      one value: the coherent policy's [sync_as_data], [sync_wait] and
+      label, with [Gate_sync_only] read as [Gate_never]
+      ([Gate_every_op] stays: it gates data); the cache's
+      [reserve_enabled] and [sync_read_shared]; the uncached
+      [flush_buffer_on_sync]; the ordering [sync_barriers].
+    - An uncached write buffer with read bypass and forwarding (depth
+      [d], drain delay [k]) and without [wait_write_ack] is the TSO
+      ordering config
+      [Tso {depth = d; drain_delay = k}] with the same fabric, modules
+      and local cost and [sync_barriers = flush_buffer_on_sync] — but
+      only on a loop-free program with at most [d] writes per thread,
+      and only when synchronization flushes or the program is
+      sync-free: past [d] writes the two buffers count depth
+      differently, and an RMW under [Sync_none] waits for the whole
+      uncached buffer but only for its own location under TSO.  There
+      the runs agree in everything but [Ordering]'s [model.*]
+      counters, which no verdict reads.
+    Two specs with equal keys for a program produce the same outcome,
+    trace, cycles, finish times, stall and tap records and stats (but
+    [model.*]) on it at every seed, and differ only where the machine's
+    name is printed: [Machine_error] and watchdog text (whose wording
+    also differs between the two buffer implementations).  {!Wo_campaign.Campaign.run} runs one seed batch
+    per (program, DRF0 flag, expected-SC bit, key) class on that
+    contract.
     @raise Invalid_argument where {!build} would. *)
 
 val uncached_config : t -> Uncached.config

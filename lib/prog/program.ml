@@ -22,6 +22,33 @@ let locs t =
 let initial_value t loc =
   match List.assoc_opt loc t.initial with Some v -> v | None -> 0
 
+type features = { sync_free : bool; loop_free : bool; max_thread_writes : int }
+
+let features t =
+  (* (sync ops seen, loops seen, write instructions) of a block *)
+  let rec block acc instrs = List.fold_left instr acc instrs
+  and instr ((sync, loops, writes) as acc) = function
+    | Instr.Write _ -> (sync, loops, writes + 1)
+    | Instr.Sync_write _ -> (true, loops, writes + 1)
+    | Instr.Sync_read _ | Instr.Test_and_set _ | Instr.Fetch_and_add _ ->
+      (true, loops, writes)
+    | Instr.While (_, b) ->
+      let sync, _, writes = block acc b in
+      (sync, true, writes)
+    | Instr.If (_, a, b) -> block (block acc a) b
+    | Instr.Read _ | Instr.Assign _ | Instr.Nop | Instr.Fence -> acc
+  in
+  Array.fold_left
+    (fun f instrs ->
+      let sync, loops, writes = block (false, false, 0) instrs in
+      {
+        sync_free = f.sync_free && not sync;
+        loop_free = f.loop_free && not loops;
+        max_thread_writes = max f.max_thread_writes writes;
+      })
+    { sync_free = true; loop_free = true; max_thread_writes = 0 }
+    t.threads
+
 let has_loops t =
   let rec block instrs = List.exists instr instrs
   and instr = function

@@ -34,6 +34,22 @@ val locs : t -> Wo_core.Event.loc list
 
 val initial_value : t -> Wo_core.Event.loc -> Wo_core.Event.value
 
+type features = {
+  sync_free : bool;
+      (** no thread contains a synchronization instruction ([Sync_read],
+          [Sync_write], [Test_and_set], [Fetch_and_add]); fences are not
+          synchronization *)
+  loop_free : bool;  (** no thread contains a [While] *)
+  max_thread_writes : int;
+      (** the most write instructions ([Write] or [Sync_write]) in any
+          one thread, both arms of every [If] counted: a loop-free
+          thread never has more writes outstanding *)
+}
+
+val features : t -> features
+(** The static features that decide which machine knobs a program's
+    runs can observe (the machine layer's run key reads them). *)
+
 val has_loops : t -> bool
 (** True if any thread contains a [While] — such programs may have
     unboundedly many idealized executions, so the enumerator needs bounds. *)

@@ -551,16 +551,48 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
+let sync_free (c : S.case) =
+  (Wo_prog.Program.features c.S.program).Wo_prog.Program.sync_free
+
 (* A cold grid campaign over the three E19 machines, with one case
    repeated under a second name (same program, so the same store key,
-   in the same shard): every cell stores exactly the verdict its own
-   [evaluate] gives, and the repeated key is written once. *)
+   in the same shard), and two sync-free cases beside the mixed ones,
+   where the uncached buffer shares TSO's batches and a backend's sync
+   policies share one run key: a racy cycle, and a DRF0 program whose
+   [+none] cells promise nothing while the other policies promise SC.
+   Every cell stores exactly the verdict its own [evaluate] gives, and
+   the repeated key is written once. *)
 let test_campaign_sharing_exact () =
+  let racy =
+    match S.batch ~family:"cycle-racy" ~base_seed:1 ~count:1 () with
+    | Ok [ c ] -> c
+    | _ -> Alcotest.fail "no cycle-racy case"
+  in
+  let disjoint =
+    let module I = Wo_prog.Instr in
+    {
+      racy with
+      S.name = "disjoint";
+      program =
+        Wo_prog.Program.make ~name:"disjoint"
+          [
+            [ I.Write (0, I.Const 1); I.Read (0, 0) ];
+            [ I.Write (1, I.Const 1); I.Read (0, 1) ];
+          ];
+      classification = S.Drf0_by_construction;
+      forbidden = None;
+      forbidden_desc = None;
+    }
+  in
   let cases =
     match cases () with
-    | c :: rest -> c :: { c with S.name = c.S.name ^ "-twin" } :: rest
+    | c :: rest ->
+      c :: { c with S.name = c.S.name ^ "-twin" } :: racy :: disjoint :: rest
     | [] -> Alcotest.fail "no cases"
   in
+  check "a sync-free case and a sync case" true
+    (List.exists sync_free cases
+    && List.exists (fun c -> not (sync_free c)) cases);
   let path = temp_store () in
   let cfg = { (config path) with C.shard = 2 * List.length grid_specs } in
   let r, shared = C.run_with_shared cfg ~specs:grid_specs ~cases in
@@ -596,7 +628,7 @@ let test_campaign_sharing_exact () =
   check "every cell settled" true (r.C.r_executed = r.C.r_total);
   Sys.remove path
 
-(* Two specs that differ only in name share a behaviour key, but a
+(* Two specs that differ only in name share a run key, but a
    machine error names the machine: on a cell that deadlocks (the
    coarse-counter cached machine on a 6-cycle bus, which draws nothing,
    so every seed deadlocks), each cell runs its own batch and its
@@ -616,8 +648,6 @@ let test_campaign_sharing_keeps_error_names () =
   in
   let a = { base with Spec.name = "coarse-a" }
   and b = { base with Spec.name = "coarse-b" } in
-  check "name-only difference shares a key" true
-    (Spec.behaviour_key a = Spec.behaviour_key b);
   let case =
     {
       S.name = "lock-disciplined-21";
@@ -631,6 +661,9 @@ let test_campaign_sharing_keeps_error_names () =
       forbidden_desc = None;
     }
   in
+  let features = Wo_prog.Program.features case.S.program in
+  check "name-only difference shares a key" true
+    (Spec.run_key a features = Spec.run_key b features);
   let path = temp_store () in
   let cfg = config path in
   let r, shared = C.run_with_shared cfg ~specs:[ a; b ] ~cases:[ case ] in

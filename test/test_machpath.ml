@@ -37,8 +37,9 @@ let fresh_fp machine ~seed program = fingerprint (M.run machine ~seed program)
    only: outcome, trace entries, cycles, finish times, the legacy stats
    view, and the stall and tap JSON.  Unlike [fingerprint], it does not
    depend on how the result is represented, so the golden below holds
-   across representation changes. *)
-let canonical (r : M.result) =
+   across representation changes.  [stat] keeps a subset of the stats
+   (all by default). *)
+let canonical ?(stat = fun _ -> true) (r : M.result) =
   let b = Buffer.create 1024 in
   let opt = function None -> "-" | Some v -> string_of_int v in
   List.iter
@@ -58,7 +59,9 @@ let canonical (r : M.result) =
     (Wo_sim.Trace.entries r.M.trace);
   Printf.bprintf b "c %d\n" r.M.cycles;
   Array.iter (Printf.bprintf b "f %d\n") r.M.proc_finish;
-  List.iter (fun (k, v) -> Printf.bprintf b "s %s %d\n" k v) (M.stats r);
+  List.iter
+    (fun (k, v) -> if stat k then Printf.bprintf b "s %s %d\n" k v)
+    (M.stats r);
   Printf.bprintf b "stalls %s\n"
     (Wo_obs.Json.to_string (Wo_obs.Stall.to_json r.M.stalls));
   Printf.bprintf b "taps %s\n"
@@ -634,72 +637,170 @@ let test_replay_after_machine_error () =
          = attempt (fun () -> M.run machine ~seed completing))
        (seeds 3))
 
-(* Specs with equal [Spec.behaviour_key] build the same hardware: the
-   campaign settles one seed batch per (program, key) class on that
-   promise.  Every preset, on the campaign grid's three fabrics, under
-   all six sync policies and all four ordering models: within each
-   class, every spec has the class representative's flags and its
-   canonical digest on every loop-free catalogue test at seeds 1-3 (a
-   run that raises counts as "raised": the message names the machine). *)
-let test_behaviour_key_sound () =
-  let specs =
-    List.concat_map
-      (fun base ->
-        Spec.grid ~fabrics:grid_fabrics
-          ~syncs:
-            Spec.
-              [
-                Sync_none; Sync_sc; Sync_fence; Sync_def1_stall;
-                Sync_reserve_bit; Sync_drf1_two_level;
-              ]
-          ~models:
-            (List.map
-               (fun m -> Option.get (Spec.model_of_string m))
-               [ "sc"; "tso"; "pso"; "ra" ])
-          base)
-      (P.specs @ P.model_specs)
+(* Every preset and model preset, on the campaign grid's three fabrics,
+   under all six sync policies and all four ordering models. *)
+let key_specs =
+  List.concat_map
+    (fun base ->
+      Spec.grid ~fabrics:grid_fabrics
+        ~syncs:
+          Spec.
+            [
+              Sync_none; Sync_sc; Sync_fence; Sync_def1_stall;
+              Sync_reserve_bit; Sync_drf1_two_level;
+            ]
+        ~models:
+          (List.map
+             (fun m -> Option.get (Spec.model_of_string m))
+             [ "sc"; "tso"; "pso"; "ra" ])
+        base)
+    (P.specs @ P.model_specs)
+
+module I = Wo_prog.Instr
+
+let prog name threads = Wo_prog.Program.make ~name threads
+let w loc = I.Write (loc, I.Const 1)
+
+(* The two places where Figure 1's two configuration-1 store buffers
+   part ([Spec.run_key]'s TSO identity excludes both):
+   (a) nine back-to-back writes meet a depth-8 buffer: the uncached
+   buffer holds nine outstanding (eight queued, one draining), TSO
+   eight; (b) an RMW whose location is still buffered behind another
+   write, under [Sync_none]: the uncached buffer waits for every write,
+   TSO only for its own location. *)
+let nine_writes = prog "nine-writes" [ List.init 9 w; [ I.Read (0, 8) ] ]
+
+let rmw_behind =
+  prog "rmw-behind" [ [ w 2; w 0; w 1; I.Test_and_set (0, 0) ]; [ I.Read (0, 1) ] ]
+
+(* The backend a spec builds, as far as its stats can tell. *)
+let ordering_backend (s : Spec.t) = s.Spec.model <> Spec.Model_sc
+
+let not_model k = not (String.starts_with ~prefix:"model." k)
+
+(* Specs with equal [Spec.run_key] on a program run it identically: the
+   campaign settles one seed batch per class on that promise.  For every
+   program (the whole catalogue, looping tests included; sync-free
+   synthesized cycles and mutants; the two divergence programs above),
+   the key specs are grouped by their run key on its features, and
+   every member of a class must reproduce the first member's canonical
+   digest at seeds 1-3 — all of it when both build the same backend,
+   all but [Ordering]'s [model.*] counters when an uncached write
+   buffer meets a TSO one.  A run that raises counts as "raised" (its
+   message names the machine), so raising must match raising. *)
+let test_run_key_sound () =
+  let synth family =
+    match
+      Wo_synth.Synth.batch
+        ~corpus:(Wo_campaign.Campaign.catalogue_corpus ())
+        ~family ~base_seed:1 ~count:12 ()
+    with
+    | Ok cs ->
+      List.filter_map
+        (fun (c : Wo_synth.Synth.case) ->
+          let p = c.Wo_synth.Synth.program in
+          if (Wo_prog.Program.features p).Wo_prog.Program.sync_free then Some p
+          else None)
+        cs
+    | Error e -> Alcotest.failf "batch: %s" e
   in
-  let tests = List.filter (fun (t : L.t) -> not t.L.loops) L.all in
-  let digests spec =
+  let programs =
+    List.map (fun (t : L.t) -> t.L.program) L.all
+    @ synth "cycle-racy" @ synth "mutate"
+    @ [ nine_writes; rmw_behind ]
+  in
+  let runs spec program =
     let session = M.new_session (Spec.build spec) M.Compiled in
-    List.concat_map
-      (fun (t : L.t) ->
-        List.map
-          (fun seed ->
-            match M.session_run session ~seed t.L.program with
-            | r -> canonical r
-            | exception M.Machine_error _ -> "raised")
-          (seeds 3))
-      tests
+    List.map
+      (fun seed ->
+        match M.session_run session ~seed program with
+        | r -> (canonical r, canonical ~stat:not_model r)
+        | exception M.Machine_error _ -> ("raised", "raised"))
+      (seeds 3)
   in
-  let classes = Hashtbl.create 256 in
+  let shared = ref 0 and across = ref 0 and sync_free_merges = ref 0 in
   List.iter
-    (fun spec ->
-      let k = Spec.behaviour_key spec in
-      Hashtbl.replace classes k
-        (spec :: Option.value ~default:[] (Hashtbl.find_opt classes k)))
-    specs;
-  let shared = ref 0 in
-  Hashtbl.iter
-    (fun _ members ->
-      match List.rev members with
-      | [] | [ _ ] -> ()
-      | rep :: rest ->
-        let want = digests rep in
-        List.iter
-          (fun (spec : Spec.t) ->
-            incr shared;
-            if Spec.flags spec <> Spec.flags rep then
-              Alcotest.failf "%s and %s share a key but not their flags"
-                spec.Spec.name rep.Spec.name;
-            if digests spec <> want then
-              Alcotest.failf "%s and %s share a key but not their runs"
-                spec.Spec.name rep.Spec.name)
-          rest)
-    classes;
-  (* the grid's merges are real: the uncached and ordering backends read
-     sync only as [<> Sync_none] *)
-  check "some specs share a key" true (!shared > 0)
+    (fun (program : Wo_prog.Program.t) ->
+      let features = Wo_prog.Program.features program in
+      let classes = Hashtbl.create 256 in
+      List.iter
+        (fun spec ->
+          let k = Spec.run_key spec features in
+          Hashtbl.replace classes k
+            (spec :: Option.value ~default:[] (Hashtbl.find_opt classes k)))
+        key_specs;
+      Hashtbl.iter
+        (fun _ members ->
+          match List.rev members with
+          | [] | [ _ ] -> ()
+          | rep :: rest ->
+            let want = runs rep program in
+            List.iter
+              (fun (spec : Spec.t) ->
+                incr shared;
+                if spec.Spec.sync <> rep.Spec.sync
+                   && features.Wo_prog.Program.sync_free
+                then incr sync_free_merges;
+                let got = runs spec program in
+                let same =
+                  if ordering_backend spec = ordering_backend rep then
+                    List.map fst got = List.map fst want
+                  else begin
+                    incr across;
+                    List.map snd got = List.map snd want
+                  end
+                in
+                if not same then
+                  Alcotest.failf "%s and %s share a run key on %s but not their runs"
+                    spec.Spec.name rep.Spec.name program.Wo_prog.Program.name)
+              rest)
+        classes)
+    programs;
+  (* every kind of merge is exercised *)
+  check "some specs share a key" true (!shared > 0);
+  check "some uncached buffers share TSO's key" true (!across > 0);
+  check "some sync-free programs merge sync policies" true (!sync_free_merges > 0)
+
+(* The two divergences, pinned: on the campaign grid's fabrics,
+   [bus-nocache-wb]'s uncached buffer and [tso-wb]'s TSO buffer run the
+   two programs above differently (beyond [model.*]) — nine writes
+   under [+none] and [+fence], the buffered RMW under [+none] only — and
+   their run keys keep those cells apart, while on the RMW program under
+   [+fence] they agree and share a key. *)
+let test_store_buffers_diverge () =
+  let spec name fabric sync =
+    List.hd
+      (Spec.grid ~fabrics:[ fabric ] ~syncs:[ sync ] (Option.get (P.spec_of name)))
+  in
+  let differ a b program =
+    let d s =
+      let session = M.new_session (Spec.build s) M.Compiled in
+      List.map
+        (fun seed -> canonical ~stat:not_model (M.session_run session ~seed program))
+        (seeds 3)
+    in
+    d a <> d b
+  in
+  List.iter
+    (fun fabric ->
+      List.iter
+        (fun (program, sync, diverge) ->
+          let u = spec "bus-nocache-wb" fabric sync
+          and t = spec "tso-wb" fabric sync in
+          let f = Wo_prog.Program.features program in
+          let what =
+            Printf.sprintf "%s on %s" program.Wo_prog.Program.name t.Spec.name
+          in
+          check (what ^ ": runs differ") diverge (differ u t program);
+          check (what ^ ": keys differ") diverge
+            (Spec.run_key u f <> Spec.run_key t f))
+        [
+          (nine_writes, Spec.Sync_none, true);
+          (nine_writes, Spec.Sync_fence, true);
+          (rmw_behind, Spec.Sync_none, true);
+          (rmw_behind, Spec.Sync_fence, false);
+        ])
+    grid_fabrics
 
 let tests =
   [
@@ -733,6 +834,8 @@ let tests =
       test_replay_after_machine_error;
     Alcotest.test_case "Lemma-1 verdict reuse = fresh per-seed reports" `Quick
       test_lemma1_reuse;
-    Alcotest.test_case "equal behaviour keys build the same hardware" `Quick
-      test_behaviour_key_sound;
+    Alcotest.test_case "equal run keys run a program identically" `Quick
+      test_run_key_sound;
+    Alcotest.test_case "the two configuration-1 store buffers diverge" `Quick
+      test_store_buffers_diverge;
   ]
